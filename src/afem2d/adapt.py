@@ -1,6 +1,6 @@
 """Solve-estimate-mark-refine loops and goal-oriented weighting."""
 
-import os
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -9,11 +9,13 @@ import numpy as np
 from . import bank_weiser as bw
 from . import estimators
 from . import quadrature as quad
+from .element import MAX_DEGREE
 from .fem import (
     FEFunction,
     FunctionSpace,
     assemble_poisson,
     cell_geometry,
+    eval_data,
     h1_seminorm_error,
     physical_points,
     solve,
@@ -47,7 +49,8 @@ class AdaptConfig:
     """Settings for one adaptive run.
 
     At least one stopping rule (max_dofs, tol, max_iterations) must be
-    set; they are checked in that order after each solve.
+    set; they are checked in that order after each solve.  Settings that
+    no run could complete with are rejected here, before any assembly.
     """
 
     estimator: str = "bw:2,1"
@@ -66,7 +69,11 @@ class AdaptConfig:
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta!r}")
         if self.max_dofs is None and self.tol is None and self.max_iterations is None:
             raise ValueError("need at least one stopping rule")
+        if self.degree not in range(1, MAX_DEGREE + 1):
+            raise ValueError(f"unsupported space degree: {self.degree!r}")
         resolve_estimator(self.estimator)
+        if self.estimator.strip() == "zz" and self.degree != 1:
+            raise ValueError("gradient recovery (zz) requires degree 1")
 
 
 @dataclass
@@ -172,8 +179,7 @@ def evaluate_goal(u, c, quad_degree=None):
     order = 2 * space.degree + 3 if quad_degree is None else quad_degree
     pts, wts = quad.triangle_rule(order)
     jac, det, _ = cell_geometry(space.mesh)
-    x = physical_points(space.mesh, pts, jac)
-    cv = np.asarray(c(x[..., 0], x[..., 1]), dtype=float)
+    cv = eval_data(c, physical_points(space.mesh, pts, jac))
     uv = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
     return float(np.einsum("cq,cq,q,c->", cv, uv, wts, det))
 
@@ -252,14 +258,26 @@ def reference_goal_value(
 
     ``fe`` solves once on the ``refinements``-times uniformly refined
     initial mesh with degree + 2 elements; ``quadrature`` integrates
-    c * u_exact directly and needs the exact solution.
+    c * u_exact directly and needs the exact solution.  The cache file
+    holds a key line (problem, method, degree, refinements and the goal
+    density's parameters) and the value; a file with another key, or one
+    that is truncated or unreadable, is recomputed and rewritten.
     """
-    key = f"{problem.name} {method} degree={degree} refinements={refinements}"
-    if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path) as handle:
-            stored_key, value = handle.read().splitlines()[:2]
-        if stored_key == key:
-            return float(value)
+    if problem.goal is None:
+        raise ValueError(f"problem {problem.name!r} has no goal functional")
+    spec = problem.goal
+    key = (
+        f"{problem.name} {method} degree={degree} refinements={refinements} "
+        f"eps={spec.eps!r} xbar={spec.xbar!r} ybar={spec.ybar!r}"
+    )
+    if cache_path is not None:
+        try:
+            with open(cache_path) as handle:
+                stored_key, text = handle.read().splitlines()[:2]
+            if stored_key == key and math.isfinite(float(text)):
+                return float(text)
+        except (OSError, ValueError):
+            pass  # missing, truncated or unreadable: recompute below
     if method == "fe":
         mesh = uniform_refine(problem.mesh, refinements)
         space = FunctionSpace(mesh, min(degree + 2, 4))

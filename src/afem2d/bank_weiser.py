@@ -25,7 +25,7 @@ import numpy as np
 from . import element as el
 from . import fem
 from . import quadrature as quad
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, IndicatorField
+from .mesh import DIRICHLET, NEUMANN, IndicatorField
 
 NULLSPACE_RTOL = 1e-10
 
@@ -102,84 +102,23 @@ def local_system(u, f, g, fine):
     """
     space = u.space
     mesh = space.mesh
-    u_el = space.element
-    nc = mesh.num_cells
     jac, det, inv = fem.cell_geometry(mesh)
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
     pts, wts = quad.triangle_rule(order)
+    a_raw = fem.cell_stiffness(fine, order, det, inv)
 
-    grads = fem.physical_gradients(fine.tabulate_grad(pts), inv)
-    a_raw = np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, det, optimize=True)
-
-    coeffs = u.cell_coeffs()
-    x = fem.physical_points(mesh, pts, jac)
-    r = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
-    if r.ndim == 0 or r.shape != x.shape[:2]:
-        r = np.broadcast_to(r, x.shape[:2]).copy()
-    else:
-        r = r.copy()
+    r = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
     if space.degree >= 2:
-        hess = u_el.tabulate_hess(pts)
-        lap = np.einsum("csa,qist,cta->cqi", inv, hess, inv, optimize=True)
-        r += np.einsum("ci,cqi->cq", coeffs, lap)
-    b = np.einsum("cq,qi,q,c->ci", r, fine.tabulate(pts), wts, det, optimize=True)
+        r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
+    b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
 
     t, wt = quad.edge_rule(order)
-    nq = len(t)
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    u_grad_own = {}
+    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
+    data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
+    constrained = np.zeros((mesh.num_cells, fine.dim), dtype=bool)
     for lane in range(3):
-        fid = mesh.cell_facets[:, lane]
-        tags = mesh.facet_tags[fid]
-        ref = fem.lane_points(lane, t)
-        tab_edge = fine.tabulate(ref)
-        g_own = np.einsum(
-            "ci,cqit->cqt", coeffs, fem.physical_gradients(u_el.tabulate_grad(ref), inv)
-        )
-        a_loc, b_loc = el.EDGE_VERTICES[lane]
-        evec = mesh.vertices[mesh.cells[:, b_loc]] - mesh.vertices[mesh.cells[:, a_loc]]
-        elen = np.hypot(evec[:, 0], evec[:, 1])
-        normal = np.column_stack([evec[:, 1], -evec[:, 0]]) / elen[:, None]
-
-        data = np.zeros((nc, nq))
-        inner = np.flatnonzero(tags == INTERIOR)
-        if inner.size:
-            x_edge = fem.physical_points(mesh, ref, jac)[inner]
-            pair_cells = mesh.facet_cells[fid[inner]]
-            nb = np.where(pair_cells[:, 0] == inner, pair_cells[:, 1], pair_cells[:, 0])
-            local = np.einsum(
-                "cts,cqs->cqt", inv[nb], x_edge - v0[nb][:, None, :]
-            )
-            nb_grads = u_el.tabulate_grad(local.reshape(-1, 2)).reshape(
-                inner.size, nq, u_el.dim, 2
-            )
-            g_nb = np.einsum(
-                "ci,cst,cqis->cqt", coeffs[nb], inv[nb], nb_grads, optimize=True
-            )
-            data[inner] = 0.5 * np.einsum(
-                "cqt,ct->cq", g_nb - g_own[inner], normal[inner]
-            )
-        neum = np.flatnonzero(tags == NEUMANN)
-        if neum.size:
-            flux = np.einsum("cqt,ct->cq", g_own[neum], normal[neum])
-            if g is None:
-                gv = np.zeros_like(flux)
-            else:
-                x_edge = fem.physical_points(mesh, ref, jac)[neum]
-                gv = np.broadcast_to(
-                    np.asarray(g(x_edge[..., 0], x_edge[..., 1]), dtype=float),
-                    flux.shape,
-                )
-            data[neum] = gv - flux
-        b += np.einsum("cq,qi,q,c->ci", data, tab_edge, wt, elen, optimize=True)
-
-    constrained = np.zeros((nc, fine.dim), dtype=bool)
-    for lane in range(3):
-        on_dirichlet = np.flatnonzero(
-            mesh.facet_tags[mesh.cell_facets[:, lane]] == DIRICHLET
-        )
-        if on_dirichlet.size:
-            constrained[np.ix_(on_dirichlet, fine.edge_dofs[lane])] = True
+        b += data[lane] @ (wt[:, None] * fine.tabulate(fem.lane_points(lane, t)))
+        constrained[np.ix_(tags[lane] == DIRICHLET, fine.edge_dofs[lane])] = True
     return a_raw, b, constrained
 
 
@@ -189,7 +128,7 @@ def _solve_projected(a_raw, b, constrained, nullbasis):
     idx = np.arange(a_raw.shape[1])
     a_mod[:, idx, idx] = np.where(constrained, 1.0, a_mod[:, idx, idx])
     b_mod = np.where(free, b, 0.0)
-    a_bw = np.einsum("ij,cjk,kl->cil", nullbasis.T, a_mod, nullbasis, optimize=True)
+    a_bw = np.matmul(nullbasis.T, a_mod) @ nullbasis
     b_bw = b_mod @ nullbasis
     try:
         x = np.linalg.solve(a_bw, b_bw[..., None])[..., 0]

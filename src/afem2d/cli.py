@@ -8,20 +8,19 @@ Two subcommands:
 """
 
 import argparse
-import re
 import sys
 
 from .adapt import (
+    _BW_SELECTOR,
     AdaptConfig,
     adapt_loop,
     goal_adapt_loop,
     reference_goal_value,
 )
+from .bank_weiser import LocalSolveError, NullspaceError
+from .fem import SolverError
 from .mesh import write_mesh
 from .problems import audit, make_problem
-
-_BW_PAIR = re.compile(r"bw:(\d+),(\d+)")
-
 
 def _add_common(parser, table=False):
     parser.add_argument(
@@ -96,27 +95,30 @@ def _emit(text, path):
 def efficiency_table(problem, selectors, degree=1, marking="dorfler", theta=0.5,
                      max_dofs=20000, solver="cg"):
     """Final-mesh efficiency for each selector, one adaptive run each."""
-    rows = []
-    reference = None
-    for selector in selectors:
-        config = AdaptConfig(
+    configs = [
+        AdaptConfig(
             estimator=selector, degree=degree, marking=marking, theta=theta,
             max_dofs=max_dofs, solver=solver,
         )
+        for selector in selectors
+    ]
+    rows = []
+    reference = None
+    for config in configs:
         if problem.goal is not None:
             if reference is None:
                 reference = reference_goal_value(problem, degree)
             result = goal_adapt_loop(problem, config, reference)
         else:
             result = adapt_loop(problem, config)
-        rows.append((selector, result.trace.rows[-1].efficiency))
+        rows.append((config.estimator, result.trace.rows[-1].efficiency))
     return rows
 
 
 def format_table_csv(rows):
     lines = ["kplus,kminus,efficiency"]
     for selector, efficiency in rows:
-        match = _BW_PAIR.fullmatch(selector)
+        match = _BW_SELECTOR.fullmatch(selector)
         if match:
             label = f"{match.group(1)},{match.group(2)}"
         elif selector == "bw:bubble":
@@ -128,6 +130,7 @@ def format_table_csv(rows):
 
 
 def main(argv=None):
+    """Exit code 0 on success, 2 on usage errors, 1 on runtime failures."""
     args = build_parser().parse_args(argv)
     try:
         problem = audit(make_problem(args.problem, alpha=args.alpha))
@@ -145,9 +148,12 @@ def main(argv=None):
                 theta=args.theta, max_dofs=args.max_dof or 20000, solver=args.solver,
             )
             _emit(format_table_csv(rows), args.out)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"afem2d: {exc}", file=sys.stderr)
         return 2
+    except (SolverError, LocalSolveError, NullspaceError) as exc:
+        print(f"afem2d: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

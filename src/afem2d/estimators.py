@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from . import element as el
 from . import fem
 from . import quadrature as quad
-from .mesh import INTERIOR, NEUMANN, IndicatorField
+from .mesh import NEUMANN, IndicatorField
 
 
 def residual_estimate(u, f, g=None):
@@ -19,71 +18,28 @@ def residual_estimate(u, f, g=None):
     """
     space = u.space
     mesh = space.mesh
-    u_el = space.element
-    nc = mesh.num_cells
     jac, det, inv = fem.cell_geometry(mesh)
     # Elevated data order: near-singular loads (e.g. x**(alpha-2) against a
     # boundary) are badly under-sampled by the minimal 2k rule, while smooth
     # data is integrated exactly either way.
     order = 2 * space.degree + 6
     pts, wts = quad.triangle_rule(order)
-    coeffs = u.cell_coeffs()
 
-    x = fem.physical_points(mesh, pts, jac)
-    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
-    if fv.ndim == 0 or fv.shape != x.shape[:2]:
-        fv = np.broadcast_to(fv, x.shape[:2])
-    f_mean = 2.0 * np.einsum("cq,q->c", fv, wts)  # cell weights sum to 1/2
+    fv = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
+    f_mean = 2.0 * (fv @ wts)  # cell weights sum to 1/2
     resid = np.broadcast_to(f_mean[:, None], fv.shape)
     if space.degree >= 2:
-        hess = u_el.tabulate_hess(pts)
-        lap = np.einsum("csa,qist,cta->cqi", inv, hess, inv, optimize=True)
-        resid = resid + np.einsum("ci,cqi->cq", coeffs, lap)
-    h_cell = mesh.cell_diameters()
-    eta2 = h_cell**2 * np.einsum("cq,q,c->c", resid**2, wts, det)
+        hess = space.element.tabulate_hess(pts)
+        resid = resid + fem.cell_laplacians(u.cell_coeffs(), hess, inv)
+    eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * det)
 
-    t, wt = quad.edge_rule(order)
+    _, wt = quad.edge_rule(order)
+    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
+    g_mean = gv @ wt  # edge weights sum to 1
+    neumann = ((g_mean[..., None] - dn) ** 2) @ wt
+    edge = length**2 * np.where(tags == NEUMANN, neumann, 0.5 * (jump**2 @ wt))
     for lane in range(3):
-        fid = mesh.cell_facets[:, lane]
-        tags = mesh.facet_tags[fid]
-        ref = fem.lane_points(lane, t)
-        g_own = np.einsum(
-            "ci,cqit->cqt", coeffs, fem.physical_gradients(u_el.tabulate_grad(ref), inv)
-        )
-        a_loc, b_loc = el.EDGE_VERTICES[lane]
-        evec = mesh.vertices[mesh.cells[:, b_loc]] - mesh.vertices[mesh.cells[:, a_loc]]
-        elen = np.hypot(evec[:, 0], evec[:, 1])
-        normal = np.column_stack([evec[:, 1], -evec[:, 0]]) / elen[:, None]
-
-        inner = np.flatnonzero(tags == INTERIOR)
-        if inner.size:
-            x_edge = fem.physical_points(mesh, ref, jac)[inner]
-            pair_cells = mesh.facet_cells[fid[inner]]
-            nb = np.where(pair_cells[:, 0] == inner, pair_cells[:, 1], pair_cells[:, 0])
-            v0 = mesh.vertices[mesh.cells[:, 0]]
-            local = np.einsum("cts,cqs->cqt", inv[nb], x_edge - v0[nb][:, None, :])
-            nb_grads = u_el.tabulate_grad(local.reshape(-1, 2)).reshape(
-                inner.size, len(t), u_el.dim, 2
-            )
-            g_nb = np.einsum(
-                "ci,cst,cqis->cqt", coeffs[nb], inv[nb], nb_grads, optimize=True
-            )
-            jump = np.einsum("cqt,ct->cq", g_own[inner] - g_nb, normal[inner])
-            eta2[inner] += 0.5 * elen[inner] ** 2 * np.einsum("cq,q->c", jump**2, wt)
-        neum = np.flatnonzero(tags == NEUMANN)
-        if neum.size:
-            flux = np.einsum("cqt,ct->cq", g_own[neum], normal[neum])
-            if g is None:
-                g_mean = np.zeros(neum.size)
-            else:
-                x_edge = fem.physical_points(mesh, ref, jac)[neum]
-                gv = np.broadcast_to(
-                    np.asarray(g(x_edge[..., 0], x_edge[..., 1]), dtype=float),
-                    flux.shape,
-                )
-                g_mean = np.einsum("cq,q->c", gv, wt)  # edge weights sum to 1
-            diff = g_mean[:, None] - flux
-            eta2[neum] += elen[neum] ** 2 * np.einsum("cq,q->c", diff**2, wt)
+        eta2 += edge[lane]
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0)))
 
 

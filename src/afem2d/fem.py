@@ -5,8 +5,18 @@ of degree - 1 nodes each, then cell-interior blocks.  Facet blocks run
 from the lower-indexed vertex towards the higher one; the cell-local
 gather flips edge nodes where needed, so shared values match across
 cells and the element tables can stay cell-independent.
+
+Cell matrices use the tensor representation of Kirby & Logg (ACM TOMS
+32(3), 2006): on an affine cell the stiffness is ``G_c @ K_ref``, with
+``G_c = det J^-1 J^-T`` flattened to 4 entries and ``K_ref[(s, r), (i, j)]
+= int d_s phi_i d_r phi_j`` tabulated once per element and quadrature
+order, on first use.  Facet terms go by lanes (lane i of a cell is its
+local edge i); ``Mesh.facet_lanes`` gives each facet's lane in both
+incident cells, and since those cells traverse the facet in opposite
+directions the neighbour's trace is its own lane trace read backwards.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +51,43 @@ def physical_points(mesh, ref_pts, jac=None):
     if jac is None:
         jac, _, _ = cell_geometry(mesh)
     v0 = mesh.vertices[mesh.cells[:, 0]]
-    return v0[:, None, :] + np.einsum("cts,qs->cqt", jac, ref_pts)
+    mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)
+    return v0[:, None, :] + mapped.transpose(0, 2, 1)
 
 
-def physical_gradients(ref_grads, inv):
-    """Push reference gradients (nq, d, 2) through J^-T: (nc, nq, d, 2)."""
-    return np.einsum("cst,qis->cqit", inv, ref_grads)
+def cell_gradients(coeffs, ref_grads, inv):
+    """Gradients of the cellwise expansions ``coeffs`` (nc, d) at the
+    points where ``ref_grads`` (nq, d, 2) was tabulated: (nc, nq, 2)."""
+    nq, d, _ = ref_grads.shape
+    ref = coeffs @ ref_grads.transpose(1, 0, 2).reshape(d, 2 * nq)
+    return np.matmul(ref.reshape(-1, nq, 2), inv)
+
+
+def cell_laplacians(coeffs, ref_hess, inv):
+    """Laplacians of the cellwise expansions at the points where
+    ``ref_hess`` (nq, d, 2, 2) was tabulated: (nc, nq)."""
+    nq, d = ref_hess.shape[:2]
+    ref = coeffs @ ref_hess.transpose(1, 0, 2, 3).reshape(d, 4 * nq)
+    metric = np.matmul(inv, inv.transpose(0, 2, 1)).reshape(-1, 4, 1)
+    return np.matmul(ref.reshape(-1, nq, 4), metric)[..., 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_stiffness(element, order):
+    """K_ref[s, r, i, j] = sum_q w_q d_s phi_i d_r phi_j as (4, dim^2)."""
+    pts, wts = quad.triangle_rule(order)
+    grads = element.tabulate_grad(pts)
+    kref = np.einsum("q,qis,qjr->srij", wts, grads, grads).reshape(4, -1)
+    kref.setflags(write=False)
+    return kref
+
+
+def cell_stiffness(element, order, det, inv):
+    """Affine cell stiffness matrices ``G_c @ K_ref`` as (nc, dim, dim);
+    exact for any quadrature ``order`` >= 2 (degree - 1)."""
+    geo = det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))
+    local = geo.reshape(-1, 4) @ _reference_stiffness(element, order)
+    return local.reshape(-1, element.dim, element.dim)
 
 
 def lane_points(lane, n_or_pts):
@@ -55,6 +96,60 @@ def lane_points(lane, n_or_pts):
     a, b = el.EDGE_VERTICES[lane]
     va, vb = el.VERTICES[a], el.VERTICES[b]
     return va[None, :] + t[:, None] * (vb - va)[None, :]
+
+
+def edge_points(mesh, lanes, cells, t):
+    """Physical points at parameters t along local edge lanes[k] of
+    cells[k], for every k: (len(cells), nq, 2)."""
+    ends = np.asarray(el.EDGE_VERTICES)[lanes]
+    va = mesh.vertices[mesh.cells[cells, ends[:, 0]]]
+    vb = mesh.vertices[mesh.cells[cells, ends[:, 1]]]
+    return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+
+
+def eval_data(fn, x):
+    """Vectorized data callable at points x (..., 2), broadcast to x's shape."""
+    return np.broadcast_to(np.asarray(fn(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
+
+
+def facet_traces(u, g, order):
+    """Normal derivatives of ``u`` from both sides of every local edge.
+
+    Returns (tags, length, dn, jump, gv) indexed by [lane, cell] and, for
+    the last three, by the points of ``quad.edge_rule(order)`` along the
+    cell's own traversal of the edge: facet tags and edge lengths, grad
+    u_h . n (n the outward unit normal), (grad u_h|neighbour - grad u_h) . n
+    on interior facets and the data ``g`` (None: zero) on Neumann facets,
+    zero elsewhere.  Nothing is tabulated at points mapped across facets.
+    """
+    space, mesh = u.space, u.space.mesh
+    t, _ = quad.edge_rule(order)
+    _, _, inv = cell_geometry(mesh)
+    ends = np.asarray(el.EDGE_VERTICES)
+    v = mesh.vertices[mesh.cells]
+    evec = (v[:, ends[:, 1]] - v[:, ends[:, 0]]).transpose(1, 0, 2)
+    length = np.hypot(evec[..., 0], evec[..., 1])
+    normal = np.stack([evec[..., 1], -evec[..., 0]], axis=-1) / length[..., None]
+    grads = np.stack([
+        cell_gradients(u.cell_coeffs(), space.element.tabulate_grad(lane_points(lane, t)), inv)
+        for lane in range(3)
+    ])
+    dn = np.matmul(grads, normal[..., None])[..., 0]
+
+    jump = np.zeros_like(dn)
+    inner = mesh.facet_cells[:, 1] >= 0
+    (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes()[inner].T
+    # Outward normals of the two sides are exactly opposite, so the jump
+    # seen from either side is minus the sum of both outward fluxes.
+    total = dn[l0, c0] + dn[l1, c1, ::-1]
+    jump[l0, c0] = -total
+    jump[l1, c1] = -total[:, ::-1]
+    tags = mesh.facet_tags[mesh.cell_facets].T
+    gv = np.zeros_like(dn)
+    if g is not None:
+        lanes, cells = np.nonzero(tags == NEUMANN)
+        gv[lanes, cells] = eval_data(g, edge_points(mesh, lanes, cells, t))
+    return tags, length, dn, jump, gv
 
 
 class FunctionSpace:
@@ -111,17 +206,9 @@ class FunctionSpace:
         return np.unique(np.concatenate(ids)) if ids[0].size else np.empty(0, np.int64)
 
     def neumann_facet_lanes(self):
-        """(cell, lane, facet) triples for every Neumann facet."""
+        """(3, nc) masks of the cells whose local edge ``lane`` is Neumann."""
         mesh = self.mesh
-        rows = []
-        for lane in range(3):
-            facet = mesh.cell_facets[:, lane]
-            on = (mesh.facet_tags[facet] == NEUMANN) & (
-                mesh.facet_cells[facet, 0] == np.arange(mesh.num_cells)
-            )
-            for c in np.flatnonzero(on):
-                rows.append((c, lane, facet[c]))
-        return sorted(rows)
+        return mesh.facet_tags[mesh.cell_facets].T == NEUMANN
 
 
 @dataclass
@@ -163,11 +250,8 @@ def assemble_stiffness(space, quad_degree=None):
     """Raw Poisson stiffness matrix (no boundary conditions)."""
     mesh, element = space.mesh, space.element
     order = 2 * space.degree + 1 if quad_degree is None else quad_degree
-    pts, wts = quad.triangle_rule(order)
     _, det, inv = cell_geometry(mesh)
-    grads = physical_gradients(element.tabulate_grad(pts), inv)
-    local = np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, det, optimize=True)
-    d = element.dim
+    local = cell_stiffness(element, order, det, inv)
     rows = np.broadcast_to(space.dofmap[:, :, None], local.shape)
     cols = np.broadcast_to(space.dofmap[:, None, :], local.shape)
     mat = sparse.coo_matrix(
@@ -183,33 +267,20 @@ def assemble_load(space, f, g=None, quad_degree=None):
     order = 2 * space.degree + 1 if quad_degree is None else quad_degree
     pts, wts = quad.triangle_rule(order)
     jac, det, _ = cell_geometry(mesh)
-    x = physical_points(mesh, pts, jac)
-    fvals = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
-    if fvals.ndim == 0 or fvals.shape != x.shape[:2]:
-        fvals = np.broadcast_to(fvals, x.shape[:2])
-    tab = element.tabulate(pts)
-    b = np.zeros(space.num_dofs)
-    np.add.at(b, space.dofmap, np.einsum("cq,qi,q,c->ci", fvals, tab, wts, det))
+    fvals = eval_data(f, physical_points(mesh, pts, jac))
+    local = (fvals * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
+    b = np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
-    lanes = space.neumann_facet_lanes()
-    if lanes:
-        gfun = g if g is not None else (lambda x, y: np.zeros_like(x))
+    lanes, cells = np.nonzero(space.neumann_facet_lanes())
+    if g is not None and cells.size:
+        # np.nonzero yields lane-major pairs with ascending cells, which
+        # fixes the order in which np.add.at sums the facet terms.
         t, wt = quad.edge_rule(order)
-        lengths = mesh.facet_lengths()
-        for lane in range(3):
-            group = [(c, f_) for c, ln, f_ in lanes if ln == lane]
-            if not group:
-                continue
-            cells_idx = np.array([c for c, _ in group])
-            facet_idx = np.array([f_ for _, f_ in group])
-            ref = lane_points(lane, t)
-            tab_edge = element.tabulate(ref)
-            xq = physical_points(mesh, ref, jac)[cells_idx]
-            gv = np.asarray(gfun(xq[..., 0], xq[..., 1]), dtype=float)
-            if gv.ndim == 0 or gv.shape != xq.shape[:2]:
-                gv = np.broadcast_to(gv, xq.shape[:2])
-            contrib = np.einsum("fq,qi,q->fi", gv, tab_edge, wt) * lengths[facet_idx][:, None]
-            np.add.at(b, space.dofmap[cells_idx], contrib)
+        tabs = np.stack([element.tabulate(lane_points(lane, t)) for lane in range(3)])
+        gv = eval_data(g, edge_points(mesh, lanes, cells, t)) * wt
+        lengths = mesh.facet_lengths()[mesh.cell_facets[cells, lanes]]
+        contrib = np.einsum("fq,fqi->fi", gv, tabs[lanes]) * lengths[:, None]
+        np.add.at(b, space.dofmap[cells], contrib)
     return b
 
 
@@ -242,9 +313,7 @@ def assemble_poisson(space, f, g=None, u_dirichlet=None, quad_degree=None):
     if u_dirichlet is None:
         values = np.zeros(len(dofs))
     else:
-        pts = space.dof_coordinates()[dofs]
-        values = np.asarray(u_dirichlet(pts[:, 0], pts[:, 1]), dtype=float)
-        values = np.broadcast_to(values, (len(dofs),)).copy()
+        values = eval_data(u_dirichlet, space.dof_coordinates()[dofs]).copy()
     matrix, rhs = apply_dirichlet(matrix, rhs, dofs, values)
     return SparseSystem(matrix, rhs, dofs, values)
 
@@ -281,12 +350,11 @@ def h1_seminorm_error(u, grad_exact, quad_degree=None):
     order = 2 * space.degree + 3 if quad_degree is None else quad_degree
     pts, wts = quad.triangle_rule(order)
     jac, det, inv = cell_geometry(space.mesh)
-    grads = physical_gradients(space.element.tabulate_grad(pts), inv)
-    gh = np.einsum("ci,cqit->cqt", u.cell_coeffs(), grads)
+    gh = cell_gradients(u.cell_coeffs(), space.element.tabulate_grad(pts), inv)
     x = physical_points(space.mesh, pts, jac)
     gx, gy = grad_exact(x[..., 0], x[..., 1])
     diff = (gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2
-    return float(np.sqrt(np.einsum("cq,q,c->", diff, wts, det)))
+    return float(np.sqrt(det @ (diff @ wts)))
 
 
 def l2_norm(u, quad_degree=None):

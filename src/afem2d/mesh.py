@@ -94,6 +94,7 @@ class Mesh:
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
         self._vertex_cells = None
+        self._facet_lanes = None
 
     def _assign_tags(self, boundary):
         tags = np.zeros(len(self.facets), dtype=np.int8)
@@ -159,6 +160,16 @@ class Mesh:
             )
             angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
         return float(np.min(angles))
+
+    def facet_lanes(self):
+        """(nf, 2) local edge index of each facet in its owner cell and in
+        its neighbour (-1 for none), laid out like facet_cells."""
+        if self._facet_lanes is None:
+            self._facet_lanes = np.full(self.facet_cells.shape, -1, dtype=np.int64)
+            cells, lanes = np.indices(self.cell_facets.shape)
+            side = (self.facet_cells[self.cell_facets, 0] != cells).astype(np.int64)
+            self._facet_lanes[self.cell_facets, side] = lanes
+        return self._facet_lanes
 
     def vertex_to_cells(self):
         """CSR-style adjacency: (offsets, cell ids) sorted per vertex."""

@@ -3,7 +3,10 @@
 import numpy as np
 
 from afem2d import FEFunction, FunctionSpace, Mesh
+from afem2d import element as el
 from afem2d import fem
+from afem2d import quadrature as quad
+from afem2d.mesh import INTERIOR, NEUMANN
 from afem2d.problems import unit_square_mesh
 
 
@@ -36,6 +39,81 @@ def criss_cross_square(boundary=None):
     )
     cells = np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]])
     return Mesh(vertices, cells, boundary=boundary)
+
+
+def jittered_square(divisions, seed):
+    """Structured unit-square mesh with its interior vertices moved by up
+    to 0.15 of the mesh width, so no two cells share a Jacobian."""
+    base = unit_square_mesh(divisions)
+    rng = np.random.default_rng(seed)
+    fixed = np.zeros(base.num_vertices, dtype=bool)
+    fixed[base.facets[base.boundary_facets()].ravel()] = True
+    vertices = base.vertices.copy()
+    shift = rng.uniform(-1.0, 1.0, size=vertices.shape) * 0.15 / divisions
+    vertices[~fixed] += shift[~fixed]
+    return Mesh(vertices, base.cells)
+
+
+def quadrature_gradients(ref_grads, inv):
+    """The einsum push-forward of reference gradients: (nc, nq, d, 2)."""
+    return np.einsum("cst,qis->cqit", inv, ref_grads)
+
+
+def quadrature_stiffness(element, order, mesh):
+    """Cell stiffness matrices by quadrature of pushed-forward gradients."""
+    pts, wts = quad.triangle_rule(order)
+    _, det, inv = fem.cell_geometry(mesh)
+    grads = quadrature_gradients(element.tabulate_grad(pts), inv)
+    return np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, det)
+
+
+def mapped_point_traces(u, g, order):
+    """Reference for ``fem.facet_traces`` that needs no facet-lane map.
+
+    For local edge ``lane`` of each cell the physical edge points are
+    mapped back into the neighbouring cell and its basis is tabulated
+    there.  Returns (length, dn, jump, gv) laid out like
+    ``fem.facet_traces``: jump is zero off interior facets and gv zero off
+    Neumann facets.
+    """
+    space = u.space
+    mesh = space.mesh
+    u_el = space.element
+    jac, _, inv = fem.cell_geometry(mesh)
+    t, _ = quad.edge_rule(order)
+    coeffs = u.cell_coeffs()
+    v0 = mesh.vertices[mesh.cells[:, 0]]
+    nc, nq = mesh.num_cells, len(t)
+    length = np.zeros((3, nc))
+    dn, jump, gv = (np.zeros((3, nc, nq)) for _ in range(3))
+    for lane, (a, b) in enumerate(el.EDGE_VERTICES):
+        fid = mesh.cell_facets[:, lane]
+        tags = mesh.facet_tags[fid]
+        ref = fem.lane_points(lane, t)
+        x = fem.physical_points(mesh, ref, jac)
+        g_own = np.einsum(
+            "ci,cqit->cqt", coeffs, quadrature_gradients(u_el.tabulate_grad(ref), inv)
+        )
+        evec = mesh.vertices[mesh.cells[:, b]] - mesh.vertices[mesh.cells[:, a]]
+        length[lane] = np.hypot(evec[:, 0], evec[:, 1])
+        normal = np.column_stack([evec[:, 1], -evec[:, 0]]) / length[lane][:, None]
+        dn[lane] = np.einsum("cqt,ct->cq", g_own, normal)
+
+        inner = np.flatnonzero(tags == INTERIOR)
+        pair = mesh.facet_cells[fid[inner]]
+        nb = np.where(pair[:, 0] == inner, pair[:, 1], pair[:, 0])
+        local = np.einsum("cts,cqs->cqt", inv[nb], x[inner] - v0[nb][:, None, :])
+        nb_grads = u_el.tabulate_grad(local.reshape(-1, 2)).reshape(
+            inner.size, nq, u_el.dim, 2
+        )
+        g_nb = np.einsum("ci,cst,cqis->cqt", coeffs[nb], inv[nb], nb_grads)
+        jump[lane, inner] = np.einsum("cqt,ct->cq", g_nb - g_own[inner], normal[inner])
+
+        neum = np.flatnonzero(tags == NEUMANN)
+        if g is not None and neum.size:
+            xn = x[neum]
+            gv[lane, neum] = np.broadcast_to(g(xn[..., 0], xn[..., 1]), xn.shape[:2])
+    return length, dn, jump, gv
 
 
 def eval_function(u, ref_pts):

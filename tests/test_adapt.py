@@ -76,6 +76,27 @@ def test_adapt_config_validation():
         AdaptConfig(estimator="nope", max_iterations=1)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"estimator": "zz", "degree": 2},
+        {"estimator": "zz", "degree": 4},
+        {"degree": 0},
+        {"degree": 5},
+        {"estimator": "res", "degree": 1.5},
+    ],
+)
+def test_adapt_config_rejects_unrunnable_settings_before_assembly(monkeypatch, settings):
+    import afem2d.adapt as adapt_module
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before the configuration was checked")
+
+    monkeypatch.setattr(adapt_module, "assemble_poisson", no_assembly)
+    with pytest.raises(ValueError, match="degree"):
+        adapt_loop(lshaped(), AdaptConfig(max_iterations=1, **settings))
+
+
 # ---------------------------------------------------------------------------
 # traces and slopes
 # ---------------------------------------------------------------------------
@@ -281,7 +302,7 @@ def test_reference_goal_value_cache(tmp_path):
     )
     assert path.exists()
     key_line, value_line = path.read_text().splitlines()[:2]
-    assert key_line == "lshaped-goal fe degree=1 refinements=1"
+    assert key_line == "lshaped-goal fe degree=1 refinements=1 eps=0.35 xbar=0.2 ybar=0.2"
     assert float(value_line) == pytest.approx(value, abs=1e-15)
 
     # a matching key short-circuits the solve: plant a sentinel value
@@ -297,6 +318,33 @@ def test_reference_goal_value_cache(tmp_path):
     )
     assert recomputed == pytest.approx(value, rel=1e-14)
     assert path.read_text().splitlines()[0] == key_line
+
+
+@pytest.mark.parametrize("content", ["", "lshaped-goal fe degree=1 refinements=1\n",
+                                     "{key}\n", "{key}\nnot-a-number\n", "{key}\nnan\n"])
+def test_reference_goal_value_recomputes_broken_cache(tmp_path, content):
+    problem = lshaped_goal()
+    path = tmp_path / "ref.jref"
+    value = reference_goal_value(problem, degree=1, refinements=1, cache_path=str(path))
+    key_line = path.read_text().splitlines()[0]
+    path.write_text(content.format(key=key_line))
+    again = reference_goal_value(problem, degree=1, refinements=1, cache_path=str(path))
+    assert again == pytest.approx(value, rel=1e-14)
+    assert path.read_text().splitlines() == [key_line, f"{value:.17g}"]
+
+
+def test_reference_goal_value_cache_keys_on_goal_spec(tmp_path):
+    from dataclasses import replace
+
+    from afem2d.problems import GoalSpec
+
+    problem = lshaped_goal()
+    path = tmp_path / "ref.jref"
+    value = reference_goal_value(problem, degree=1, refinements=1, cache_path=str(path))
+    moved = replace(problem, goal=GoalSpec(eps=problem.goal.eps, xbar=0.3, ybar=0.25))
+    other = reference_goal_value(moved, degree=1, refinements=1, cache_path=str(path))
+    assert abs(other - value) > 1e-6
+    assert "xbar=0.3 ybar=0.25" in path.read_text().splitlines()[0]
 
 
 def test_reference_goal_value_unknown_method():

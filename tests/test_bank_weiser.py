@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from afem2d import element as el
+from afem2d import fem
 from afem2d import quadrature as quad
 from afem2d.bank_weiser import (
     NULLSPACE_RTOL,
@@ -20,9 +21,11 @@ from afem2d.bank_weiser import (
 )
 from afem2d.fem import FEFunction, FunctionSpace, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField
-from afem2d.problems import lshaped, unit_square_mesh
+from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    mapped_point_traces,
+    quadrature_stiffness,
     row_reduction_kernel,
     solve_poisson,
     tagged_unit_square,
@@ -226,6 +229,40 @@ def test_neumann_facet_data():
     expected[list(el.lagrange(2).edge_dofs[2])] = 2.0 * np.array([1 / 6, 1 / 6, 2 / 3])
     assert np.abs(b[0] - expected).max() < 1e-12
     assert np.abs(b[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("degree,pair", [(1, (2, 1)), (2, (4, 2))])
+def test_local_system_matches_quadrature_oracle(degree, pair):
+    """Reference-tensor stiffness and lane-map facet data reproduce the
+    quadrature stiffness and the mapped-point load on a mesh with
+    interior, Dirichlet and Neumann facets."""
+    problem = lshaped_mixed()
+    mesh = problem.mesh
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    fine = el.lagrange(pair[0])
+    a_raw, b, _ = local_system(u, problem.f, problem.g, fine)
+
+    order = max(2 * fine.degree, degree + fine.degree + 2)
+    a_oracle = quadrature_stiffness(fine, order, mesh)
+    assert np.abs(a_raw - a_oracle).max() <= 1e-13 * np.abs(a_oracle).max()
+
+    pts, wts = quad.triangle_rule(order)
+    jac, det, inv = fem.cell_geometry(mesh)
+    x = fem.physical_points(mesh, pts, jac)
+    r = np.broadcast_to(problem.f(x[..., 0], x[..., 1]), x.shape[:2])
+    if degree >= 2:
+        lap = np.einsum("csa,qist,cta->cqi", inv, space.element.tabulate_hess(pts), inv)
+        r = r + np.einsum("ci,cqi->cq", u.cell_coeffs(), lap)
+    b_oracle = np.einsum("cq,qi,q,c->ci", r, fine.tabulate(pts), wts, det)
+    length, dn, jump, gv = mapped_point_traces(u, problem.g, order)
+    tags = mesh.facet_tags[mesh.cell_facets].T
+    data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump)
+    t, wt = quad.edge_rule(order)
+    for lane in range(3):
+        tab = fine.tabulate(fem.lane_points(lane, t))
+        b_oracle += np.einsum("cq,qi,q,c->ci", data[lane], tab, wt, length[lane])
+    assert np.abs(b - b_oracle).max() <= 1e-12 * np.abs(b_oracle).max()
 
 
 def test_solve_projected_galerkin_residual():

@@ -91,6 +91,35 @@ def test_run_rejects_bad_estimator(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("afem2d: ")
 
 
+def test_usage_error_exits_2_before_any_assembly(monkeypatch, capsys):
+    import afem2d.adapt as adapt_module
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before the configuration was checked")
+
+    monkeypatch.setattr(adapt_module, "assemble_poisson", no_assembly)
+    code = main(["run", "--problem", "lshaped", "--max-iter", "1",
+                 "--estimator", "zz", "--degree", "2"])
+    assert code == 2
+    assert "degree 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", ["SolverError", "LocalSolveError", "NullspaceError"])
+def test_runtime_failure_exits_1(monkeypatch, capsys, error):
+    import afem2d.adapt as adapt_module
+    from afem2d import bank_weiser, fem
+
+    exc = getattr(fem, error, None) or getattr(bank_weiser, error)
+
+    def failing(*args, **kwargs):
+        raise exc("simulated failure")
+
+    monkeypatch.setattr(adapt_module, "solve", failing)
+    code = main(["run", "--problem", "lshaped", "--max-iter", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "afem2d: simulated failure\n"
+
+
 def test_run_is_deterministic(tmp_path):
     args = ["run", "--problem", "lshaped", "--max-iter", "2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -103,7 +132,9 @@ def test_goal_run_uses_reference_cache(tmp_path):
     out = tmp_path / "goal.csv"
     cache = tmp_path / "goal.csv.jref"
     # pre-seed the cache so the driver skips the expensive reference solve
-    cache.write_text("lshaped-goal fe degree=1 refinements=4\n0.201\n")
+    cache.write_text(
+        "lshaped-goal fe degree=1 refinements=4 eps=0.35 xbar=0.2 ybar=0.2\n0.201\n"
+    )
     code = main([
         "run", "--problem", "lshaped-goal", "--max-iter", "1",
         "--solver", "lu", "--out", str(out),

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from afem2d import fem
 from afem2d import quadrature as quad
 from afem2d.estimators import residual_estimate, zz_estimate
 from afem2d.fem import FEFunction, FunctionSpace, cell_geometry, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh
-from afem2d.problems import unit_square_mesh
+from afem2d.problems import lshaped_mixed, unit_square_mesh
 
 from helpers import (
     criss_cross_square,
+    mapped_point_traces,
     solve_poisson,
     tagged_unit_square,
     two_cell_square,
@@ -105,6 +107,40 @@ def test_residual_laplacian_term_quadratic():
 # ---------------------------------------------------------------------------
 # gradient-recovery estimator oracles
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_residual_matches_mapped_point_oracle(degree):
+    """The lane-map facet kernel reproduces the residual indicators built
+    from mapped-point traces, on interior, Dirichlet and Neumann facets."""
+    problem = lshaped_mixed()
+    mesh = problem.mesh
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    got = residual_estimate(u, problem.f, problem.g).values
+
+    order = 2 * degree + 6
+    pts, wts = quad.triangle_rule(order)
+    jac, det, inv = cell_geometry(mesh)
+    x = fem.physical_points(mesh, pts, jac)
+    fv = np.broadcast_to(problem.f(x[..., 0], x[..., 1]), x.shape[:2])
+    resid = 2.0 * np.einsum("cq,q->c", fv, wts)[:, None]
+    if degree >= 2:
+        lap = np.einsum("csa,qist,cta->cqi", inv, space.element.tabulate_hess(pts), inv)
+        resid = resid + np.einsum("ci,cqi->cq", u.cell_coeffs(), lap)
+    eta2 = mesh.cell_diameters() ** 2 * np.einsum(
+        "cq,q,c->c", np.broadcast_to(resid, fv.shape) ** 2, wts, det
+    )
+    length, dn, jump, gv = mapped_point_traces(u, problem.g, order)
+    _, wt = quad.edge_rule(order)
+    tags = mesh.facet_tags[mesh.cell_facets].T
+    interior = 0.5 * length**2 * np.einsum("lcq,q->lc", jump**2, wt)
+    g_mean = np.einsum("lcq,q->lc", gv, wt)
+    neumann = length**2 * np.einsum("lcq,q->lc", (g_mean[..., None] - dn) ** 2, wt)
+    eta2 += np.where(tags == NEUMANN, neumann, interior).sum(axis=0)
+    oracle = np.sqrt(eta2)
+    assert (tags == NEUMANN).any() and np.abs(jump).max() > 0.0
+    assert np.abs(got - oracle).max() <= 1e-12 * oracle.max()
 
 
 def test_zz_requires_degree_one():

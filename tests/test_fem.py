@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from afem2d import element as el
+from afem2d import quadrature as quad
 from afem2d.fem import (
     FEFunction,
     FunctionSpace,
@@ -11,15 +13,24 @@ from afem2d.fem import (
     assemble_load,
     assemble_poisson,
     assemble_stiffness,
+    cell_geometry,
+    cell_gradients,
+    cell_laplacians,
+    cell_stiffness,
+    facet_traces,
     h1_seminorm_error,
     interpolate,
     l2_norm,
     solve,
 )
-from afem2d.mesh import DIRICHLET, NEUMANN, Mesh
-from afem2d.problems import unit_square_mesh
+from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
+from afem2d.problems import lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    jittered_square,
+    mapped_point_traces,
+    quadrature_gradients,
+    quadrature_stiffness,
     solve_poisson,
     tagged_unit_square,
     two_cell_square,
@@ -109,13 +120,85 @@ def test_neumann_facet_lanes():
             (2, 3): DIRICHLET, (3, 0): DIRICHLET}
     mesh = two_cell_square(boundary=tags)
     space = FunctionSpace(mesh, 1)
-    lanes = space.neumann_facet_lanes()
-    assert len(lanes) == 1
-    cell, lane, facet = lanes[0]
+    masks = space.neumann_facet_lanes()
+    assert masks.shape == (3, mesh.num_cells)
+    assert masks.sum() == 1
+    lane, cell = np.argwhere(masks)[0]
     verts = mesh.cells[cell]
     pair = {verts[[(1, 2), (2, 0), (0, 1)][lane][0]],
             verts[[(1, 2), (2, 0), (0, 1)][lane][1]]}
     assert pair == {0, 1}
+
+
+def test_facet_lanes_invert_cell_facets():
+    mesh = jittered_square(5, seed=3)
+    lanes = mesh.facet_lanes()
+    facets = np.arange(len(mesh.facets))
+    owner, neighbour = mesh.facet_cells[:, 0], mesh.facet_cells[:, 1]
+    assert (mesh.cell_facets[owner, lanes[:, 0]] == facets).all()
+    inner = neighbour >= 0
+    assert (mesh.cell_facets[neighbour[inner], lanes[inner, 1]] == facets[inner]).all()
+    assert (lanes[~inner, 1] == -1).all()
+
+
+# ---------------------------------------------------------------------------
+# reference-tensor kernels against their quadrature forms
+# ---------------------------------------------------------------------------
+
+KERNEL_ELEMENTS = [el.lagrange(k) for k in range(1, el.MAX_DEGREE + 1)] + [el.p2_bubble()]
+
+
+@pytest.mark.parametrize("element", KERNEL_ELEMENTS, ids=lambda e: e.name)
+def test_reference_tensor_stiffness_matches_quadrature(element):
+    mesh = jittered_square(4, seed=11)
+    _, det, inv = cell_geometry(mesh)
+    for order in (2 * element.degree, 2 * element.degree + 1):
+        exact = cell_stiffness(element, order, det, inv)
+        oracle = quadrature_stiffness(element, order, mesh)
+        assert np.abs(exact - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_cell_derivatives_match_einsum(degree):
+    """Contracting coefficients before the push-forward changes nothing."""
+    mesh = jittered_square(3, seed=6)
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y), space)
+    _, _, inv = cell_geometry(mesh)
+    pts, _ = quad.triangle_rule(6)
+    coeffs = u.cell_coeffs()
+    grads = quadrature_gradients(space.element.tabulate_grad(pts), inv)
+    oracle = np.einsum("ci,cqit->cqt", coeffs, grads)
+    got = cell_gradients(coeffs, space.element.tabulate_grad(pts), inv)
+    assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    hess = space.element.tabulate_hess(pts)
+    lap = np.einsum("csa,qist,cta->cqi", inv, hess, inv)
+    oracle = np.einsum("ci,cqi->cq", coeffs, lap)
+    got = cell_laplacians(coeffs, hess, inv)
+    assert np.abs(got - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_facet_traces_match_mapped_points(degree):
+    """Reading the neighbour's own lane backwards gives the traces that
+    mapping the edge points into the neighbour gives."""
+    mesh = lshaped_mixed().mesh
+    tags = set(mesh.facet_tags.tolist())
+    assert tags == {INTERIOR, DIRICHLET, NEUMANN}
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    g = lambda x, y: 1.0 + x - 2.0 * y
+    order = 2 * degree + 4
+    tags, *traces = facet_traces(u, g, order)
+    length, dn, jump, gv = mapped_point_traces(u, g, order)
+    assert (tags == mesh.facet_tags[mesh.cell_facets].T).all()
+    assert np.abs(traces[0] - length).max() <= 1e-15
+    scale = np.abs(dn).max()
+    assert np.abs(traces[1] - dn).max() <= 1e-13 * scale
+    assert np.abs(jump).max() > 1e-3 * scale  # the jumps are not trivially zero
+    assert np.abs(traces[2] - jump).max() <= 1e-12 * scale
+    assert np.abs(traces[3] - gv).max() <= 1e-14
+    assert np.count_nonzero(gv) > 0
 
 
 # ---------------------------------------------------------------------------
