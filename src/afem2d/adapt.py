@@ -1,4 +1,4 @@
-"""Solve-estimate-mark-refine loops and goal-oriented weighting."""
+"""The solve-estimate-mark-refine loop and goal-oriented weighting."""
 
 import math
 import re
@@ -125,10 +125,15 @@ def loglog_slope(x, y, points=4):
 
 @dataclass
 class AdaptResult:
+    """Final state of an adaptive run; goal runs also carry the dual
+    solution and the reference goal value their errors are measured from."""
+
     trace: AdaptTrace
     mesh: object
     solution: FEFunction
     indicator: IndicatorField
+    dual: FEFunction | None = None
+    reference: float | None = None
 
 
 def _marker(config):
@@ -145,8 +150,18 @@ def _stop(config, num_dofs, eta, iteration):
     return False
 
 
-def adapt_loop(problem, config):
-    """Drive solve/estimate/mark/refine on a benchmark problem."""
+def adapt_loop(problem, config, reference=None):
+    """Drive solve/estimate/mark/refine on a benchmark problem.
+
+    A problem with a goal functional adds a dual solve on every mesh and
+    marks by the WGO weighting of the primal and dual indicators; the
+    trace's eta/err columns then carry the weighted estimator and the
+    goal error |reference - J(u_h)|.  ``reference`` defaults to
+    :func:`reference_goal_value` and is used only with a goal.
+    """
+    goal = problem.goal
+    if goal is not None and reference is None:
+        reference = reference_goal_value(problem, config.degree)
     estimator = resolve_estimator(config.estimator)
     mark = _marker(config)
     mesh = problem.mesh
@@ -157,18 +172,24 @@ def adapt_loop(problem, config):
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
         u = FEFunction(space, solve(system, method=config.solver))
         indicator = estimator(u, problem.f, problem.g)
-        eta = indicator.global_value
-        if problem.grad_exact is not None:
-            err = h1_seminorm_error(u, problem.grad_exact)
+        z = None
+        if goal is not None:
+            z = FEFunction(space, solve(assemble_dual(space, goal.c), method=config.solver))
+            indicator, eta = wgo_indicators(indicator, estimator(z, goal.c, None))
+            err = abs(reference - evaluate_goal(u, goal.c))
         else:
-            err = float("nan")
+            eta = indicator.global_value
+            if problem.grad_exact is not None:
+                err = h1_seminorm_error(u, problem.grad_exact)
+            else:
+                err = float("nan")
         marked = mark(indicator, config.theta)
         efficiency = eta / err if err > 0 else float("nan")
         trace.append(
             TraceRow(iteration, space.num_dofs, eta, err, efficiency, len(marked))
         )
         if _stop(config, space.num_dofs, eta, iteration) or marked.size == 0:
-            return AdaptResult(trace, mesh, u, indicator)
+            return AdaptResult(trace, mesh, u, indicator, z, reference)
         mesh = refine(mesh, marked)
         iteration += 1
 
@@ -208,47 +229,11 @@ def wgo_indicators(primal, dual):
     return IndicatorField(np.sqrt(w2)), float(np.sqrt(su * sz))
 
 
-@dataclass
-class GoalResult:
-    trace: AdaptTrace
-    mesh: object
-    primal: FEFunction
-    dual: FEFunction
-    indicator: IndicatorField
-    reference: float
-
-
 def goal_adapt_loop(problem, config, reference=None):
-    """Goal-driven adaptivity; the trace's eta/err columns carry the
-    weighted estimator and the reference goal error."""
+    """:func:`adapt_loop` on a problem that must have a goal functional."""
     if problem.goal is None:
         raise ValueError(f"problem {problem.name!r} has no goal functional")
-    if reference is None:
-        reference = reference_goal_value(problem, config.degree)
-    estimator = resolve_estimator(config.estimator)
-    mark = _marker(config)
-    c = problem.goal.c
-    mesh = problem.mesh
-    trace = AdaptTrace()
-    iteration = 0
-    while True:
-        space = FunctionSpace(mesh, config.degree)
-        primal_sys = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        u = FEFunction(space, solve(primal_sys, method=config.solver))
-        z = FEFunction(space, solve(assemble_dual(space, c), method=config.solver))
-        eta_u = estimator(u, problem.f, problem.g)
-        eta_z = estimator(z, c, None)
-        indicator, eta_w = wgo_indicators(eta_u, eta_z)
-        err = abs(reference - evaluate_goal(u, c))
-        marked = mark(indicator, config.theta)
-        efficiency = eta_w / err if err > 0 else float("nan")
-        trace.append(
-            TraceRow(iteration, space.num_dofs, eta_w, err, efficiency, len(marked))
-        )
-        if _stop(config, space.num_dofs, eta_w, iteration) or marked.size == 0:
-            return GoalResult(trace, mesh, u, z, indicator, reference)
-        mesh = refine(mesh, marked)
-        iteration += 1
+    return adapt_loop(problem, config, reference)
 
 
 def reference_goal_value(

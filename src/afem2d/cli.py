@@ -14,19 +14,22 @@ from .adapt import (
     _BW_SELECTOR,
     AdaptConfig,
     adapt_loop,
-    goal_adapt_loop,
     reference_goal_value,
 )
 from .bank_weiser import LocalSolveError, NullspaceError
 from .fem import SolverError
 from .mesh import write_mesh
-from .problems import audit, make_problem
+from .problems import PROBLEMS, audit, make_problem
+
+# Dof budget of a table run given no stopping flag.
+TABLE_MAX_DOFS = 20000
+
 
 def _add_common(parser, table=False):
     parser.add_argument(
         "--problem",
         required=True,
-        choices=("lshaped", "lshaped-mixed", "boundary-sing", "lshaped-goal"),
+        choices=tuple(PROBLEMS),
     )
     parser.add_argument("--alpha", type=float, default=0.7,
                         help="exponent of the boundary-sing solution")
@@ -75,15 +78,6 @@ def _config(args, estimator):
     )
 
 
-def _run_one(problem, config, reference_cache=None):
-    if problem.goal is not None:
-        reference = reference_goal_value(
-            problem, config.degree, cache_path=reference_cache
-        )
-        return goal_adapt_loop(problem, config, reference)
-    return adapt_loop(problem, config)
-
-
 def _emit(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -93,26 +87,27 @@ def _emit(text, path):
 
 
 def efficiency_table(problem, selectors, degree=1, marking="dorfler", theta=0.5,
-                     max_dofs=20000, solver="cg"):
+                     max_dofs=TABLE_MAX_DOFS, solver="cg"):
     """Final-mesh efficiency for each selector, one adaptive run each."""
-    configs = [
+    return _efficiencies(problem, [
         AdaptConfig(
             estimator=selector, degree=degree, marking=marking, theta=theta,
             max_dofs=max_dofs, solver=solver,
         )
         for selector in selectors
-    ]
-    rows = []
+    ])
+
+
+def _efficiencies(problem, configs):
+    """(selector, final efficiency) per config; a goal problem's reference
+    value is computed once for the whole table."""
     reference = None
-    for config in configs:
-        if problem.goal is not None:
-            if reference is None:
-                reference = reference_goal_value(problem, degree)
-            result = goal_adapt_loop(problem, config, reference)
-        else:
-            result = adapt_loop(problem, config)
-        rows.append((config.estimator, result.trace.rows[-1].efficiency))
-    return rows
+    if problem.goal is not None and configs:
+        reference = reference_goal_value(problem, configs[0].degree)
+    return [
+        (config.estimator, adapt_loop(problem, config, reference).trace.rows[-1].efficiency)
+        for config in configs
+    ]
 
 
 def format_table_csv(rows):
@@ -137,17 +132,18 @@ def main(argv=None):
         if args.command == "run":
             config = _config(args, args.estimator)
             cache = f"{args.out}.jref" if args.out else None
-            result = _run_one(problem, config, reference_cache=cache)
+            reference = None
+            if problem.goal is not None:
+                reference = reference_goal_value(problem, args.degree, cache_path=cache)
+            result = adapt_loop(problem, config, reference)
             _emit(result.trace.to_csv(), args.out)
             if args.emit_mesh:
-                solution = getattr(result, "solution", None) or result.primal
-                write_mesh(result.mesh, args.emit_mesh, solution.vertex_values())
+                write_mesh(result.mesh, args.emit_mesh, result.solution.vertex_values())
         else:
-            rows = efficiency_table(
-                problem, args.estimator, degree=args.degree, marking=args.marking,
-                theta=args.theta, max_dofs=args.max_dof or 20000, solver=args.solver,
-            )
-            _emit(format_table_csv(rows), args.out)
+            if args.max_dof is None and args.tol is None and args.max_iter is None:
+                args.max_dof = TABLE_MAX_DOFS
+            configs = [_config(args, selector) for selector in args.estimator]
+            _emit(format_table_csv(_efficiencies(problem, configs)), args.out)
     except ValueError as exc:
         print(f"afem2d: {exc}", file=sys.stderr)
         return 2

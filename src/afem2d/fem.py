@@ -232,8 +232,7 @@ class FEFunction:
 
 def interpolate(fn, space):
     """Nodal interpolant of a vectorized callable fn(x, y)."""
-    pts = space.dof_coordinates()
-    return FEFunction(space, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float))
+    return FEFunction(space, np.array(eval_data(fn, space.dof_coordinates())))
 
 
 @dataclass

@@ -106,24 +106,29 @@ class Mesh:
             values = np.asarray(boundary(mids[:, 0], mids[:, 1]))
             tags[on_boundary] = values
         else:
-            for (a, b), t in boundary.items():
-                key = (min(a, b), max(a, b))
-                idx = self._facet_index(*key)
-                if not on_boundary[idx]:
-                    raise ValueError(f"facet {key} is interior, cannot tag it")
-                tags[idx] = t
+            pairs = np.sort(np.array(list(boundary), dtype=np.int64).reshape(-1, 2), axis=1)
+            idx = self._facet_index(pairs[:, 0], pairs[:, 1])
+            interior = ~on_boundary[idx]
+            if np.any(interior):
+                key = tuple(int(v) for v in pairs[np.argmax(interior)])
+                raise ValueError(f"facet {key} is interior, cannot tag it")
+            tags[idx] = list(boundary.values())
         bad = on_boundary & ~np.isin(tags, (DIRICHLET, NEUMANN))
         if np.any(bad):
             raise ValueError("every boundary facet needs a D or N tag")
         return tags
 
     def _facet_index(self, a, b):
-        idx = np.searchsorted(
-            self.facets[:, 0] * len(self.vertices) + self.facets[:, 1],
-            a * len(self.vertices) + b,
-        )
-        if idx >= len(self.facets) or tuple(self.facets[idx]) != (a, b):
-            raise ValueError(f"no facet with vertices ({a}, {b})")
+        """Index of the facet with sorted vertices (a, b), elementwise when
+        a and b are arrays."""
+        nv = len(self.vertices)
+        keys = self.facets[:, 0] * nv + self.facets[:, 1]
+        want = np.asarray(a) * nv + np.asarray(b)
+        idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        missing = np.flatnonzero(keys[idx] != want)
+        if missing.size:
+            k = missing[0]
+            raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
         return idx
 
     @property
@@ -377,7 +382,18 @@ def read_mesh(path):
     with open(path) as handle:
         tokens = handle.read().split("\n")
     rows = [line.split() for line in tokens if line.strip()]
+    if not rows or len(rows[0]) != 3:
+        raise ValueError(f"{path}: missing the 'nv nc nbf' header line")
     nv, nc, nbf = (int(t) for t in rows[0])
+    end = 1
+    for section, count, width in (("vertex", nv, 2), ("cell", nc, 3), ("boundary facet", nbf, 3)):
+        end += count
+        if len(rows) < end:
+            raise ValueError(
+                f"{path}: {section} section has {count - end + len(rows)} of {count} lines"
+            )
+        if any(len(r) != width for r in rows[end - count : end]):
+            raise ValueError(f"{path}: every {section} line needs {width} fields")
     vertices = np.array([[float(x) for x in r] for r in rows[1 : 1 + nv]])
     cells = np.array([[int(x) for x in r] for r in rows[1 + nv : 1 + nv + nc]])
     tags = {}

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
+from .fem import eval_data
 from .mesh import DIRICHLET, NEUMANN, Mesh, orient_longest_edge, uniform_refine
 
 
@@ -258,8 +259,8 @@ def audit(problem, tol=1e-8):
             ends = mesh.vertices[mesh.facets[facets]]
             for frac in (0.0, 0.25, 0.5, 1.0):
                 pts = ends[:, 0] + frac * (ends[:, 1] - ends[:, 0])
-                got = np.asarray(data(pts[:, 0], pts[:, 1]), dtype=float)
-                want = np.asarray(problem.u_exact(pts[:, 0], pts[:, 1]), dtype=float)
+                got = eval_data(data, pts)
+                want = eval_data(problem.u_exact, pts)
                 if np.max(np.abs(got - want), initial=0.0) > tol:
                     raise ValueError(f"{problem.name}: Dirichlet data disagrees with u_exact")
     if problem.grad_exact is not None:
@@ -277,7 +278,7 @@ def audit(problem, tol=1e-8):
             normal[flip] *= -1.0
             gx, gy = problem.grad_exact(mids[:, 0], mids[:, 1])
             flux = gx * normal[:, 0] + gy * normal[:, 1]
-            want = np.asarray(problem.g(mids[:, 0], mids[:, 1]), dtype=float)
+            want = eval_data(problem.g, mids)
             if np.max(np.abs(flux - want), initial=0.0) > tol:
                 raise ValueError(f"{problem.name}: Neumann data disagrees with dn(u_exact)")
     if problem.name == "boundary-sing":
@@ -285,7 +286,7 @@ def audit(problem, tol=1e-8):
         x = np.linspace(0.05, 0.95, 13)
         y = np.linspace(0.05, 0.95, 13)
         lap = alpha * (alpha - 1.0) * x ** (alpha - 2.0)
-        got = np.asarray(problem.f(x, y), dtype=float)
+        got = eval_data(problem.f, np.column_stack([x, y]))
         if np.max(np.abs(got + lap)) > tol * np.max(np.abs(lap)):
             raise ValueError("boundary-sing: f does not match -lap(u_exact)")
     return problem

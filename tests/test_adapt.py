@@ -7,7 +7,6 @@ from afem2d.adapt import (
     AdaptConfig,
     AdaptResult,
     AdaptTrace,
-    GoalResult,
     TraceRow,
     adapt_loop,
     assemble_dual,
@@ -21,6 +20,7 @@ from afem2d.adapt import (
 from afem2d.fem import (
     FEFunction,
     FunctionSpace,
+    assemble_poisson,
     assemble_stiffness,
     interpolate,
     solve,
@@ -282,15 +282,39 @@ def test_goal_loop_short_run():
     problem = lshaped_goal()
     config = AdaptConfig(estimator="bw:2,1", solver="lu", max_iterations=2)
     result = goal_adapt_loop(problem, config, reference=FROZEN_GOAL_REFERENCE)
-    assert isinstance(result, GoalResult)
+    assert isinstance(result, AdaptResult)
     assert result.reference == FROZEN_GOAL_REFERENCE
     assert len(result.trace.rows) == 3
     assert (np.diff(result.trace.column("num_dofs")) > 0).all()
     # final recorded error is |reference - J(u_k)| for the stored primal
-    jk = evaluate_goal(result.primal, problem.goal.c)
+    jk = evaluate_goal(result.solution, problem.goal.c)
     assert abs(result.trace.rows[-1].err - abs(FROZEN_GOAL_REFERENCE - jk)) < 1e-14
     assert len(result.indicator) == result.mesh.num_cells
-    assert result.dual.space is result.primal.space
+    assert result.dual.space is result.solution.space
+
+
+def test_adapt_loop_follows_the_goal():
+    """adapt_loop on a goal problem is the goal loop: same trace bytes."""
+    problem = lshaped_goal()
+    config = AdaptConfig(estimator="bw:2,1", solver="lu", max_iterations=2)
+    merged = adapt_loop(problem, config, FROZEN_GOAL_REFERENCE)
+    checked = goal_adapt_loop(problem, config, reference=FROZEN_GOAL_REFERENCE)
+    assert merged.trace.to_csv() == checked.trace.to_csv()
+    assert merged.reference == FROZEN_GOAL_REFERENCE
+    # first row by hand: primal and dual solves, WGO-weighted estimate
+    space = FunctionSpace(problem.mesh, 1)
+    c = problem.goal.c
+    u = FEFunction(space, solve(assemble_poisson(
+        space, problem.f, problem.g, problem.u_dirichlet), method="lu"))
+    z = FEFunction(space, solve(assemble_dual(space, c), method="lu"))
+    estimator = resolve_estimator("bw:2,1")
+    _, eta_w = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
+    row = merged.trace.rows[0]
+    assert row.eta == eta_w
+    assert row.err == abs(FROZEN_GOAL_REFERENCE - evaluate_goal(u, c))
+    # the standard loop carries no dual and no reference
+    plain = adapt_loop(lshaped(), config)
+    assert plain.dual is None and plain.reference is None
 
 
 def test_reference_goal_value_cache(tmp_path):

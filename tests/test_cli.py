@@ -1,11 +1,15 @@
 """End-to-end tests of the command line driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import afem2d.cli as cli
+from afem2d.adapt import adapt_loop
 from afem2d.cli import build_parser, efficiency_table, format_table_csv, main
 from afem2d.mesh import read_mesh
-from afem2d.problems import lshaped
+from afem2d.problems import lshaped, lshaped_goal
 
 HEADER = "iter,ndof,eta,err,efficiency,nmarked"
 
@@ -149,6 +153,27 @@ def test_goal_run_uses_reference_cache(tmp_path):
     assert 0.0 < first_err < 0.201
 
 
+def test_goal_run_emits_primal_mesh(tmp_path):
+    out = tmp_path / "goal.csv"
+    mesh_path = tmp_path / "goal.mesh"
+    (tmp_path / "goal.csv.jref").write_text(
+        "lshaped-goal fe degree=1 refinements=4 eps=0.35 xbar=0.2 ybar=0.2\n0.201\n"
+    )
+    code = main([
+        "run", "--problem", "lshaped-goal", "--max-iter", "1", "--solver", "lu",
+        "--out", str(out), "--emit-mesh", str(mesh_path),
+    ])
+    assert code == 0
+    mesh = read_mesh(str(mesh_path))
+    assert mesh.num_cells > lshaped_goal().mesh.num_cells
+    assert abs(mesh.areas.sum() - 3.0) < 1e-12
+    lines = mesh_path.read_text().strip().split("\n")
+    nbf = len(mesh.boundary_facets())
+    values = np.array(lines[1 + mesh.num_vertices + mesh.num_cells + nbf:], dtype=float)
+    assert values.shape == (mesh.num_vertices,)
+    assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the table subcommand
 # ---------------------------------------------------------------------------
@@ -185,3 +210,58 @@ def test_efficiency_table_direct():
     )
     assert [s for s, _ in rows] == ["bw:2,1", "zz"]
     assert all(np.isfinite(e) and e > 0 for _, e in rows)
+
+
+def _spy_on_runs(monkeypatch, max_iterations=None):
+    """Record (estimator, max_dofs, tol, max_iterations, iterations) per run;
+    ``max_iterations`` caps the runs actually made."""
+    runs = []
+
+    def spy(problem, config, reference=None):
+        capped = config
+        if max_iterations is not None:
+            capped = dataclasses.replace(config, max_iterations=max_iterations)
+        result = adapt_loop(problem, capped, reference)
+        runs.append((config.estimator, config.max_dofs, config.tol,
+                     config.max_iterations, len(result.trace.rows)))
+        return result
+
+    monkeypatch.setattr(cli, "adapt_loop", spy)
+    return runs
+
+
+def test_table_honours_stopping_flags(monkeypatch, tmp_path):
+    runs = _spy_on_runs(monkeypatch)
+    code = main([
+        "table", "--problem", "lshaped", "--max-iter", "1", "--solver", "lu",
+        "--estimator", "bw:2,1", "--estimator", "res", "--estimator", "zz",
+        "--out", str(tmp_path / "table.csv"),
+    ])
+    assert code == 0
+    assert runs == [(s, None, None, 1, 2) for s in ("bw:2,1", "res", "zz")]
+
+
+def test_table_default_budget_only_without_stopping_flags(monkeypatch, tmp_path):
+    runs = _spy_on_runs(monkeypatch, max_iterations=0)
+    assert main(["table", "--problem", "lshaped", "--solver", "lu",
+                 "--estimator", "res", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["table", "--problem", "lshaped", "--solver", "lu", "--tol", "1e9",
+                 "--estimator", "res", "--out", str(tmp_path / "b.csv")]) == 0
+    assert runs == [("res", 20000, None, None, 1), ("res", None, 1e9, None, 1)]
+
+
+def test_goal_table_computes_one_reference(monkeypatch):
+    calls = []
+
+    def reference(problem, degree=1, **kwargs):
+        calls.append((problem.name, degree))
+        return 0.201
+
+    import afem2d.adapt as adapt_module
+
+    # the loops must be handed the table's value, not compute their own
+    monkeypatch.setattr(adapt_module, "reference_goal_value", reference)
+    monkeypatch.setattr(cli, "reference_goal_value", reference)
+    rows = efficiency_table(lshaped_goal(), ["bw:2,1", "res"], max_dofs=200, solver="lu")
+    assert [s for s, _ in rows] == ["bw:2,1", "res"]
+    assert calls == [("lshaped-goal", 1)]

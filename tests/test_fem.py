@@ -99,6 +99,14 @@ def test_dof_coordinates_interpolate_linear():
         assert np.allclose(u.coeffs, f(coords[:, 0], coords[:, 1]), atol=1e-12)
 
 
+def test_interpolate_constant_callable():
+    """A callable returning a scalar is broadcast over every dof."""
+    space = FunctionSpace(unit_square_mesh(2), 2)
+    u = interpolate(lambda x, y: 1.0, space)
+    assert np.array_equal(u.coeffs, np.ones(space.num_dofs))
+    u.coeffs[0] = 2.0  # a writable vector of its own
+
+
 def test_dirichlet_dof_count_p2_square():
     mesh = unit_square_mesh(2)
     space = FunctionSpace(mesh, 2)

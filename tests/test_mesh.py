@@ -64,6 +64,8 @@ def test_boundary_dict_tagging_and_errors():
         two_cell_square(boundary={(0, 2): m.DIRICHLET})
     with pytest.raises(ValueError):  # missing tags on the other facets
         two_cell_square(boundary={(0, 1): m.NEUMANN})
+    with pytest.raises(ValueError, match=r"no facet with vertices \(1, 3\)"):
+        two_cell_square(boundary={(0, 1): m.NEUMANN, (3, 1): m.DIRICHLET})
 
 
 def test_geometry_queries():
@@ -283,4 +285,21 @@ def test_mesh_read_rejects_unknown_tag(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 X\n0 2 D\n")
     with pytest.raises(ValueError):
+        m.read_mesh(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "header"),
+    ("3 1 3\n", "vertex section has 0 of 3 lines"),
+    ("3 1 3\n0 0\n1 0\n", "vertex section has 2 of 3 lines"),
+    ("3 1 3\n0 0\n1 0\n0 1\n", "cell section has 0 of 1 lines"),
+    ("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 D\n", "boundary facet section has 2 of 3 lines"),
+    ("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 D\n0", "every boundary facet line needs 3"),
+    ("3 1 3\n0 0\n1 0\n0 1\n0 1\n0 1 D\n1 2 D\n0 2 D\n", "every cell line needs 3"),
+], ids=["empty", "header-only", "cut-vertices", "no-cells", "cut-facets", "cut-line",
+        "short-cell"])
+def test_mesh_read_rejects_truncated_files(tmp_path, text, message):
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         m.read_mesh(path)
