@@ -20,7 +20,9 @@ from .fem import (
     physical_points,
     solve,
 )
-from .mesh import IndicatorField, mark_dorfler, mark_maximum, refine, uniform_refine
+from .mesh import (
+    IndicatorField, _indicator_values, mark_dorfler, mark_maximum, refine, uniform_refine,
+)
 
 _BW_SELECTOR = re.compile(r"bw:(\d+),(\d+)")
 
@@ -219,8 +221,7 @@ def wgo_indicators(primal, dual):
                     / (eta_u^2 + eta_z^2)
         eta_w     = eta_u * eta_z
     """
-    pu = primal.values if isinstance(primal, IndicatorField) else np.asarray(primal)
-    pz = dual.values if isinstance(dual, IndicatorField) else np.asarray(dual)
+    pu, pz = _indicator_values(primal), _indicator_values(dual)
     su = float(np.sum(pu**2))
     sz = float(np.sum(pz**2))
     if su + sz == 0.0:

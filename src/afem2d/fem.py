@@ -11,7 +11,8 @@ Cell matrices use the tensor representation of Kirby & Logg (ACM TOMS
 ``G_c = det J^-1 J^-T`` flattened to 4 entries and ``K_ref[(s, r), (i, j)]
 = int d_s phi_i d_r phi_j`` tabulated once per element and quadrature
 order, on first use.  Facet terms go by lanes (lane i of a cell is its
-local edge i); ``Mesh.facet_lanes`` gives each facet's lane in both
+local edge i); the ``Mesh.facet_lanes`` attribute, filled by the same
+sort that builds the connectivity, gives each facet's lane in both
 incident cells, and since those cells traverse the facet in opposite
 directions the neighbour's trace is its own lane trace read backwards.
 """
@@ -138,7 +139,7 @@ def facet_traces(u, g, order):
 
     jump = np.zeros_like(dn)
     inner = mesh.facet_cells[:, 1] >= 0
-    (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes()[inner].T
+    (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
     # Outward normals of the two sides are exactly opposite, so the jump
     # seen from either side is minus the sum of both outward fluxes.
     total = dn[l0, c0] + dn[l1, c1, ::-1]

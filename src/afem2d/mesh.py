@@ -26,6 +26,9 @@ class NonManifoldError(ValueError):
 def build_connectivity(cells):
     """Facet arrays for a (nc, 3) triangle array.
 
+    A facet is identified by the 1-D key ``lo * n + hi`` of its sorted
+    vertex pair, with ``n`` one more than the largest vertex index.
+
     Returns
     -------
     facets : ndarray (nf, 2)
@@ -35,29 +38,30 @@ def build_connectivity(cells):
         neighbor of boundary facets.
     cell_facets : ndarray (nc, 3)
         Facet index of local edge i (the edge opposite local vertex i).
+    facet_lanes : ndarray (nf, 2)
+        Local edge index of each facet in the cells of ``facet_cells``,
+        -1 for a missing neighbor.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    nc = len(cells)
+    n = cells.max(initial=0) + 1
     lanes = cells[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-    key = np.sort(lanes, axis=1)
-    facets, inverse, counts = np.unique(
-        key, axis=0, return_inverse=True, return_counts=True
+    keys, inverse, counts = np.unique(
+        lanes.min(axis=1) * n + lanes.max(axis=1), return_inverse=True, return_counts=True
     )
-    inverse = inverse.ravel()
+    facets = np.column_stack(divmod(keys, n))
     if counts.size and counts.max() > 2:
         bad = facets[np.argmax(counts)]
-        raise NonManifoldError(f"facet {tuple(bad)} is shared by more than two cells")
-    cell_facets = inverse.reshape(nc, 3)
+        raise NonManifoldError(f"facet {tuple(bad.tolist())} is shared by more than two cells")
     # Stable sort groups lane entries by facet while keeping cell order,
     # so the first incident cell is automatically the owner.
     order = np.argsort(inverse, kind="stable")
-    incident = order // 3
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    facet_cells = np.full((len(facets), 2), -1, dtype=np.int64)
-    facet_cells[:, 0] = incident[starts[:-1]]
+    first = np.cumsum(counts) - counts
     two = counts == 2
-    facet_cells[two, 1] = incident[starts[:-1][two] + 1]
-    return facets, facet_cells, cell_facets
+    facet_cells, facet_lanes = np.full((2, len(keys), 2), -1, dtype=np.int64)
+    for out, entry in ((facet_cells, order // 3), (facet_lanes, order % 3)):
+        out[:, 0] = entry[first]
+        out[two, 1] = entry[first[two] + 1]
+    return facets, facet_cells, inverse.reshape(-1, 3), facet_lanes
 
 
 class Mesh:
@@ -82,19 +86,19 @@ class Mesh:
             raise ValueError("vertices must be an (nv, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (nc, 3) array")
-        if self.cells.size and self.cells.max() >= len(self.vertices):
+        if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() < len(self.vertices):
             raise ValueError("cell vertex index out of range")
         v = self.vertices[self.cells]
         d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if np.any(self.areas <= 0):
             raise ValueError("cells must be counterclockwise with positive area")
-        self.facets, self.facet_cells, self.cell_facets = build_connectivity(self.cells)
+        (self.facets, self.facet_cells, self.cell_facets,
+         self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
         self._vertex_cells = None
-        self._facet_lanes = None
 
     def _assign_tags(self, boundary):
         tags = np.zeros(len(self.facets), dtype=np.int8)
@@ -121,11 +125,13 @@ class Mesh:
     def _facet_index(self, a, b):
         """Index of the facet with sorted vertices (a, b), elementwise when
         a and b are arrays."""
-        nv = len(self.vertices)
+        a, b, nv = np.asarray(a), np.asarray(b), len(self.vertices)
         keys = self.facets[:, 0] * nv + self.facets[:, 1]
-        want = np.asarray(a) * nv + np.asarray(b)
+        want = a * nv + b
         idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        missing = np.flatnonzero(keys[idx] != want)
+        # A vertex outside [0, nv) could alias another facet's key.
+        inside = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < nv)
+        missing = np.flatnonzero((keys[idx] != want) | ~inside)
         if missing.size:
             k = missing[0]
             raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
@@ -165,16 +171,6 @@ class Mesh:
             )
             angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
         return float(np.min(angles))
-
-    def facet_lanes(self):
-        """(nf, 2) local edge index of each facet in its owner cell and in
-        its neighbour (-1 for none), laid out like facet_cells."""
-        if self._facet_lanes is None:
-            self._facet_lanes = np.full(self.facet_cells.shape, -1, dtype=np.int64)
-            cells, lanes = np.indices(self.cell_facets.shape)
-            side = (self.facet_cells[self.cell_facets, 0] != cells).astype(np.int64)
-            self._facet_lanes[self.cell_facets, side] = lanes
-        return self._facet_lanes
 
     def vertex_to_cells(self):
         """CSR-style adjacency: (offsets, cell ids) sorted per vertex."""
@@ -218,8 +214,7 @@ class IndicatorField:
 
 
 def _indicator_values(field):
-    values = field.values if isinstance(field, IndicatorField) else np.asarray(field, dtype=float)
-    return values
+    return field.values if isinstance(field, IndicatorField) else np.asarray(field, dtype=float)
 
 
 def _check_theta(theta):
@@ -252,11 +247,11 @@ def mark_dorfler(field, theta):
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-squares, kind="stable")
-    cumsum = np.cumsum(squares[order])
+    sorted_squares = squares[order]
+    cumsum = np.cumsum(sorted_squares)
     target = theta * total * (1.0 - 1e-12)
     cut = int(np.searchsorted(cumsum, target))
     # Include the whole tied block at the cutoff value.
-    sorted_squares = squares[order]
     end = int(np.searchsorted(-sorted_squares, -sorted_squares[cut], side="right"))
     return np.sort(order[:end]).astype(np.int64)
 
@@ -332,19 +327,19 @@ def refine(mesh, marked):
     emit(np.flatnonzero(b[:, 0] & b[:, 1] & b[:, 2]),
          [(m2, m0, v0), (m2, v1, m0), (m1, m0, v2), (m1, v0, m0)])
 
-    # Boundary tags: unsplit facets keep theirs, halves inherit the parent's.
-    old_boundary = mesh.boundary_facets()
-    tag_of = {}
-    for fid in old_boundary:
-        a, bb = mesh.facets[fid]
-        t = int(mesh.facet_tags[fid])
-        if split[fid]:
-            mid = int(midpoint_of[fid])
-            tag_of[(min(a, mid), max(a, mid))] = t
-            tag_of[(min(bb, mid), max(bb, mid))] = t
-        else:
-            tag_of[(int(a), int(bb))] = t
-    return Mesh(new_vertices, new_cells, boundary=tag_of)
+    # Boundary tags: unsplit facets keep theirs, halves (a, mid) and
+    # (b, mid) inherit the parent's; midpoints follow every old vertex, so
+    # both halves are already sorted pairs.
+    old = mesh.boundary_facets()
+    whole, cut = old[~split[old]], old[split[old]]
+    mid = midpoint_of[cut]
+    pairs = np.vstack([
+        mesh.facets[whole],
+        np.column_stack([mesh.facets[cut, 0], mid]),
+        np.column_stack([mesh.facets[cut, 1], mid]),
+    ])
+    tags = mesh.facet_tags[np.concatenate([whole, cut, cut])]
+    return Mesh(new_vertices, new_cells, boundary=dict(zip(map(tuple, pairs.tolist()), tags)))
 
 
 def uniform_refine(mesh, times=1):

@@ -251,18 +251,15 @@ def audit(problem, tol=1e-8):
     """Wiring checks run before a benchmark: boundary data consistent
     with the exact solution, and data formulas consistent with it."""
     mesh = problem.mesh
-    if problem.u_exact is not None:
-        for tag, data in ((DIRICHLET, problem.u_dirichlet),):
-            facets = np.flatnonzero(mesh.facet_tags == tag)
-            if facets.size == 0 or data is None:
-                continue
-            ends = mesh.vertices[mesh.facets[facets]]
-            for frac in (0.0, 0.25, 0.5, 1.0):
-                pts = ends[:, 0] + frac * (ends[:, 1] - ends[:, 0])
-                got = eval_data(data, pts)
-                want = eval_data(problem.u_exact, pts)
-                if np.max(np.abs(got - want), initial=0.0) > tol:
-                    raise ValueError(f"{problem.name}: Dirichlet data disagrees with u_exact")
+    dirichlet = np.flatnonzero(mesh.facet_tags == DIRICHLET)
+    if problem.u_exact is not None and dirichlet.size and problem.u_dirichlet is not None:
+        ends = mesh.vertices[mesh.facets[dirichlet]]
+        for frac in (0.0, 0.25, 0.5, 1.0):
+            pts = ends[:, 0] + frac * (ends[:, 1] - ends[:, 0])
+            got = eval_data(problem.u_dirichlet, pts)
+            want = eval_data(problem.u_exact, pts)
+            if np.max(np.abs(got - want), initial=0.0) > tol:
+                raise ValueError(f"{problem.name}: Dirichlet data disagrees with u_exact")
     if problem.grad_exact is not None:
         neumann = np.flatnonzero(mesh.facet_tags == NEUMANN)
         if neumann.size and problem.g is not None:

@@ -116,6 +116,28 @@ def mapped_point_traces(u, g, order):
     return length, dn, jump, gv
 
 
+def unique_rows_connectivity(cells):
+    """Reference for ``mesh.build_connectivity``: facets by
+    ``np.unique(axis=0)`` on sorted vertex pairs, and each facet's lanes
+    found by scattering every cell's local edges into owner/neighbour
+    columns.  Returns (facets, facet_cells, cell_facets, facet_lanes)."""
+    cells = np.asarray(cells, dtype=np.int64)
+    key = np.sort(cells[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    facets, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()
+    incident = np.argsort(inverse, kind="stable") // 3
+    starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    facet_cells = np.full((len(facets), 2), -1, dtype=np.int64)
+    facet_cells[:, 0] = incident[starts]
+    facet_cells[counts == 2, 1] = incident[starts[counts == 2] + 1]
+    cell_facets = inverse.reshape(-1, 3)
+    facet_lanes = np.full(facet_cells.shape, -1, dtype=np.int64)
+    owners, lanes = np.indices(cell_facets.shape)
+    side = (facet_cells[cell_facets, 0] != owners).astype(np.int64)
+    facet_lanes[cell_facets, side] = lanes
+    return facets, facet_cells, cell_facets, facet_lanes
+
+
 def eval_function(u, ref_pts):
     """Evaluate an FEFunction at reference points of every cell: (nc, nq)."""
     tab = u.space.element.tabulate(ref_pts)

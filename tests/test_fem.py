@@ -140,7 +140,7 @@ def test_neumann_facet_lanes():
 
 def test_facet_lanes_invert_cell_facets():
     mesh = jittered_square(5, seed=3)
-    lanes = mesh.facet_lanes()
+    lanes = mesh.facet_lanes
     facets = np.arange(len(mesh.facets))
     owner, neighbour = mesh.facet_cells[:, 0], mesh.facet_cells[:, 1]
     assert (mesh.cell_facets[owner, lanes[:, 0]] == facets).all()

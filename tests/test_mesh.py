@@ -35,7 +35,7 @@ def test_clockwise_cell_rejected():
 def test_non_manifold_edge_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.5, 0.5]])
     cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # (0,1) used three times
-    with pytest.raises(m.NonManifoldError):
+    with pytest.raises(m.NonManifoldError, match=r"facet \(0, 1\) is shared"):
         m.Mesh(vertices, cells)
 
 
@@ -43,6 +43,23 @@ def test_vertex_index_out_of_range_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         m.Mesh(vertices, np.array([[0, 1, 3]]))
+
+
+def test_negative_vertex_index_rejected():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="out of range"):
+        m.Mesh(vertices, np.array([[0, 1, -1]]))
+
+
+def test_boundary_dict_rejects_out_of_range_vertex():
+    # 0 * 4 + 6 == 1 * 4 + 2 and -1 * 4 + 7 == 0 * 4 + 3: unchecked keys
+    # would retag facets (1, 2) and (0, 3).
+    tags = {(0, 1): m.DIRICHLET, (1, 2): m.DIRICHLET, (2, 3): m.DIRICHLET,
+            (0, 3): m.DIRICHLET}
+    with pytest.raises(ValueError, match=r"no facet with vertices \(0, 6\)"):
+        two_cell_square(boundary={**tags, (0, 6): m.NEUMANN})
+    with pytest.raises(ValueError, match=r"no facet with vertices \(-1, 7\)"):
+        two_cell_square(boundary={**tags, (-1, 7): m.NEUMANN})
 
 
 def test_boundary_callable_tagging():
@@ -285,6 +302,14 @@ def test_mesh_read_rejects_unknown_tag(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 X\n0 2 D\n")
     with pytest.raises(ValueError):
+        m.read_mesh(path)
+
+
+def test_mesh_read_rejects_out_of_range_facet_vertex(tmp_path):
+    # Vertex nv + 2 = 5 keys like facet (1, 2), which would turn Neumann.
+    path = tmp_path / "mesh.txt"
+    path.write_text("3 1 4\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 D\n0 2 D\n0 5 N\n")
+    with pytest.raises(ValueError, match=r"no facet with vertices \(0, 5\)"):
         m.read_mesh(path)
 
 

@@ -1,0 +1,63 @@
+"""Property tests of bisection refinement on random markings of the seed
+meshes: conservation, tag inheritance and connectivity against the
+``np.unique(axis=0)`` reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afem2d.mesh import refine
+from afem2d.problems import make_problem
+from helpers import unique_rows_connectivity
+
+SEED_MESHES = {
+    name: make_problem(name).mesh for name in ("lshaped", "lshaped-mixed", "boundary-sing")
+}
+
+
+def boundary_length(mesh):
+    return mesh.facet_lengths()[mesh.boundary_facets()].sum()
+
+
+def assert_tags_inherited(parent, child):
+    """Each child boundary facet lies on the parent boundary facet that
+    contains its midpoint, and carries that facet's tag."""
+    pb, cb = parent.boundary_facets(), child.boundary_facets()
+    a, b = (parent.vertices[parent.facets[pb, i]] for i in (0, 1))
+    mids = child.vertices[child.facets[cb]].mean(axis=1)
+    e, r = b - a, mids[:, None, :] - a
+    cross = e[:, 0] * r[..., 1] - e[:, 1] * r[..., 0]
+    along = np.einsum("ft,cft->cf", e, r) / np.einsum("ft,ft->f", e, e)
+    on = (np.abs(cross) <= 1e-12) & (along > 0.0) & (along < 1.0)
+    assert (on.sum(axis=1) == 1).all()
+    assert (child.facet_tags[cb] == parent.facet_tags[pb[on.argmax(axis=1)]]).all()
+
+
+def assert_connectivity(mesh):
+    got = (mesh.facets, mesh.facet_cells, mesh.cell_facets, mesh.facet_lanes)
+    for have, want in zip(got, unique_rows_connectivity(mesh.cells)):
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+    lanes, facets = mesh.facet_lanes, np.arange(len(mesh.facets))
+    owner, neighbour = mesh.facet_cells.T
+    assert (mesh.cell_facets[owner, lanes[:, 0]] == facets).all()
+    inner = neighbour >= 0
+    assert (mesh.cell_facets[neighbour[inner], lanes[inner, 1]] == facets[inner]).all()
+    assert (lanes[~inner, 1] == -1).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(SEED_MESHES)), rounds=st.integers(1, 3), data=st.data())
+def test_random_refinement_invariants(name, rounds, data):
+    mesh = SEED_MESHES[name]
+    area, length = mesh.areas.sum(), boundary_length(mesh)
+    assert_connectivity(mesh)
+    for _ in range(rounds):
+        n = mesh.num_cells
+        marked = data.draw(st.sets(st.integers(0, n - 1), min_size=n // 8, max_size=n // 3))
+        fine = refine(mesh, sorted(marked))
+        assert abs(fine.areas.sum() - area) <= 1e-12 * area
+        # A hanging vertex would leave both halves and the unsplit edge on the boundary.
+        assert abs(boundary_length(fine) - length) <= 1e-12 * length
+        assert_tags_inherited(mesh, fine)
+        assert_connectivity(fine)
+        mesh = fine
