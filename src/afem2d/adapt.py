@@ -73,8 +73,9 @@ class AdaptConfig:
             raise ValueError("need at least one stopping rule")
         if self.degree not in range(1, MAX_DEGREE + 1):
             raise ValueError(f"unsupported space degree: {self.degree!r}")
+        self.estimator = self.estimator.strip()
         resolve_estimator(self.estimator)
-        if self.estimator.strip() == "zz" and self.degree != 1:
+        if self.estimator == "zz" and self.degree != 1:
             raise ValueError("gradient recovery (zz) requires degree 1")
 
 
@@ -196,20 +197,19 @@ def adapt_loop(problem, config, reference=None):
         iteration += 1
 
 
-def evaluate_goal(u, c, quad_degree=None):
+def evaluate_goal(u, c):
     """Goal functional <c, u_h> by quadrature."""
     space = u.space
-    order = 2 * space.degree + 3 if quad_degree is None else quad_degree
-    pts, wts = quad.triangle_rule(order)
+    pts, wts = quad.triangle_rule(2 * space.degree + 3)
     jac, det, _ = cell_geometry(space.mesh)
     cv = eval_data(c, physical_points(space.mesh, pts, jac))
     uv = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
     return float(np.einsum("cq,cq,q,c->", cv, uv, wts, det))
 
 
-def assemble_dual(space, c, quad_degree=None):
+def assemble_dual(space, c):
     """Dual Poisson system: load ``c``, homogeneous Dirichlet data."""
-    return assemble_poisson(space, c, g=None, u_dirichlet=None, quad_degree=quad_degree)
+    return assemble_poisson(space, c, g=None, u_dirichlet=None)
 
 
 def wgo_indicators(primal, dual):

@@ -7,15 +7,17 @@ reference-element node evaluations, so the kernel basis N is computed
 once per pair, on the reference cell, and shared by every cell.
 
 Each cell then gets a small Neumann problem: the fine-space stiffness
-A+ and a load b+ built from the interior residual f + lap(u_h) and the
-facet data
+A+ = G_c @ K_ref and a load b+ built from the interior residual
+f + lap(u_h) and the facet data
 
     interior facet:  0.5 * (grad u_h|neighbor - grad u_h|owner) . n_owner
     Neumann facet:   g - dn(u_h)
     Dirichlet facet: 0  (fine DOFs on the facet are eliminated instead)
 
-after which the system is projected onto the kernel, solved, and the
-energy norm of the lifted solution is the cell indicator.
+and N^T (P A+ P + I - P) N x = N^T P b+ is solved, P masking the fine
+DOFs on Dirichlet facets.  Its matrix G_c @ N^T P K_ref P N + N^T (I - P) N
+takes two reference tensors per Dirichlet pattern of the cell's edges,
+projected once per pair.  The energy norm of the lift N x is the indicator.
 """
 
 import functools
@@ -85,53 +87,60 @@ def nullspace(fine, coarse, rtol=NULLSPACE_RTOL):
 
 @functools.lru_cache(maxsize=None)
 def _operators(kind):
+    """Fine element, kernel N (d, k) and per Dirichlet pattern m: free[m]
+    = P_m N, stiff[m] = N^T P_m K_ref P_m N (4, k, k), fixed[m] = N^T (I - P_m) N."""
     if kind == "bubble":
         fine, coarse = el.p2_bubble(), el.lagrange(1)
     else:
         kp, km = validate_pair(kind)
         fine, coarse = el.lagrange(kp), el.lagrange(km)
-    return fine, coarse, nullspace(fine, coarse)
+    null = nullspace(fine, coarse)
+    on_edge = np.eye(fine.dim)[list(fine.edge_dofs)].sum(axis=1)  # (3, d)
+    bits = np.arange(8)[:, None] >> np.arange(3) & 1
+    mask = (bits @ on_edge == 0).astype(float)  # (8, d)
+    free = mask[:, :, None] * null
+    kref = fem.reference_stiffness(fine).reshape(4, fine.dim, fine.dim)
+    stiff = np.einsum("mia,sij,mjb->msab", free, kref, free)
+    fixed = np.einsum("ia,mi,ib->mab", null, 1.0 - mask, null)
+    return fine, null, free, stiff, fixed
 
 
 def local_system(u, f, g, fine):
-    """Fine-space cell matrices and loads, before any elimination.
+    """Fine-space cell data, before any elimination.
 
-    Returns (a_raw, b, constrained) where a_raw is the (nc, d, d) batch
-    of cell stiffness matrices, b the (nc, d) batch of residual loads,
-    and constrained the boolean mask of fine DOFs on Dirichlet facets.
+    Returns (G, b, pattern): the (nc, 4) metrics whose cell stiffness is
+    G @ K_ref, the (nc, d) residual loads against the fine basis, and the
+    (nc,) Dirichlet patterns, bit i set when local edge i is Dirichlet.
     """
     space = u.space
     mesh = space.mesh
     jac, det, inv = fem.cell_geometry(mesh)
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
-    pts, wts = quad.triangle_rule(order)
-    a_raw = fem.cell_stiffness(fine, order, det, inv)
-
+    pts, _ = quad.triangle_rule(order)
     r = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
     if space.degree >= 2:
         r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
-    b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
-
-    t, wt = quad.edge_rule(order)
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
     data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
-    constrained = np.zeros((mesh.num_cells, fine.dim), dtype=bool)
-    for lane in range(3):
-        b += data[lane] @ (wt[:, None] * fine.tabulate(fem.lane_points(lane, t)))
-        constrained[np.ix_(tags[lane] == DIRICHLET, fine.edge_dofs[lane])] = True
-    return a_raw, b, constrained
+    pattern = (1 << np.arange(3)) @ (tags == DIRICHLET)
+    return fem.stiffness_metric(det, inv), fem.cell_loads(fine, order, det, r, data), pattern
 
 
-def _solve_projected(a_raw, b, constrained, nullbasis):
-    free = ~constrained
-    a_mod = a_raw * (free[:, :, None] & free[:, None, :])
-    idx = np.arange(a_raw.shape[1])
-    a_mod[:, idx, idx] = np.where(constrained, 1.0, a_mod[:, idx, idx])
-    b_mod = np.where(free, b, 0.0)
-    a_bw = np.matmul(nullbasis.T, a_mod) @ nullbasis
-    b_bw = b_mod @ nullbasis
+def _project(metric, b, pattern, kind):
+    """Every cell's N^T (P A P + I - P) N and N^T P b, by pattern."""
+    _, _, free, stiff, fixed = _operators(kind)
+    a_bw = np.empty((len(b),) + fixed.shape[1:])
+    b_bw = np.empty(a_bw.shape[:2])
+    for m in np.unique(pattern):
+        cells = np.flatnonzero(pattern == m)
+        a_bw[cells] = np.tensordot(metric[cells], stiff[m], 1) + fixed[m]
+        b_bw[cells] = b[cells] @ free[m]
+    return a_bw, b_bw
+
+
+def _solve_projected(a_bw, b_bw):
     try:
-        x = np.linalg.solve(a_bw, b_bw[..., None])[..., 0]
+        return np.linalg.solve(a_bw, b_bw[..., None])[..., 0]
     except np.linalg.LinAlgError:
         for c in range(len(a_bw)):
             try:
@@ -139,15 +148,15 @@ def _solve_projected(a_raw, b, constrained, nullbasis):
             except np.linalg.LinAlgError:
                 raise LocalSolveError(f"singular projected system on cell {c}") from None
         raise
-    return x @ nullbasis.T
 
 
 def _estimate(u, f, g, kind):
-    fine, _, nullbasis = _operators(kind)
-    a_raw, b, constrained = local_system(u, f, g, fine)
-    lift = _solve_projected(a_raw, b, constrained, nullbasis)
-    eta2 = np.einsum("ci,cij,cj->c", lift, a_raw, lift, optimize=True)
-    return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), lift
+    fine, null, _, stiff, _ = _operators(kind)
+    metric, b, pattern = local_system(u, f, g, fine)
+    x = _solve_projected(*_project(metric, b, pattern, kind))
+    # eta^2 = (N x)^T A+ (N x) = x^T (G_c @ stiff[0]) x
+    eta2 = np.einsum("ca,cab,cb->c", x, np.tensordot(metric, stiff[0], 1), x)
+    return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), x @ null.T
 
 
 def estimate(u, f, g=None, pair=(2, 1)):

@@ -9,12 +9,12 @@ cells and the element tables can stay cell-independent.
 Cell matrices use the tensor representation of Kirby & Logg (ACM TOMS
 32(3), 2006): on an affine cell the stiffness is ``G_c @ K_ref``, with
 ``G_c = det J^-1 J^-T`` flattened to 4 entries and ``K_ref[(s, r), (i, j)]
-= int d_s phi_i d_r phi_j`` tabulated once per element and quadrature
-order, on first use.  Facet terms go by lanes (lane i of a cell is its
-local edge i); the ``Mesh.facet_lanes`` attribute, filled by the same
-sort that builds the connectivity, gives each facet's lane in both
-incident cells, and since those cells traverse the facet in opposite
-directions the neighbour's trace is its own lane trace read backwards.
+= int d_s phi_i d_r phi_j`` tabulated once per element, on first use.
+Facet terms go by lanes (lane i of a cell is its local edge i); the
+``Mesh.facet_lanes`` attribute, filled by the same sort that builds the
+connectivity, gives each facet's lane in both incident cells, and since
+those cells traverse the facet in opposite directions the neighbour's
+trace is its own lane trace read backwards.
 """
 
 import functools
@@ -74,21 +74,30 @@ def cell_laplacians(coeffs, ref_hess, inv):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_stiffness(element, order):
-    """K_ref[s, r, i, j] = sum_q w_q d_s phi_i d_r phi_j as (4, dim^2)."""
-    pts, wts = quad.triangle_rule(order)
+def reference_stiffness(element):
+    """K_ref[s, r, i, j] = int d_s phi_i d_r phi_j as (4, dim^2), by the
+    global load's rule; any rule of order >= 2 (degree - 1) is exact."""
+    pts, wts = quad.triangle_rule(2 * element.degree + 1)
     grads = element.tabulate_grad(pts)
     kref = np.einsum("q,qis,qjr->srij", wts, grads, grads).reshape(4, -1)
     kref.setflags(write=False)
     return kref
 
 
-def cell_stiffness(element, order, det, inv):
-    """Affine cell stiffness matrices ``G_c @ K_ref`` as (nc, dim, dim);
-    exact for any quadrature ``order`` >= 2 (degree - 1)."""
-    geo = det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))
-    local = geo.reshape(-1, 4) @ _reference_stiffness(element, order)
-    return local.reshape(-1, element.dim, element.dim)
+def stiffness_metric(det, inv):
+    """G_c = det J^-1 J^-T of every cell, flattened to (nc, 4)."""
+    return (det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
+
+
+def cell_loads(element, order, det, vol, edge):
+    """Cell loads (nc, dim) of ``vol`` (nc, nq) at ``quad.triangle_rule(order)``
+    and of length-scaled ``edge`` (3, nc, nt) at each lane's ``quad.edge_rule(order)``."""
+    pts, wts = quad.triangle_rule(order)
+    b = (vol * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
+    t, wt = quad.edge_rule(order)
+    for lane in range(3):
+        b += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
+    return b
 
 
 def lane_points(lane, n_or_pts):
@@ -99,18 +108,22 @@ def lane_points(lane, n_or_pts):
     return va[None, :] + t[:, None] * (vb - va)[None, :]
 
 
-def edge_points(mesh, lanes, cells, t):
-    """Physical points at parameters t along local edge lanes[k] of
-    cells[k], for every k: (len(cells), nq, 2)."""
-    ends = np.asarray(el.EDGE_VERTICES)[lanes]
-    va = mesh.vertices[mesh.cells[cells, ends[:, 0]]]
-    vb = mesh.vertices[mesh.cells[cells, ends[:, 1]]]
-    return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
-
-
 def eval_data(fn, x):
     """Vectorized data callable at points x (..., 2), broadcast to x's shape."""
     return np.broadcast_to(np.asarray(fn(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
+
+
+def neumann_values(mesh, g, order):
+    """Data ``g`` (None: zero) at the ``quad.edge_rule(order)`` points of
+    every Neumann local edge, zero on other lanes: (3, nc, nt) by [lane, cell]."""
+    t, _ = quad.edge_rule(order)
+    gv = np.zeros((3, mesh.num_cells, len(t)))
+    if g is not None:
+        lanes, cells = np.nonzero(mesh.facet_tags[mesh.cell_facets].T == NEUMANN)
+        ends = mesh.cells[cells[:, None], np.asarray(el.EDGE_VERTICES)[lanes]]
+        va, vb = mesh.vertices[ends].transpose(1, 0, 2)
+        gv[lanes, cells] = eval_data(g, va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :])
+    return gv
 
 
 def facet_traces(u, g, order):
@@ -146,11 +159,7 @@ def facet_traces(u, g, order):
     jump[l0, c0] = -total
     jump[l1, c1] = -total[:, ::-1]
     tags = mesh.facet_tags[mesh.cell_facets].T
-    gv = np.zeros_like(dn)
-    if g is not None:
-        lanes, cells = np.nonzero(tags == NEUMANN)
-        gv[lanes, cells] = eval_data(g, edge_points(mesh, lanes, cells, t))
-    return tags, length, dn, jump, gv
+    return tags, length, dn, jump, neumann_values(mesh, g, order)
 
 
 class FunctionSpace:
@@ -206,11 +215,6 @@ class FunctionSpace:
             ids.append((base[:, None] + np.arange(k - 1)).ravel())
         return np.unique(np.concatenate(ids)) if ids[0].size else np.empty(0, np.int64)
 
-    def neumann_facet_lanes(self):
-        """(3, nc) masks of the cells whose local edge ``lane`` is Neumann."""
-        mesh = self.mesh
-        return mesh.facet_tags[mesh.cell_facets].T == NEUMANN
-
 
 @dataclass
 class FEFunction:
@@ -246,14 +250,12 @@ class SparseSystem:
     dirichlet_values: np.ndarray
 
 
-def assemble_stiffness(space, quad_degree=None):
+def assemble_stiffness(space):
     """Raw Poisson stiffness matrix (no boundary conditions)."""
-    mesh, element = space.mesh, space.element
-    order = 2 * space.degree + 1 if quad_degree is None else quad_degree
-    _, det, inv = cell_geometry(mesh)
-    local = cell_stiffness(element, order, det, inv)
-    rows = np.broadcast_to(space.dofmap[:, :, None], local.shape)
-    cols = np.broadcast_to(space.dofmap[:, None, :], local.shape)
+    _, det, inv = cell_geometry(space.mesh)
+    local = stiffness_metric(det, inv) @ reference_stiffness(space.element)
+    rows = np.repeat(space.dofmap, space.element.dim, axis=1)
+    cols = np.tile(space.dofmap, space.element.dim)
     mat = sparse.coo_matrix(
         (local.ravel(), (rows.ravel(), cols.ravel())),
         shape=(space.num_dofs, space.num_dofs),
@@ -261,27 +263,18 @@ def assemble_stiffness(space, quad_degree=None):
     return mat.tocsr()
 
 
-def assemble_load(space, f, g=None, quad_degree=None):
+def assemble_load(space, f, g=None):
     """Raw load vector: volume term plus Neumann flux term."""
-    mesh, element = space.mesh, space.element
-    order = 2 * space.degree + 1 if quad_degree is None else quad_degree
-    pts, wts = quad.triangle_rule(order)
+    mesh = space.mesh
+    order = 2 * space.degree + 1
+    pts, _ = quad.triangle_rule(order)
     jac, det, _ = cell_geometry(mesh)
     fvals = eval_data(f, physical_points(mesh, pts, jac))
-    local = (fvals * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
-    b = np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
-
-    lanes, cells = np.nonzero(space.neumann_facet_lanes())
-    if g is not None and cells.size:
-        # np.nonzero yields lane-major pairs with ascending cells, which
-        # fixes the order in which np.add.at sums the facet terms.
-        t, wt = quad.edge_rule(order)
-        tabs = np.stack([element.tabulate(lane_points(lane, t)) for lane in range(3)])
-        gv = eval_data(g, edge_points(mesh, lanes, cells, t)) * wt
-        lengths = mesh.facet_lengths()[mesh.cell_facets[cells, lanes]]
-        contrib = np.einsum("fq,fqi->fi", gv, tabs[lanes]) * lengths[:, None]
-        np.add.at(b, space.dofmap[cells], contrib)
-    return b
+    edge = neumann_values(mesh, g, order)
+    if g is not None:
+        edge *= mesh.facet_lengths()[mesh.cell_facets].T[..., None]
+    local = cell_loads(space.element, order, det, fvals, edge)
+    return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
 
 def apply_dirichlet(matrix, rhs, dofs, values):
@@ -300,15 +293,15 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     return matrix, rhs
 
 
-def assemble_poisson(space, f, g=None, u_dirichlet=None, quad_degree=None):
+def assemble_poisson(space, f, g=None, u_dirichlet=None):
     """Poisson system -div(grad u) = f with the mesh's boundary tags.
 
     ``u_dirichlet`` is a vectorized callable for the Dirichlet trace
     (None means homogeneous).  Neumann data ``g`` is applied on facets
     tagged N.
     """
-    matrix = assemble_stiffness(space, quad_degree)
-    rhs = assemble_load(space, f, g, quad_degree)
+    matrix = assemble_stiffness(space)
+    rhs = assemble_load(space, f, g)
     dofs = space.dirichlet_dofs()
     if u_dirichlet is None:
         values = np.zeros(len(dofs))
@@ -344,11 +337,10 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000):
     return x
 
 
-def h1_seminorm_error(u, grad_exact, quad_degree=None):
+def h1_seminorm_error(u, grad_exact):
     """|u_exact - u_h|_H1 from the exact gradient, by quadrature."""
     space = u.space
-    order = 2 * space.degree + 3 if quad_degree is None else quad_degree
-    pts, wts = quad.triangle_rule(order)
+    pts, wts = quad.triangle_rule(2 * space.degree + 3)
     jac, det, inv = cell_geometry(space.mesh)
     gh = cell_gradients(u.cell_coeffs(), space.element.tabulate_grad(pts), inv)
     x = physical_points(space.mesh, pts, jac)
@@ -357,10 +349,9 @@ def h1_seminorm_error(u, grad_exact, quad_degree=None):
     return float(np.sqrt(det @ (diff @ wts)))
 
 
-def l2_norm(u, quad_degree=None):
+def l2_norm(u):
     space = u.space
-    order = 2 * space.degree + 2 if quad_degree is None else quad_degree
-    pts, wts = quad.triangle_rule(order)
+    pts, wts = quad.triangle_rule(2 * space.degree + 2)
     _, det, _ = cell_geometry(space.mesh)
     vals = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
     return float(np.sqrt(np.einsum("cq,q,c->", vals**2, wts, det)))

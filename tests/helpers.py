@@ -6,7 +6,7 @@ from afem2d import FEFunction, FunctionSpace, Mesh
 from afem2d import element as el
 from afem2d import fem
 from afem2d import quadrature as quad
-from afem2d.mesh import INTERIOR, NEUMANN
+from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN
 from afem2d.problems import unit_square_mesh
 
 
@@ -65,6 +65,48 @@ def quadrature_stiffness(element, order, mesh):
     _, det, inv = fem.cell_geometry(mesh)
     grads = quadrature_gradients(element.tabulate_grad(pts), inv)
     return np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, det)
+
+
+def mask_and_project(u, f, g, fine, nullbasis):
+    """Reference for the hierarchical estimator's projected systems.
+
+    Builds every cell's fine-space stiffness by quadrature, zeroes the
+    rows and columns of the fine DOFs on Dirichlet facets, puts ones on
+    their diagonal and projects the result onto the kernel ``nullbasis``.
+    Returns (a_bw, b_bw, lift, eta): projected systems and loads, lifted
+    local solutions and cell indicators.
+    """
+    space = u.space
+    mesh = space.mesh
+    jac, det, inv = fem.cell_geometry(mesh)
+    order = max(2 * fine.degree, space.degree + fine.degree + 2)
+    pts, wts = quad.triangle_rule(order)
+    a_raw = quadrature_stiffness(fine, order, mesh)
+
+    r = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
+    if space.degree >= 2:
+        r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
+    b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
+
+    t, wt = quad.edge_rule(order)
+    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
+    data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
+    constrained = np.zeros((mesh.num_cells, fine.dim), dtype=bool)
+    for lane in range(3):
+        b += data[lane] @ (wt[:, None] * fine.tabulate(fem.lane_points(lane, t)))
+        constrained[np.ix_(tags[lane] == DIRICHLET, fine.edge_dofs[lane])] = True
+
+    free = ~constrained
+    a_mod = a_raw * (free[:, :, None] & free[:, None, :])
+    idx = np.arange(a_raw.shape[1])
+    a_mod[:, idx, idx] = np.where(constrained, 1.0, a_mod[:, idx, idx])
+    b_mod = np.where(free, b, 0.0)
+    a_bw = np.matmul(nullbasis.T, a_mod) @ nullbasis
+    b_bw = b_mod @ nullbasis
+    x = np.linalg.solve(a_bw, b_bw[..., None])[..., 0]
+    lift = x @ nullbasis.T
+    eta2 = np.einsum("ci,cij,cj->c", lift, a_raw, lift, optimize=True)
+    return a_bw, b_bw, lift, np.sqrt(np.maximum(eta2, 0.0))
 
 
 def mapped_point_traces(u, g, order):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afem2d import element as el
 from afem2d import fem
@@ -11,6 +13,8 @@ from afem2d.bank_weiser import (
     PAIRS,
     LocalSolveError,
     NullspaceError,
+    _operators,
+    _project,
     _solve_projected,
     estimate,
     estimate_bubble,
@@ -20,11 +24,13 @@ from afem2d.bank_weiser import (
     validate_pair,
 )
 from afem2d.fem import FEFunction, FunctionSpace, interpolate
-from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField
+from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    jittered_square,
     mapped_point_traces,
+    mask_and_project,
     quadrature_stiffness,
     row_reduction_kernel,
     solve_poisson,
@@ -161,23 +167,22 @@ def test_local_system_volume_term_single_cell():
     u = interpolate(lambda x, y: x - y, space)  # linear: zero Laplacian
     f = lambda x, y: x + 2.0 * y
     fine = el.lagrange(2)
-    a_raw, b, constrained = local_system(u, f, None, fine)
+    metric, b, pattern = local_system(u, f, None, fine)
 
-    assert a_raw.shape == (1, 6, 6)
+    assert metric.shape == (1, 4)
     assert b.shape == (1, 6)
-    # every fine DOF of the P2 space sits on some (Dirichlet) edge
-    assert constrained.all()
+    # every edge is Dirichlet, so every fine DOF of the P2 space is fixed
+    assert list(pattern) == [7]
+    _, _, free, _, _ = _operators((2, 1))
+    assert not free[7].any()
 
     pts, wts = quad.triangle_rule(6)
     tab = fine.tabulate(pts)
     fx = f(pts[:, 0], pts[:, 1])  # unit triangle: physical == reference
     oracle = np.einsum("q,qi,q->i", fx, tab, wts)
     assert np.abs(b[0] - oracle).max() < 1e-14
-
-    grads = fine.tabulate_grad(pts)
-    a_oracle = np.einsum("qit,qjt,q->ij", grads, grads, wts)
-    assert np.abs(a_raw[0] - a_oracle).max() < 1e-13
-    assert np.abs(a_raw[0] - a_raw[0].T).max() < 1e-13
+    # the reference cell's metric is the identity
+    assert np.abs(metric[0] - [1.0, 0.0, 0.0, 1.0]).max() < 1e-15
 
 
 def test_interior_jump_sign_and_sharing():
@@ -192,7 +197,7 @@ def test_interior_jump_sign_and_sharing():
     u = FEFunction(space, np.array([0.0, 1.0, 3.0, 1.0]))
     zero = lambda x, y: np.zeros_like(x)
     fine = el.lagrange(2)
-    _, b, constrained = local_system(u, zero, None, fine)
+    _, b, pattern = local_system(u, zero, None, fine)
 
     jump = -1.0 / np.sqrt(2.0)
     length = np.sqrt(2.0)
@@ -202,10 +207,12 @@ def test_interior_jump_sign_and_sharing():
     for cell in range(2):
         assert np.abs(b[cell] - expected_row).max() < 1e-12
 
-    # Dirichlet elimination masks every fine DOF except the midpoint of
-    # the interior diagonal (local fine DOF 3).
-    for cell in range(2):
-        assert list(constrained[cell]) == [True, True, True, False, True, True]
+    # Lanes 1 and 2 are Dirichlet on both cells, and Dirichlet elimination
+    # masks every fine DOF except the midpoint of the interior diagonal
+    # (local fine DOF 3).
+    assert list(pattern) == [6, 6]
+    _, _, free, _, _ = _operators((2, 1))
+    assert list(np.flatnonzero(np.abs(free[6]).sum(axis=1))) == [3]
 
 
 def test_neumann_facet_data():
@@ -233,7 +240,7 @@ def test_neumann_facet_data():
 
 @pytest.mark.parametrize("degree,pair", [(1, (2, 1)), (2, (4, 2))])
 def test_local_system_matches_quadrature_oracle(degree, pair):
-    """Reference-tensor stiffness and lane-map facet data reproduce the
+    """Reference-tensor metrics and lane-map facet data reproduce the
     quadrature stiffness and the mapped-point load on a mesh with
     interior, Dirichlet and Neumann facets."""
     problem = lshaped_mixed()
@@ -241,11 +248,12 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
     fine = el.lagrange(pair[0])
-    a_raw, b, _ = local_system(u, problem.f, problem.g, fine)
+    metric, b, _ = local_system(u, problem.f, problem.g, fine)
 
     order = max(2 * fine.degree, degree + fine.degree + 2)
     a_oracle = quadrature_stiffness(fine, order, mesh)
-    assert np.abs(a_raw - a_oracle).max() <= 1e-13 * np.abs(a_oracle).max()
+    a = (metric @ fem.reference_stiffness(fine)).reshape(a_oracle.shape)
+    assert np.abs(a - a_oracle).max() <= 1e-13 * np.abs(a_oracle).max()
 
     pts, wts = quad.triangle_rule(order)
     jac, det, inv = fem.cell_geometry(mesh)
@@ -265,16 +273,76 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
     assert np.abs(b - b_oracle).max() <= 1e-12 * np.abs(b_oracle).max()
 
 
+def randomly_tagged_mesh(divisions, seed):
+    """A jittered unit square with every cell's vertices rotated at random
+    and random D/N boundary tags, plus seven detached triangles, one per
+    nonzero Dirichlet pattern (the last one all-Dirichlet), so that every
+    pattern 0-7 occurs and Dirichlet edges sit on every lane."""
+    base = jittered_square(divisions, seed)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 3, size=base.num_cells)
+    cells = [np.take_along_axis(base.cells, (np.arange(3) + shift[:, None]) % 3, axis=1)]
+    vertices = [base.vertices]
+    pairs = base.facets[base.boundary_facets()]
+    tags = rng.choice([DIRICHLET, NEUMANN], size=len(pairs))
+    boundary = {(int(a), int(b)): int(t) for (a, b), t in zip(pairs, tags)}
+    for m in range(1, 8):
+        v = base.num_vertices + 3 * (m - 1)
+        vertices.append(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + [2.0 * m, 0.0])
+        cells.append([[v, v + 1, v + 2]])
+        for lane, (a, b) in enumerate(el.EDGE_VERTICES):
+            boundary[(v + a, v + b)] = DIRICHLET if m >> lane & 1 else NEUMANN
+    return Mesh(np.vstack(vertices), np.vstack(cells), boundary=boundary)
+
+
+def test_random_taggings_cover_every_pattern():
+    mesh = randomly_tagged_mesh(3, seed=0)
+    space = FunctionSpace(mesh, 1)
+    zero = FEFunction(space, np.zeros(space.num_dofs))
+    _, _, pattern = local_system(zero, lambda x, y: 0.0 * x, None, el.lagrange(2))
+    assert set(pattern.tolist()) == set(range(8))
+    assert list(pattern[-7:]) == list(range(1, 8))
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), divisions=st.integers(2, 3), degree=st.integers(1, 3))
+def test_projected_systems_match_mask_and_project(kind, seed, divisions, degree):
+    """The per-pattern reference tensors give the same projected systems,
+    indicators and lifts as masking and projecting each cell's fine-space
+    matrix, for random D/N taggings, every space pair and P1-P3 solutions."""
+    mesh = randomly_tagged_mesh(divisions, seed)
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    f = lambda x, y: np.exp(x) - y * y
+    g = lambda x, y: np.cos(x + 2 * y)
+    fine, nullbasis, _, _, _ = _operators(kind)
+    a_bw, b_bw = _project(*local_system(u, f, g, fine), kind)
+    a_oracle, b_oracle, lift_oracle, eta_oracle = mask_and_project(u, f, g, fine, nullbasis)
+    assert _relative_error(a_bw, a_oracle) <= 1e-13
+    assert _relative_error(b_bw, b_oracle) <= 1e-13
+    if kind == "bubble":
+        indicator, lift = estimate_bubble(u, f, g)
+    else:
+        indicator, lift = estimate(u, f, g, pair=kind)
+    assert _relative_error(lift, lift_oracle) <= 1e-13
+    assert _relative_error(indicator.values, eta_oracle) <= 1e-13
+
+
 def test_solve_projected_galerkin_residual():
     """The projected solve leaves a residual orthogonal to the kernel:
     N^T (A x - b) = 0 for every cell."""
-    _, _, nullbasis = _operators_for_test((2, 1))
+    _, nullbasis, _, _, _ = _operators((2, 1))
     nc, dim = 17, 6
     m = RNG.normal(size=(nc, dim, dim))
     a = m @ m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
     b = RNG.normal(size=(nc, dim))
-    constrained = np.zeros((nc, dim), dtype=bool)
-    lift = _solve_projected(a, b, constrained, nullbasis)
+    x = _solve_projected(np.matmul(nullbasis.T, a) @ nullbasis, b @ nullbasis)
+    lift = x @ nullbasis.T
     residual = np.einsum("cij,cj->ci", a, lift) - b
     assert np.abs(np.einsum("ij,ci->cj", nullbasis, residual)).max() < 1e-10
     # the lift lives in the span of the kernel basis
@@ -282,19 +350,11 @@ def test_solve_projected_galerkin_residual():
     assert np.abs(recon - lift).max() < 1e-12
 
 
-def _operators_for_test(kind):
-    from afem2d.bank_weiser import _operators
-
-    return _operators(kind)
-
-
 def test_solve_projected_singular_system():
-    _, _, nullbasis = _operators_for_test((2, 1))
-    a = np.zeros((1, 6, 6))
-    b = np.ones((1, 6))
-    constrained = np.zeros((1, 6), dtype=bool)
+    a_bw = np.zeros((1, 3, 3))
+    b_bw = np.ones((1, 3))
     with pytest.raises(LocalSolveError, match="cell 0"):
-        _solve_projected(a, b, constrained, nullbasis)
+        _solve_projected(a_bw, b_bw)
 
 
 def test_projected_systems_positive_definite_on_real_mesh():
@@ -303,15 +363,11 @@ def test_projected_systems_positive_definite_on_real_mesh():
     problem = lshaped()
     mesh = problem.mesh
     u = solve_poisson(mesh, 1, f=problem.f, u_dirichlet=problem.u_dirichlet)
-    fine, _, nullbasis = _operators_for_test((2, 1))
-    a_raw, _, constrained = local_system(u, problem.f, None, fine)
-    assert constrained.any()
+    metric, b, pattern = local_system(u, problem.f, None, el.lagrange(2))
+    assert (pattern > 0).any()
 
-    free = ~constrained
-    a_mod = a_raw * (free[:, :, None] & free[:, None, :])
-    idx = np.arange(6)
-    a_mod[:, idx, idx] = np.where(constrained, 1.0, a_mod[:, idx, idx])
-    a_bw = np.einsum("ij,cjk,kl->cil", nullbasis.T, a_mod, nullbasis)
+    a_bw, _ = _project(metric, b, pattern, (2, 1))
+    assert np.abs(a_bw - a_bw.transpose(0, 2, 1)).max() < 1e-13
     eigs = np.linalg.eigvalsh(a_bw)
     assert eigs.min() > 1e-12
 

@@ -194,6 +194,21 @@ def test_table_smoke(tmp_path):
     assert float(lines[2].rsplit(",", 1)[1]) > 0.0
 
 
+def test_table_strips_padded_selectors(tmp_path):
+    """A selector with surrounding blanks labels its row like the bare one,
+    so every row keeps the header's three fields."""
+    out = tmp_path / "table.csv"
+    code = main([
+        "table", "--problem", "lshaped", "--max-dof", "300", "--solver", "lu",
+        "--estimator", " bw:2,1", "--estimator", "zz ", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
+    assert [line.count(",") for line in lines] == [2, 2, 2]
+    assert lines[1].startswith("2,1,")
+    assert lines[2].startswith("zz,,")
+
+
 def test_format_table_csv_labels():
     rows = [("bw:4,2", 1.5), ("bw:bubble", 2.0), ("res", 3.25), ("zz", 0.5)]
     lines = format_table_csv(rows).strip().split("\n")

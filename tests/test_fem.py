@@ -16,12 +16,14 @@ from afem2d.fem import (
     cell_geometry,
     cell_gradients,
     cell_laplacians,
-    cell_stiffness,
     facet_traces,
     h1_seminorm_error,
     interpolate,
     l2_norm,
+    neumann_values,
+    reference_stiffness,
     solve,
+    stiffness_metric,
 )
 from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
 from afem2d.problems import lshaped_mixed, unit_square_mesh
@@ -124,18 +126,29 @@ def test_dirichlet_dof_count_p2_square():
 
 
 def test_neumann_facet_lanes():
+    """The Neumann data shared by the load and the facet traces lands on
+    exactly the local edge, of exactly the cell, that lies on the N facet."""
     tags = {(0, 1): NEUMANN, (1, 2): DIRICHLET,
             (2, 3): DIRICHLET, (3, 0): DIRICHLET}
     mesh = two_cell_square(boundary=tags)
-    space = FunctionSpace(mesh, 1)
-    masks = space.neumann_facet_lanes()
-    assert masks.shape == (3, mesh.num_cells)
-    assert masks.sum() == 1
-    lane, cell = np.argwhere(masks)[0]
+    g = lambda x, y: 1.0 + x + 0.0 * y
+    order = 3
+    t, _ = quad.edge_rule(order)
+    gv = neumann_values(mesh, g, order)
+    assert gv.shape == (3, mesh.num_cells, len(t))
+    hits = np.argwhere(np.abs(gv).sum(axis=2) > 0)
+    assert len(hits) == 1
+    lane, cell = hits[0]
     verts = mesh.cells[cell]
     pair = {verts[[(1, 2), (2, 0), (0, 1)][lane][0]],
             verts[[(1, 2), (2, 0), (0, 1)][lane][1]]}
     assert pair == {0, 1}
+    # the facet is y = 0; g = 1 + x along the cell's own traversal of it
+    start, end = mesh.vertices[verts[list(el.EDGE_VERTICES[lane])]]
+    x = start[0] + t * (end[0] - start[0])
+    assert np.abs(gv[lane, cell] - (1.0 + x)).max() < 1e-15
+    u = FEFunction(FunctionSpace(mesh, 1), np.zeros(mesh.num_vertices))
+    assert np.array_equal(facet_traces(u, g, order)[4], gv)
 
 
 def test_facet_lanes_invert_cell_facets():
@@ -160,8 +173,9 @@ KERNEL_ELEMENTS = [el.lagrange(k) for k in range(1, el.MAX_DEGREE + 1)] + [el.p2
 def test_reference_tensor_stiffness_matches_quadrature(element):
     mesh = jittered_square(4, seed=11)
     _, det, inv = cell_geometry(mesh)
+    exact = stiffness_metric(det, inv) @ reference_stiffness(element)
+    exact = exact.reshape(-1, element.dim, element.dim)
     for order in (2 * element.degree, 2 * element.degree + 1):
-        exact = cell_stiffness(element, order, det, inv)
         oracle = quadrature_stiffness(element, order, mesh)
         assert np.abs(exact - oracle).max() <= 1e-13 * np.abs(oracle).max()
 

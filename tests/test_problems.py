@@ -243,5 +243,5 @@ def test_goal_reference_against_mesh_quadrature():
 
     mesh = lshaped_mesh(5)
     u1 = interpolate(one, FunctionSpace(mesh, 1))
-    approx = evaluate_goal(u1, lshaped_goal().goal.c, quad_degree=8)
+    approx = evaluate_goal(u1, lshaped_goal().goal.c)
     assert abs(mass - approx) < 1e-3
