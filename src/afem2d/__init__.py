@@ -19,7 +19,6 @@ from .fem import (
     assemble_poisson,
     h1_seminorm_error,
     interpolate,
-    l2_norm,
     solve,
 )
 from .mesh import (
@@ -32,7 +31,6 @@ from .mesh import (
     read_mesh,
     refine,
     uniform_refine,
-    vertex_patch,
     write_mesh,
 )
 from .problems import GoalSpec, Problem, audit, make_problem

@@ -14,7 +14,6 @@ from .fem import (
     FEFunction,
     FunctionSpace,
     assemble_poisson,
-    cell_geometry,
     eval_data,
     h1_seminorm_error,
     physical_points,
@@ -71,6 +70,10 @@ class AdaptConfig:
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta!r}")
         if self.max_dofs is None and self.tol is None and self.max_iterations is None:
             raise ValueError("need at least one stopping rule")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
+        if self.solver not in ("cg", "lu"):
+            raise ValueError(f"unknown solver method: {self.solver!r}")
         if self.degree not in range(1, MAX_DEGREE + 1):
             raise ValueError(f"unsupported space degree: {self.degree!r}")
         self.estimator = self.estimator.strip()
@@ -201,10 +204,9 @@ def evaluate_goal(u, c):
     """Goal functional <c, u_h> by quadrature."""
     space = u.space
     pts, wts = quad.triangle_rule(2 * space.degree + 3)
-    jac, det, _ = cell_geometry(space.mesh)
-    cv = eval_data(c, physical_points(space.mesh, pts, jac))
+    cv = eval_data(c, physical_points(space.mesh, pts))
     uv = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
-    return float(np.einsum("cq,cq,q,c->", cv, uv, wts, det))
+    return float(np.einsum("cq,cq,q,c->", cv, uv, wts, space.mesh.det))
 
 
 def assemble_dual(space, c):

@@ -114,10 +114,10 @@ def local_system(u, f, g, fine):
     """
     space = u.space
     mesh = space.mesh
-    jac, det, inv = fem.cell_geometry(mesh)
+    det, inv = mesh.det, mesh.inv
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
     pts, _ = quad.triangle_rule(order)
-    r = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
+    r = fem.eval_data(f, fem.physical_points(mesh, pts))
     if space.degree >= 2:
         r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)

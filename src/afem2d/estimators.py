@@ -18,20 +18,19 @@ def residual_estimate(u, f, g=None):
     """
     space = u.space
     mesh = space.mesh
-    jac, det, inv = fem.cell_geometry(mesh)
     # Elevated data order: near-singular loads (e.g. x**(alpha-2) against a
     # boundary) are badly under-sampled by the minimal 2k rule, while smooth
     # data is integrated exactly either way.
     order = 2 * space.degree + 6
     pts, wts = quad.triangle_rule(order)
 
-    fv = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
+    fv = fem.eval_data(f, fem.physical_points(mesh, pts))
     f_mean = 2.0 * (fv @ wts)  # cell weights sum to 1/2
     resid = np.broadcast_to(f_mean[:, None], fv.shape)
     if space.degree >= 2:
         hess = space.element.tabulate_hess(pts)
-        resid = resid + fem.cell_laplacians(u.cell_coeffs(), hess, inv)
-    eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * det)
+        resid = resid + fem.cell_laplacians(u.cell_coeffs(), hess, mesh.inv)
+    eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * mesh.det)
 
     _, wt = quad.edge_rule(order)
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
@@ -54,9 +53,8 @@ def zz_estimate(u):
     if space.degree != 1:
         raise ValueError("gradient recovery requires a degree-1 solution")
     mesh = space.mesh
-    _, _, inv = fem.cell_geometry(mesh)
     ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))[0]
-    grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), inv, ref_grad)
+    grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), mesh.inv, ref_grad)
     areas = mesh.areas
 
     weighted = np.zeros((mesh.num_vertices, 2))

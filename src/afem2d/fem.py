@@ -10,7 +10,9 @@ Cell matrices use the tensor representation of Kirby & Logg (ACM TOMS
 32(3), 2006): on an affine cell the stiffness is ``G_c @ K_ref``, with
 ``G_c = det J^-1 J^-T`` flattened to 4 entries and ``K_ref[(s, r), (i, j)]
 = int d_s phi_i d_r phi_j`` tabulated once per element, on first use.
-Facet terms go by lanes (lane i of a cell is its local edge i); the
+The affine data (``J``, ``det J``, ``J^-1`` and each lane's length and
+outward unit normal) are read from the ``Mesh``, which computes them
+once.  Facet terms go by lanes (lane i of a cell is its local edge i); the
 ``Mesh.facet_lanes`` attribute, filled by the same sort that builds the
 connectivity, gives each facet's lane in both incident cells, and since
 those cells traverse the facet in opposite directions the neighbour's
@@ -28,30 +30,18 @@ from . import element as el
 from . import quadrature as quad
 from .mesh import DIRICHLET, NEUMANN
 
+# Cells per block of the H1 error quadrature; bounds its memory, not its result.
+ERROR_BLOCK = 8192
+
 
 class SolverError(RuntimeError):
     """The linear solver failed to reach its tolerance."""
 
 
-def cell_geometry(mesh):
-    """Affine map data: Jacobians (columns v1-v0, v2-v0), dets, inverses."""
-    v = mesh.vertices[mesh.cells]
-    jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv /= det[:, None, None]
-    return jac, det, inv
-
-
-def physical_points(mesh, ref_pts, jac=None):
-    """Map reference points to every cell: (nc, nq, 2)."""
-    if jac is None:
-        jac, _, _ = cell_geometry(mesh)
-    v0 = mesh.vertices[mesh.cells[:, 0]]
+def physical_points(mesh, ref_pts, cells=slice(None)):
+    """Map reference points to the selected cells (default all): (n, nq, 2)."""
+    jac = mesh.jac[cells]
+    v0 = mesh.vertices[mesh.cells[cells, 0]]
     mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)
     return v0[:, None, :] + mapped.transpose(0, 2, 1)
 
@@ -138,17 +128,12 @@ def facet_traces(u, g, order):
     """
     space, mesh = u.space, u.space.mesh
     t, _ = quad.edge_rule(order)
-    _, _, inv = cell_geometry(mesh)
-    ends = np.asarray(el.EDGE_VERTICES)
-    v = mesh.vertices[mesh.cells]
-    evec = (v[:, ends[:, 1]] - v[:, ends[:, 0]]).transpose(1, 0, 2)
-    length = np.hypot(evec[..., 0], evec[..., 1])
-    normal = np.stack([evec[..., 1], -evec[..., 0]], axis=-1) / length[..., None]
+    coeffs = u.cell_coeffs()
     grads = np.stack([
-        cell_gradients(u.cell_coeffs(), space.element.tabulate_grad(lane_points(lane, t)), inv)
+        cell_gradients(coeffs, space.element.tabulate_grad(lane_points(lane, t)), mesh.inv)
         for lane in range(3)
     ])
-    dn = np.matmul(grads, normal[..., None])[..., 0]
+    dn = np.matmul(grads, mesh.lane_normals[..., None])[..., 0]
 
     jump = np.zeros_like(dn)
     inner = mesh.facet_cells[:, 1] >= 0
@@ -159,7 +144,7 @@ def facet_traces(u, g, order):
     jump[l0, c0] = -total
     jump[l1, c1] = -total[:, ::-1]
     tags = mesh.facet_tags[mesh.cell_facets].T
-    return tags, length, dn, jump, neumann_values(mesh, g, order)
+    return tags, mesh.lane_lengths, dn, jump, neumann_values(mesh, g, order)
 
 
 class FunctionSpace:
@@ -252,8 +237,7 @@ class SparseSystem:
 
 def assemble_stiffness(space):
     """Raw Poisson stiffness matrix (no boundary conditions)."""
-    _, det, inv = cell_geometry(space.mesh)
-    local = stiffness_metric(det, inv) @ reference_stiffness(space.element)
+    local = stiffness_metric(space.mesh.det, space.mesh.inv) @ reference_stiffness(space.element)
     rows = np.repeat(space.dofmap, space.element.dim, axis=1)
     cols = np.tile(space.dofmap, space.element.dim)
     mat = sparse.coo_matrix(
@@ -268,12 +252,11 @@ def assemble_load(space, f, g=None):
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
-    jac, det, _ = cell_geometry(mesh)
-    fvals = eval_data(f, physical_points(mesh, pts, jac))
+    fvals = eval_data(f, physical_points(mesh, pts))
     edge = neumann_values(mesh, g, order)
     if g is not None:
-        edge *= mesh.facet_lengths()[mesh.cell_facets].T[..., None]
-    local = cell_loads(space.element, order, det, fvals, edge)
+        edge *= mesh.lane_lengths[..., None]
+    local = cell_loads(space.element, order, mesh.det, fvals, edge)
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
 
@@ -338,20 +321,16 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000):
 
 
 def h1_seminorm_error(u, grad_exact):
-    """|u_exact - u_h|_H1 from the exact gradient, by quadrature."""
-    space = u.space
+    """|u_exact - u_h|_H1 from the exact gradient, by quadrature over
+    blocks of ``ERROR_BLOCK`` cells; the final sum runs over all cells."""
+    space, mesh = u.space, u.space.mesh
     pts, wts = quad.triangle_rule(2 * space.degree + 3)
-    jac, det, inv = cell_geometry(space.mesh)
-    gh = cell_gradients(u.cell_coeffs(), space.element.tabulate_grad(pts), inv)
-    x = physical_points(space.mesh, pts, jac)
-    gx, gy = grad_exact(x[..., 0], x[..., 1])
-    diff = (gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2
-    return float(np.sqrt(det @ (diff @ wts)))
-
-
-def l2_norm(u):
-    space = u.space
-    pts, wts = quad.triangle_rule(2 * space.degree + 2)
-    _, det, _ = cell_geometry(space.mesh)
-    vals = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
-    return float(np.sqrt(np.einsum("cq,q,c->", vals**2, wts, det)))
+    ref_grads = space.element.tabulate_grad(pts)
+    cell_sums = np.empty(mesh.num_cells)
+    for start in range(0, mesh.num_cells, ERROR_BLOCK):
+        cells = slice(start, start + ERROR_BLOCK)
+        gh = cell_gradients(u.coeffs[space.dofmap[cells]], ref_grads, mesh.inv[cells])
+        x = physical_points(mesh, pts, cells)
+        gx, gy = grad_exact(x[..., 0], x[..., 1])
+        cell_sums[cells] = ((gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2) @ wts
+    return float(np.sqrt(mesh.det @ cell_sums))

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .element import EDGE_VERTICES
+
 INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
 _TAG_FROM_CHAR = {"D": DIRICHLET, "N": NEUMANN}
 _CHAR_FROM_TAG = {v: k for k, v in _TAG_FROM_CHAR.items()}
+# Lane i (local edge i, opposite vertex i) runs from _LANE_ENDS[i, 0] to _LANE_ENDS[i, 1].
+_LANE_ENDS = np.array(EDGE_VERTICES)
 
 
 class NonManifoldError(ValueError):
@@ -44,7 +48,7 @@ def build_connectivity(cells):
     """
     cells = np.asarray(cells, dtype=np.int64)
     n = cells.max(initial=0) + 1
-    lanes = cells[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    lanes = cells[:, _LANE_ENDS].reshape(-1, 2)
     keys, inverse, counts = np.unique(
         lanes.min(axis=1) * n + lanes.max(axis=1), return_inverse=True, return_counts=True
     )
@@ -77,6 +81,11 @@ class Mesh:
         Either a vectorized ``tag(x, y) -> array of DIRICHLET/NEUMANN``
         evaluated at boundary facet midpoints, a dict mapping sorted
         vertex pairs to tags, or None for all-Dirichlet.
+
+    The affine geometry is computed once, as read-only arrays: ``jac``
+    (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, ``areas``
+    = det / 2, and per lane (local edge i) ``lane_lengths`` (3, nc) and
+    outward unit ``lane_normals`` (3, nc, 2).
     """
 
     def __init__(self, vertices, cells, boundary=None):
@@ -88,17 +97,30 @@ class Mesh:
             raise ValueError("cells must be an (nc, 3) array")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() < len(self.vertices):
             raise ValueError("cell vertex index out of range")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertex coordinates must be finite")
         v = self.vertices[self.cells]
-        d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(self.areas <= 0):
+        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        if np.any(det <= 0):
             raise ValueError("cells must be counterclockwise with positive area")
+        inv = np.empty_like(jac)
+        inv[:, 0, 0] = jac[:, 1, 1]
+        inv[:, 1, 1] = jac[:, 0, 0]
+        inv[:, 0, 1] = -jac[:, 0, 1]
+        inv[:, 1, 0] = -jac[:, 1, 0]
+        inv /= det[:, None, None]
+        lane = (v[:, _LANE_ENDS[:, 1]] - v[:, _LANE_ENDS[:, 0]]).transpose(1, 0, 2)
+        lengths = np.hypot(lane[..., 0], lane[..., 1])
+        normals = np.stack([lane[..., 1], -lane[..., 0]], axis=-1) / lengths[..., None]
+        self.jac, self.det, self.inv = jac, det, inv
+        self.lane_lengths, self.lane_normals = lengths, normals
+        self.areas = 0.5 * det
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
-        self.vertices.setflags(write=False)
-        self.cells.setflags(write=False)
-        self._vertex_cells = None
+        for array in (self.vertices, self.cells, jac, det, inv, lengths, normals, self.areas):
+            array.setflags(write=False)
 
     def _assign_tags(self, boundary):
         tags = np.zeros(len(self.facets), dtype=np.int8)
@@ -154,41 +176,18 @@ class Mesh:
 
     def cell_diameters(self):
         """Longest edge of each cell."""
-        return self.facet_lengths()[self.cell_facets].max(axis=1)
+        return self.lane_lengths.max(axis=0)
 
     def min_angle(self):
         """Smallest interior angle over all cells, in radians.
 
         Quality monitor only; nothing in the refinement path enforces it.
         """
-        v = self.vertices[self.cells]
-        angles = []
-        for i in range(3):
-            d1 = v[:, (i + 1) % 3] - v[:, i]
-            d2 = v[:, (i + 2) % 3] - v[:, i]
-            cosv = np.einsum("cd,cd->c", d1, d2) / (
-                np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1])
-            )
-            angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        return float(np.min(angles))
-
-    def vertex_to_cells(self):
-        """CSR-style adjacency: (offsets, cell ids) sorted per vertex."""
-        if self._vertex_cells is None:
-            flat = self.cells.ravel()
-            order = np.argsort(flat, kind="stable")
-            counts = np.bincount(flat, minlength=self.num_vertices)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            self._vertex_cells = (offsets, order // 3)
-        return self._vertex_cells
-
-
-def vertex_patch(mesh, vertex):
-    """Indices of the cells sharing the given vertex, ascending."""
-    if not 0 <= vertex < mesh.num_vertices:
-        raise IndexError(f"vertex {vertex} out of range")
-    offsets, cells = mesh.vertex_to_cells()
-    return cells[offsets[vertex] : offsets[vertex + 1]]
+        # The edges leaving vertex i are lane i + 2 and minus lane i + 1;
+        # turning both into their normals keeps the angle between them.
+        n = self.lane_normals
+        cosv = -np.einsum("lcd,lcd->lc", n[[2, 0, 1]], n[[1, 2, 0]])
+        return float(np.arccos(np.clip(cosv, -1.0, 1.0)).min())
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,7 @@ def orient_longest_edge(vertices, cells):
     cells = np.asarray(cells, dtype=np.int64)
     out = cells.copy()
     v = vertices[cells]
-    lengths = np.stack(
-        [np.linalg.norm(v[:, (i + 2) % 3] - v[:, (i + 1) % 3], axis=1) for i in range(3)],
-        axis=1,
-    )
+    lengths = np.linalg.norm(v[:, _LANE_ENDS[:, 1]] - v[:, _LANE_ENDS[:, 0]], axis=-1)
     longest = np.argmax(lengths, axis=1)
     for shift in (1, 2):
         rows = longest == shift

@@ -62,9 +62,8 @@ def quadrature_gradients(ref_grads, inv):
 def quadrature_stiffness(element, order, mesh):
     """Cell stiffness matrices by quadrature of pushed-forward gradients."""
     pts, wts = quad.triangle_rule(order)
-    _, det, inv = fem.cell_geometry(mesh)
-    grads = quadrature_gradients(element.tabulate_grad(pts), inv)
-    return np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, det)
+    grads = quadrature_gradients(element.tabulate_grad(pts), mesh.inv)
+    return np.einsum("cqit,cqjt,q,c->cij", grads, grads, wts, mesh.det)
 
 
 def mask_and_project(u, f, g, fine, nullbasis):
@@ -78,12 +77,12 @@ def mask_and_project(u, f, g, fine, nullbasis):
     """
     space = u.space
     mesh = space.mesh
-    jac, det, inv = fem.cell_geometry(mesh)
+    det, inv = mesh.det, mesh.inv
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
     pts, wts = quad.triangle_rule(order)
     a_raw = quadrature_stiffness(fine, order, mesh)
 
-    r = fem.eval_data(f, fem.physical_points(mesh, pts, jac))
+    r = fem.eval_data(f, fem.physical_points(mesh, pts))
     if space.degree >= 2:
         r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
     b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
@@ -121,7 +120,7 @@ def mapped_point_traces(u, g, order):
     space = u.space
     mesh = space.mesh
     u_el = space.element
-    jac, _, inv = fem.cell_geometry(mesh)
+    inv = mesh.inv
     t, _ = quad.edge_rule(order)
     coeffs = u.cell_coeffs()
     v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -132,7 +131,7 @@ def mapped_point_traces(u, g, order):
         fid = mesh.cell_facets[:, lane]
         tags = mesh.facet_tags[fid]
         ref = fem.lane_points(lane, t)
-        x = fem.physical_points(mesh, ref, jac)
+        x = fem.physical_points(mesh, ref)
         g_own = np.einsum(
             "ci,cqit->cqt", coeffs, quadrature_gradients(u_el.tabulate_grad(ref), inv)
         )

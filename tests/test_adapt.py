@@ -97,6 +97,22 @@ def test_adapt_config_rejects_unrunnable_settings_before_assembly(monkeypatch, s
         adapt_loop(lshaped(), AdaptConfig(max_iterations=1, **settings))
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"solver": "qr", "max_iterations": 1}, "solver"),
+        ({"tol": float("nan")}, "tolerance"),
+        ({"tol": float("inf")}, "tolerance"),
+        ({"tol": 0.0}, "tolerance"),
+        ({"tol": -1e-3, "max_iterations": 1}, "tolerance"),
+    ],
+    ids=["solver-qr", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+)
+def test_adapt_config_rejects_unknown_solver_and_bad_tolerance(settings, message):
+    with pytest.raises(ValueError, match=message):
+        AdaptConfig(**settings)
+
+
 # ---------------------------------------------------------------------------
 # traces and slopes
 # ---------------------------------------------------------------------------

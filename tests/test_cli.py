@@ -108,6 +108,12 @@ def test_usage_error_exits_2_before_any_assembly(monkeypatch, capsys):
     assert "degree 1" in capsys.readouterr().err
 
 
+def test_run_rejects_nan_tolerance(capsys):
+    code = main(["run", "--problem", "lshaped", "--tol", "nan", "--max-iter", "1"])
+    assert code == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", ["SolverError", "LocalSolveError", "NullspaceError"])
 def test_runtime_failure_exits_1(monkeypatch, capsys, error):
     import afem2d.adapt as adapt_module

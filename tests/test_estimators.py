@@ -6,7 +6,7 @@ import pytest
 from afem2d import fem
 from afem2d import quadrature as quad
 from afem2d.estimators import residual_estimate, zz_estimate
-from afem2d.fem import FEFunction, FunctionSpace, cell_geometry, interpolate
+from afem2d.fem import FEFunction, FunctionSpace, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh
 from afem2d.problems import lshaped_mixed, unit_square_mesh
 
@@ -121,8 +121,8 @@ def test_residual_matches_mapped_point_oracle(degree):
 
     order = 2 * degree + 6
     pts, wts = quad.triangle_rule(order)
-    jac, det, inv = cell_geometry(mesh)
-    x = fem.physical_points(mesh, pts, jac)
+    det, inv = mesh.det, mesh.inv
+    x = fem.physical_points(mesh, pts)
     fv = np.broadcast_to(problem.f(x[..., 0], x[..., 1]), x.shape[:2])
     resid = 2.0 * np.einsum("cq,q->c", fv, wts)[:, None]
     if degree >= 2:
@@ -168,7 +168,7 @@ def test_zz_patch_average_oracle():
     u = FEFunction(space, np.array([0.0, 1.0, 0.5, -0.25, 0.3]))
 
     # per-cell constant gradients of the P1 field
-    _, det, inv = cell_geometry(mesh)
+    det, inv = mesh.det, mesh.inv
     ref_grad = space.element.tabulate_grad(np.array([[1 / 3, 1 / 3]]))[0]
     grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), inv, ref_grad)
 

@@ -13,13 +13,11 @@ from afem2d.fem import (
     assemble_load,
     assemble_poisson,
     assemble_stiffness,
-    cell_geometry,
     cell_gradients,
     cell_laplacians,
     facet_traces,
     h1_seminorm_error,
     interpolate,
-    l2_norm,
     neumann_values,
     reference_stiffness,
     solve,
@@ -172,8 +170,7 @@ KERNEL_ELEMENTS = [el.lagrange(k) for k in range(1, el.MAX_DEGREE + 1)] + [el.p2
 @pytest.mark.parametrize("element", KERNEL_ELEMENTS, ids=lambda e: e.name)
 def test_reference_tensor_stiffness_matches_quadrature(element):
     mesh = jittered_square(4, seed=11)
-    _, det, inv = cell_geometry(mesh)
-    exact = stiffness_metric(det, inv) @ reference_stiffness(element)
+    exact = stiffness_metric(mesh.det, mesh.inv) @ reference_stiffness(element)
     exact = exact.reshape(-1, element.dim, element.dim)
     for order in (2 * element.degree, 2 * element.degree + 1):
         oracle = quadrature_stiffness(element, order, mesh)
@@ -186,7 +183,7 @@ def test_cell_derivatives_match_einsum(degree):
     mesh = jittered_square(3, seed=6)
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y), space)
-    _, _, inv = cell_geometry(mesh)
+    inv = mesh.inv
     pts, _ = quad.triangle_rule(6)
     coeffs = u.cell_coeffs()
     grads = quadrature_gradients(space.element.tabulate_grad(pts), inv)
@@ -418,13 +415,6 @@ def test_h1_seminorm_of_quadratic():
     zero_grad = lambda x, y: np.zeros((2,) + np.shape(x))
     value = h1_seminorm_error(u, zero_grad)
     assert abs(value - 2.0 / np.sqrt(3.0)) < 1e-12
-
-
-def test_l2_norm_of_constant():
-    mesh = unit_square_mesh(3)
-    space = FunctionSpace(mesh, 1)
-    u = interpolate(lambda x, y: np.ones_like(x), space)
-    assert abs(l2_norm(u) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("degree,min_rate", [(1, 0.9), (2, 1.85)])

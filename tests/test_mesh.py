@@ -51,6 +51,14 @@ def test_negative_vertex_index_rejected():
         m.Mesh(vertices, np.array([[0, 1, -1]]))
 
 
+@pytest.mark.parametrize("corner", [[np.nan, 1.0], [0.0, np.inf], [-np.inf, 1.0]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_non_finite_vertices_rejected(corner):
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], corner])
+    with pytest.raises(ValueError, match="finite"):
+        m.Mesh(vertices, np.array([[0, 1, 2]]))
+
+
 def test_boundary_dict_rejects_out_of_range_vertex():
     # 0 * 4 + 6 == 1 * 4 + 2 and -1 * 4 + 7 == 0 * 4 + 3: unchecked keys
     # would retag facets (1, 2) and (0, 3).
@@ -90,16 +98,6 @@ def test_geometry_queries():
     assert np.allclose(mm.facet_lengths(), [1.0, 1.0, np.sqrt(2.0)])
     assert np.allclose(mm.cell_diameters(), [np.sqrt(2.0)])
     assert np.allclose(mm.boundary_facets(), [0, 1, 2])
-
-
-def test_vertex_patch():
-    mm = criss_cross_square()
-    assert m.vertex_patch(mm, 4).tolist() == [0, 1, 2, 3]
-    assert m.vertex_patch(mm, 1).tolist() == [0, 1]
-    single = unit_triangle_mesh()
-    assert m.vertex_patch(single, 0).tolist() == [0]
-    with pytest.raises(IndexError):
-        m.vertex_patch(mm, 5)
 
 
 def test_immutability():
@@ -302,6 +300,13 @@ def test_mesh_read_rejects_unknown_tag(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 D\n1 2 X\n0 2 D\n")
     with pytest.raises(ValueError):
+        m.read_mesh(path)
+
+
+def test_mesh_read_rejects_nan_coordinate(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text("3 1 3\n0 0\n1 0\nnan 1\n0 1 2\n0 1 D\n1 2 D\n0 2 D\n")
+    with pytest.raises(ValueError, match="finite"):
         m.read_mesh(path)
 
 

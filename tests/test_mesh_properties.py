@@ -1,14 +1,16 @@
 """Property tests of bisection refinement on random markings of the seed
 meshes: conservation, tag inheritance and connectivity against the
-``np.unique(axis=0)`` reference."""
+``np.unique(axis=0)`` reference; and of each mesh's geometry record."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afem2d.element import EDGE_VERTICES
 from afem2d.mesh import refine
 from afem2d.problems import make_problem
-from helpers import unique_rows_connectivity
+from helpers import jittered_square, unique_rows_connectivity
 
 SEED_MESHES = {
     name: make_problem(name).mesh for name in ("lshaped", "lshaped-mixed", "boundary-sing")
@@ -61,3 +63,45 @@ def test_random_refinement_invariants(name, rounds, data):
         assert_tags_inherited(mesh, fine)
         assert_connectivity(fine)
         mesh = fine
+
+
+@st.composite
+def meshes(draw):
+    """A jittered square, or a seed mesh after random bisection rounds."""
+    if draw(st.booleans()):
+        return jittered_square(draw(st.integers(2, 8)), draw(st.integers(0, 2**16)))
+    mesh = SEED_MESHES[draw(st.sampled_from(sorted(SEED_MESHES)))]
+    for _ in range(draw(st.integers(1, 3))):
+        n = mesh.num_cells
+        mesh = refine(mesh, sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                                 max_size=n // 3))))
+    return mesh
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=meshes())
+def test_geometry_record(mesh):
+    v = mesh.vertices[mesh.cells]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    assert np.array_equal(mesh.jac, np.stack([d1, d2], axis=-1))
+    assert np.array_equal(mesh.det, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert np.array_equal(mesh.areas, 0.5 * mesh.det)
+    assert np.abs(mesh.inv @ mesh.jac - np.eye(2)).max() <= 1e-12
+    assert np.array_equal(mesh.lane_lengths, mesh.facet_lengths()[mesh.cell_facets].T)
+
+    normals = mesh.lane_normals
+    assert np.abs(np.hypot(normals[..., 0], normals[..., 1]) - 1.0).max() <= 1e-15
+    mids = np.stack([v[:, list(ends)].mean(axis=1) for ends in EDGE_VERTICES])
+    inward = v.mean(axis=1) - mids
+    assert (np.einsum("lcd,lcd->lc", normals, inward) < 0).all()
+    # facet_traces' jump takes the two sides' outward normals as exact negatives.
+    inner = mesh.facet_cells[:, 1] >= 0
+    (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
+    assert np.array_equal(normals[l0, c0], -normals[l1, c1])
+
+
+@pytest.mark.parametrize("name", ["jac", "det", "inv", "areas", "lane_lengths", "lane_normals"])
+def test_geometry_record_is_read_only(name):
+    array = getattr(jittered_square(3, seed=1), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 1.0
