@@ -13,7 +13,9 @@ from .element import MAX_DEGREE
 from .fem import (
     FEFunction,
     FunctionSpace,
+    assemble_load,
     assemble_poisson,
+    dirichlet_rhs,
     eval_data,
     h1_seminorm_error,
     physical_points,
@@ -162,8 +164,10 @@ def adapt_loop(problem, config, reference=None):
     A problem with a goal functional adds a dual solve on every mesh and
     marks by the WGO weighting of the primal and dual indicators; the
     trace's eta/err columns then carry the weighted estimator and the
-    goal error |reference - J(u_h)|.  ``reference`` defaults to
-    :func:`reference_goal_value` and is used only with a goal.
+    goal error |reference - J(u_h)|.  The dual shares the primal's matrix
+    and Dirichlet DOFs, so its load is a second right-hand-side column: a
+    goal iteration assembles and factors one matrix.  ``reference``
+    defaults to :func:`reference_goal_value` and is used only with a goal.
     """
     goal = problem.goal
     if goal is not None and reference is None:
@@ -176,14 +180,18 @@ def adapt_loop(problem, config, reference=None):
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        u = FEFunction(space, solve(system, method=config.solver))
-        indicator = estimator(u, problem.f, problem.g)
         z = None
         if goal is not None:
-            z = FEFunction(space, solve(assemble_dual(space, goal.c), method=config.solver))
-            indicator, eta = wgo_indicators(indicator, estimator(z, goal.c, None))
+            dual = dirichlet_rhs(assemble_load(space, goal.c), system.dirichlet_dofs, 0.0)
+            system.rhs = np.column_stack([system.rhs, dual])
+            u, z = (FEFunction(space, x) for x in solve(system, method=config.solver).T)
+            indicator, eta = wgo_indicators(
+                estimator(u, problem.f, problem.g), estimator(z, goal.c, None)
+            )
             err = abs(reference - evaluate_goal(u, goal.c))
         else:
+            u = FEFunction(space, solve(system, method=config.solver))
+            indicator = estimator(u, problem.f, problem.g)
             eta = indicator.global_value
             if problem.grad_exact is not None:
                 err = h1_seminorm_error(u, problem.grad_exact)

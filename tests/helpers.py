@@ -223,3 +223,29 @@ def row_reduction_kernel(g, tol=1e-9):
         for r, pc in enumerate(pivots):
             basis[pc, j] = -a[r, fc]
     return basis
+
+
+def two_solve_goal_trace(problem, config, reference):
+    """The goal loop with a separate primal and dual assembly and solve
+    on every mesh (Dörfler marking, ``max_dofs`` stop): the oracle for
+    ``adapt_loop``'s one two-column solve."""
+    from afem2d.adapt import (
+        AdaptTrace, TraceRow, assemble_dual, evaluate_goal, resolve_estimator, wgo_indicators,
+    )
+    from afem2d.mesh import mark_dorfler, refine
+
+    estimator, c = resolve_estimator(config.estimator), problem.goal.c
+    mesh, trace, iteration = problem.mesh, AdaptTrace(), 0
+    while True:
+        space = FunctionSpace(mesh, config.degree)
+        system = fem.assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+        u = FEFunction(space, fem.solve(system, method=config.solver))
+        z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver))
+        indicator, eta = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
+        err = abs(reference - evaluate_goal(u, c))
+        marked = mark_dorfler(indicator, config.theta)
+        trace.append(TraceRow(iteration, space.num_dofs, eta, err, eta / err, len(marked)))
+        if space.num_dofs >= config.max_dofs:
+            return trace
+        mesh = refine(mesh, marked)
+        iteration += 1

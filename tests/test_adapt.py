@@ -1,5 +1,7 @@
 """Tests for the adaptive loops, traces, and goal-oriented weighting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,9 @@ from afem2d.fem import (
     solve,
 )
 from afem2d.mesh import IndicatorField, uniform_refine
-from afem2d.problems import lshaped, lshaped_goal, unit_square_mesh
+from afem2d.problems import GoalSpec, lshaped, lshaped_goal, lshaped_mixed, unit_square_mesh
+
+from helpers import two_solve_goal_trace
 
 RNG = np.random.default_rng(20240820)
 
@@ -331,6 +335,65 @@ def test_adapt_loop_follows_the_goal():
     # the standard loop carries no dual and no reference
     plain = adapt_loop(lshaped(), config)
     assert plain.dual is None and plain.reference is None
+
+
+@pytest.mark.parametrize("solver", ["lu", "cg"])
+def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
+    import afem2d.fem as fem
+
+    calls = {"assemble_stiffness": 0, "splu": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(fem, "assemble_stiffness")
+    counted(fem.spla, "splu")
+    config = AdaptConfig(estimator="bw:2,1", solver=solver, max_iterations=2)
+    result = adapt_loop(lshaped_goal(), config, FROZEN_GOAL_REFERENCE)
+    meshes = len(result.trace.rows)
+    assert meshes == 3
+    assert calls == {"assemble_stiffness": meshes, "splu": meshes if solver == "lu" else 0}
+
+
+def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
+    """On a mesh with Dirichlet and Neumann facets the loop solves one
+    system whose columns are the primal load and assemble_dual's load."""
+    import afem2d.adapt as adapt_module
+
+    problem = dataclasses.replace(lshaped_mixed(), goal=GoalSpec())
+    seen = []
+
+    def recording(system, method):
+        seen.append(system)
+        return solve(system, method)
+
+    monkeypatch.setattr(adapt_module, "solve", recording)
+    result = adapt_loop(problem, AdaptConfig(degree=2, solver="lu", max_iterations=0), 0.0)
+    space = result.solution.space
+    assert len(seen) == 1 and seen[0].rhs.shape == (space.num_dofs, 2)
+    primal = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    dual = assemble_dual(space, problem.goal.c)
+    assert np.array_equal(seen[0].rhs[:, 0], primal.rhs)
+    assert np.array_equal(seen[0].rhs[:, 1], dual.rhs)
+    assert (seen[0].matrix != dual.matrix).nnz == 0
+    assert np.array_equal(result.solution.coeffs, solve(primal, "lu"))
+    assert np.array_equal(result.dual.coeffs, solve(dual, "lu"))
+
+
+@pytest.mark.parametrize("solver", ["lu", "cg"])
+def test_goal_trace_matches_separate_solves(solver):
+    """The two-column solve leaves the goal trace byte-identical to the
+    loop that assembles and solves primal and dual apart."""
+    problem = lshaped_goal()
+    config = AdaptConfig(estimator="bw:2,1", solver=solver, max_dofs=3000)
+    got = adapt_loop(problem, config, FROZEN_GOAL_REFERENCE).trace.to_csv()
+    assert got == two_solve_goal_trace(problem, config, FROZEN_GOAL_REFERENCE).to_csv()
 
 
 def test_reference_goal_value_cache(tmp_path):

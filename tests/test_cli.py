@@ -108,6 +108,18 @@ def test_usage_error_exits_2_before_any_assembly(monkeypatch, capsys):
     assert "degree 1" in capsys.readouterr().err
 
 
+def test_run_rejects_infinite_alpha_before_any_assembly(monkeypatch, capsys):
+    import afem2d.adapt as adapt_module
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran on a problem with alpha = inf")
+
+    monkeypatch.setattr(adapt_module, "assemble_poisson", no_assembly)
+    code = main(["run", "--problem", "boundary-sing", "--alpha", "inf", "--max-iter", "1"])
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_run_rejects_nan_tolerance(capsys):
     code = main(["run", "--problem", "lshaped", "--tol", "nan", "--max-iter", "1"])
     assert code == 2

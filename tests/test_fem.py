@@ -1,5 +1,7 @@
 """Tests for function spaces, assembly, boundary conditions, and solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from afem2d.fem import (
     assemble_stiffness,
     cell_gradients,
     cell_laplacians,
+    dirichlet_rhs,
     facet_traces,
     h1_seminorm_error,
     interpolate,
@@ -248,6 +251,26 @@ def test_stiffness_row_sums_vanish():
         assert np.abs(a @ ones).max() < 1e-12
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_stiffness_index_width_leaves_matrix_unchanged(degree):
+    """int32 COO indices give bitwise the CSR matrix of int64 ones."""
+    from scipy import sparse
+
+    space = FunctionSpace(lshaped_mixed().mesh, degree)
+    mesh, dim = space.mesh, space.element.dim
+    local = stiffness_metric(mesh.det, mesh.inv) @ reference_stiffness(space.element)
+    rows = np.repeat(space.dofmap, dim, axis=1).ravel()
+    cols = np.tile(space.dofmap, dim).ravel()
+    assert rows.dtype == np.int64
+    want = sparse.coo_matrix(
+        (local.ravel(), (rows, cols)), shape=(space.num_dofs,) * 2
+    ).tocsr()
+    got = assemble_stiffness(space)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+
+
 def test_load_vector_constant_forcing():
     """For f = 1 the load vector sums to the domain area, any degree."""
     mesh = unit_square_mesh(2)
@@ -314,6 +337,66 @@ def test_solve_small_system_both_methods():
     for method in ("cg", "lu"):
         x = solve(system, method=method)
         assert np.allclose(x, [1.0, 1.0], atol=1e-10)
+
+
+def two_load_system():
+    """Mixed-boundary P2 system with a second, Dirichlet-eliminated load."""
+    problem = lshaped_mixed()
+    space = FunctionSpace(problem.mesh, 2)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    second = dirichlet_rhs(
+        assemble_load(space, lambda x, y: np.cos(x) + y), system.dirichlet_dofs, 0.0
+    )
+    return system, second
+
+
+@pytest.mark.parametrize("method", ["cg", "lu"])
+def test_solve_two_columns_match_one_column_solves(method):
+    system, second = two_load_system()
+    first = solve(system, method=method)
+    alone = solve(dataclasses.replace(system, rhs=second), method=method)
+    both = solve(dataclasses.replace(system, rhs=np.column_stack([system.rhs, second])),
+                 method=method)
+    assert first.shape == (len(second),) and both.shape == (len(second), 2)
+    assert np.array_equal(both[:, 0], first)
+    assert np.array_equal(both[:, 1], alone)
+
+
+@pytest.mark.parametrize("method, bad", [("cg", "slow"), ("lu", "nan")])
+def test_solve_checks_every_column(method, bad):
+    """A failing second column raises even though the first one converges."""
+    system, second = two_load_system()
+    if bad == "nan":
+        second[len(second) // 2] = np.nan
+        maxiter = 200000
+    else:
+        system.rhs = np.zeros_like(system.rhs)  # converges at once
+        maxiter = 1
+    system.rhs = np.column_stack([system.rhs, second])
+    with pytest.raises(SolverError):
+        solve(system, method=method, maxiter=maxiter)
+
+
+def test_dirichlet_rhs_matches_full_lift():
+    """The eliminated load is bitwise the full lift-and-mask formula, also
+    for zero data, which skip the lift and need no matrix; the raw load is
+    left as it was."""
+    space = FunctionSpace(lshaped_mixed().mesh, 2)
+    a = assemble_stiffness(space)
+    b = assemble_load(space, lambda x, y: np.sin(3.0 * x) - y)
+    raw = b.copy()
+    dofs = space.dirichlet_dofs()
+    keep = np.ones(space.num_dofs)
+    keep[dofs] = 0.0
+    for values in (np.linspace(-1.0, 2.0, len(dofs)), np.zeros(len(dofs))):
+        lift = np.zeros(space.num_dofs)
+        lift[dofs] = values
+        want = (b - a @ lift) * keep
+        want[dofs] = values
+        assert np.array_equal(dirichlet_rhs(b, dofs, values, a), want)
+        assert np.array_equal(apply_dirichlet(a, b, dofs, values)[1], want)
+    assert np.array_equal(dirichlet_rhs(b, dofs, 0.0), want)
+    assert np.array_equal(b, raw)
 
 
 def test_solve_unknown_method():

@@ -1,6 +1,9 @@
 """Property tests of bisection refinement on random markings of the seed
 meshes: conservation, tag inheritance and connectivity against the
-``np.unique(axis=0)`` reference; and of each mesh's geometry record."""
+``np.unique(axis=0)`` reference; of each mesh's geometry record; and of
+Dörfler marking on random indicator fields."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afem2d.element import EDGE_VERTICES
-from afem2d.mesh import refine
+from afem2d.mesh import mark_dorfler, refine
 from afem2d.problems import make_problem
 from helpers import jittered_square, unique_rows_connectivity
 
@@ -105,3 +108,38 @@ def test_geometry_record_is_read_only(name):
     array = getattr(jittered_square(3, seed=1), name)
     with pytest.raises(ValueError, match="read-only"):
         array[(0,) * array.ndim] = 1.0
+
+
+# Few distinct values make ties and zeros common; free floats fill the rest.
+INDICATORS = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    | st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=INDICATORS, theta=st.floats(min_value=1e-9, max_value=1.0))
+def test_dorfler_marking_properties(values, theta):
+    squares = np.asarray(values) ** 2
+    marked = mark_dorfler(np.asarray(values), theta)
+    assert marked.dtype == np.int64
+    assert (np.diff(marked) > 0).all()
+    total = math.fsum(squares)
+    if total == 0.0:
+        assert marked.size == 0
+        return
+    last = squares[marked].min()
+    # Upper set: every cell at or above the last kept value, so its whole tie block.
+    assert np.array_equal(marked, np.flatnonzero(squares >= last))
+    # Theta of the mass, up to the marker's 1e-12 relative slack and summation order.
+    assert math.fsum(squares[marked]) >= theta * total * (1.0 - 1e-11)
+    # Minimal apart from the tie block: the cells strictly above it fall short.
+    assert math.fsum(squares[squares > last]) < theta * total * (1.0 + 1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_dorfler_zero_field_marks_nothing(n):
+    for theta in (1e-3, 0.5, 1.0):
+        marked = mark_dorfler(np.zeros(n), theta)
+        assert marked.dtype == np.int64 and marked.size == 0

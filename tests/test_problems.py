@@ -68,6 +68,23 @@ def test_audit_catches_inconsistent_neumann_data():
         audit(bad)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_boundary_singularity_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        make_problem("boundary-sing", alpha=alpha)
+
+
+def test_audit_fails_on_nan_data():
+    """NaN compares False with everything, so each check must fail on it."""
+    nan = lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan)
+    with pytest.raises(ValueError, match="Dirichlet data"):
+        audit(dataclasses.replace(lshaped(), u_dirichlet=nan))
+    with pytest.raises(ValueError, match="Neumann data"):
+        audit(dataclasses.replace(lshaped_mixed(), g=nan))
+    with pytest.raises(ValueError, match="does not match"):
+        audit(dataclasses.replace(boundary_singularity(), f=nan))
+
+
 def test_audit_catches_inconsistent_forcing():
     good = boundary_singularity()
     bad = dataclasses.replace(good, f=lambda x, y: np.ones_like(x))
