@@ -18,6 +18,7 @@ from .fem import (
     dirichlet_rhs,
     eval_data,
     h1_seminorm_error,
+    p1_coarse_preconditioner,
     physical_points,
     solve,
 )
@@ -253,8 +254,11 @@ def reference_goal_value(
     """High-accuracy J(u) for goal-error reporting, cached as a text file.
 
     ``fe`` solves once on the ``refinements``-times uniformly refined
-    initial mesh with degree + 2 elements; ``quadrature`` integrates
-    c * u_exact directly and needs the exact solution.  The cache file
+    initial mesh with degree + 2 elements (at most 4), by conjugate
+    gradients preconditioned with :func:`~afem2d.fem.p1_coarse_preconditioner`:
+    the only matrix factored is the P1 stiffness on that mesh, and the
+    solve meets ``solve``'s 1e-10 residual check.  ``quadrature``
+    integrates c * u_exact directly and needs the exact solution.  The cache file
     holds a key line (problem, method, degree, refinements and the goal
     density's parameters) and the value; a file with another key, or one
     that is truncated or unreadable, is recomputed and rewritten.
@@ -278,7 +282,7 @@ def reference_goal_value(
         mesh = uniform_refine(problem.mesh, refinements)
         space = FunctionSpace(mesh, min(degree + 2, 4))
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        u = FEFunction(space, solve(system, method="lu"))
+        u = FEFunction(space, solve(system, "cg", M=p1_coarse_preconditioner(space, system)))
         value = evaluate_goal(u, problem.goal.c)
     elif method == "quadrature":
         from .problems import goal_reference_quadrature

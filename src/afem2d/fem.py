@@ -30,8 +30,14 @@ from . import element as el
 from . import quadrature as quad
 from .mesh import DIRICHLET, NEUMANN
 
-# Cells per block of the H1 error quadrature; bounds its memory, not its result.
+# Cells per block of the load and H1 error quadratures; bounds their memory,
+# not their results.
 ERROR_BLOCK = 8192
+
+# Damped Jacobi smoothing of p1_coarse_preconditioner: weight, and sweeps
+# before and after the coarse correction.
+SMOOTHING_WEIGHT = 0.5
+SMOOTHING_SWEEPS = 2
 
 
 class SolverError(RuntimeError):
@@ -255,15 +261,20 @@ def assemble_stiffness(space):
 
 
 def assemble_load(space, f, g=None):
-    """Raw load vector: volume term plus Neumann flux term."""
+    """Raw load vector: volume term plus Neumann flux term.  ``f`` is
+    evaluated and the cell loads formed over blocks of ``ERROR_BLOCK``
+    cells; one ``bincount`` then adds the cell loads of all cells."""
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
-    fvals = eval_data(f, physical_points(mesh, pts))
     edge = neumann_values(mesh, g, order)
     if g is not None:
         edge *= mesh.lane_lengths[..., None]
-    local = cell_loads(space.element, order, mesh.det, fvals, edge)
+    local = np.empty((mesh.num_cells, space.element.dim))
+    for start in range(0, mesh.num_cells, ERROR_BLOCK):
+        cells = slice(start, start + ERROR_BLOCK)
+        fvals = eval_data(f, physical_points(mesh, pts, cells))
+        local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, edge[:, cells])
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
 
@@ -308,29 +319,37 @@ def assemble_poisson(space, f, g=None, u_dirichlet=None):
     return SparseSystem(matrix, rhs, dofs, values)
 
 
-def solve(system, method="cg", rtol=1e-12, maxiter=200000):
+def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
     """Solve an eliminated system for each column of ``system.rhs``.
 
-    ``cg`` runs conjugate gradients with a Jacobi preconditioner, built
-    once, column by column; ``lu`` factors the matrix once and solves all
-    columns with the factors.  Every column must reach a relative residual
-    of 1e-10 (a NaN residual fails).  Both are deterministic for fixed
-    inputs, and a column's solution does not depend on the others.
+    ``cg`` runs conjugate gradients column by column with the
+    preconditioner ``M`` (an operator applying an approximate inverse, such
+    as :func:`p1_coarse_preconditioner`'s), or by default with a Jacobi
+    preconditioner built once; ``lu`` factors the matrix once and solves
+    all columns with the factors, and takes no ``M``.  A load with a NaN or
+    infinite entry raises :class:`SolverError` before any factorization or
+    iteration.  Every column must reach a relative residual of 1e-10 (a
+    NaN residual fails).  Both are deterministic for fixed inputs, and a
+    column's solution does not depend on the others.
     """
+    if method not in ("cg", "lu"):
+        raise ValueError(f"unknown solver method: {method!r}")
+    if method == "lu" and M is not None:
+        raise ValueError("a preconditioner applies to cg only")
     matrix, rhs = system.matrix, system.rhs
+    if not np.isfinite(rhs).all():
+        raise SolverError("the load has a NaN or infinite entry")
     loads = rhs.reshape(len(rhs), -1)
     if method == "lu":
         x = spla.splu(matrix.tocsc()).solve(rhs).reshape(loads.shape)
-    elif method == "cg":
-        precond = sparse.diags(1.0 / matrix.diagonal())
+    else:
+        precond = sparse.diags(1.0 / matrix.diagonal()) if M is None else M
         x = np.empty(loads.shape, order="F")
         for j, load in enumerate(loads.T):
             x[:, j], info = spla.cg(matrix, np.ascontiguousarray(load), rtol=rtol,
                                     atol=0.0, maxiter=maxiter, M=precond)
             if info != 0:
                 raise SolverError(f"conjugate gradients stopped with status {info}")
-    else:
-        raise ValueError(f"unknown solver method: {method!r}")
     for load, column in zip(loads.T, x.T):
         norm_rhs = np.linalg.norm(load)
         if norm_rhs != 0:
@@ -338,6 +357,59 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000):
             if not residual <= 1e-10:
                 raise SolverError(f"relative residual {residual:.3e} above 1e-10")
     return x.reshape(rhs.shape)
+
+
+def p1_coarse_preconditioner(space, system):
+    """Two-level preconditioner for ``solve(system, "cg", M=...)`` on the
+    eliminated Poisson system of ``space``.
+
+    One application runs two damped Jacobi sweeps (weight 1/2) from zero,
+    an exact correction by the eliminated P1 stiffness on the same mesh
+    (factored once by ``splu``; the Pk matrix is never factored) and two
+    more sweeps.  The P1 -> Pk embedding P is the element's interpolant of
+    ``lagrange(1)`` gathered through the dofmap, with zero rows on Dirichlet
+    DOFs and zero columns on Dirichlet vertices, so on the free vertices
+    the assembled P1 matrix is the Galerkin product P^T A P.  This is the
+    symmetric two-level p-multigrid of Helenbrook, Mavriplis & Atkins
+    (AIAA 2003-3989).
+    """
+    mesh, matrix = space.mesh, system.matrix
+    coarse = FunctionSpace(mesh, 1)
+    fixed = coarse.dirichlet_dofs()
+    coarse_matrix, _ = apply_dirichlet(
+        assemble_stiffness(coarse), np.zeros(coarse.num_dofs), fixed, np.zeros(len(fixed))
+    )
+    coarse_lu = spla.splu(coarse_matrix.tocsc())
+
+    # One cell and local slot per DOF: every cell sharing a DOF gives it the
+    # same P1 weights, so any one of them does.
+    dim = space.element.dim
+    slot = np.empty(space.num_dofs, dtype=np.int64)
+    slot[space.dofmap.ravel()] = np.arange(mesh.num_cells * dim)
+    weights = space.element.interpolate(el.lagrange(1).tabulate)[slot % dim]
+    vertices = mesh.cells[slot // dim]
+    weights[system.dirichlet_dofs] = 0.0
+    free_vertex = np.ones(mesh.num_vertices, dtype=bool)
+    free_vertex[fixed] = False
+    weights *= free_vertex[vertices]
+    prolong = sparse.csr_matrix(
+        (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
+        shape=(space.num_dofs, mesh.num_vertices),
+    )
+    restrict = prolong.T.tocsr()
+    step = SMOOTHING_WEIGHT / matrix.diagonal()
+
+    def apply(r):
+        r = np.ravel(r)
+        x = step * r  # the first sweep from zero
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += step * (r - matrix @ x)
+        x += prolong @ coarse_lu.solve(restrict @ (r - matrix @ x))
+        for _ in range(SMOOTHING_SWEEPS):
+            x += step * (r - matrix @ x)
+        return x
+
+    return spla.LinearOperator(matrix.shape, matvec=apply, dtype=float)
 
 
 def h1_seminorm_error(u, grad_exact):

@@ -25,6 +25,7 @@ from afem2d.fem import (
     assemble_poisson,
     assemble_stiffness,
     interpolate,
+    p1_coarse_preconditioner,
     solve,
 )
 from afem2d.mesh import IndicatorField, uniform_refine
@@ -461,6 +462,69 @@ def test_reference_routes_agree():
     problem = lshaped_goal()
     fe = reference_goal_value(problem, degree=1, method="fe", refinements=2)
     assert abs(fe - FROZEN_GOAL_REFERENCE) < 5e-4
+
+
+# The default reference (degree 1: P3 on the seed mesh refined 4 times) by a
+# sparse LU solve of its system.
+LU_GOAL_REFERENCE = 0.2010026112634223
+
+
+def test_reference_goal_value_keeps_the_lu_value():
+    assert abs(reference_goal_value(lshaped_goal(), 1) - LU_GOAL_REFERENCE) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_reference_cg_matches_lu(degree):
+    """The preconditioned CG solution of the reference system matches a
+    sparse LU solve of the same system, and so does the goal value."""
+    problem = lshaped_goal()
+    space = FunctionSpace(uniform_refine(problem.mesh, 2), degree + 2)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    direct = solve(system, "lu")
+    iterated = solve(system, "cg", M=p1_coarse_preconditioner(space, system))
+    assert np.linalg.norm(iterated - direct) <= 1e-10 * np.linalg.norm(direct)
+    value = reference_goal_value(problem, degree, refinements=2)
+    assert abs(value - evaluate_goal(FEFunction(space, direct), problem.goal.c)) <= 1e-12
+
+
+def test_reference_cg_iterations_stay_flat(monkeypatch):
+    """The two-level preconditioner keeps the CG iteration count of the
+    reference solve within 20% as the mesh is refined."""
+    import afem2d.fem as fem
+
+    counts = []
+    original = fem.spla.cg
+
+    def counting(*args, **kwargs):
+        counts.append(0)
+
+        def step(xk):
+            counts[-1] += 1
+
+        return original(*args, callback=step, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "cg", counting)
+    for refinements in (1, 2, 3):
+        reference_goal_value(lshaped_goal(), 1, refinements=refinements)
+    assert len(counts) == 3
+    assert all(abs(n - counts[0]) <= 0.2 * counts[0] for n in counts), counts
+
+
+def test_reference_factors_only_the_p1_matrix(monkeypatch):
+    import afem2d.fem as fem
+
+    shapes = []
+    original = fem.spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", spy)
+    problem = lshaped_goal()
+    reference_goal_value(problem, 1, refinements=2)
+    vertices = uniform_refine(problem.mesh, 2).num_vertices
+    assert shapes == [(vertices, vertices)]
 
 
 def test_goal_error_bounded_by_error_product():

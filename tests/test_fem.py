@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from afem2d import element as el
 from afem2d import quadrature as quad
@@ -17,17 +18,21 @@ from afem2d.fem import (
     assemble_stiffness,
     cell_gradients,
     cell_laplacians,
+    cell_loads,
     dirichlet_rhs,
+    eval_data,
     facet_traces,
     h1_seminorm_error,
     interpolate,
     neumann_values,
+    p1_coarse_preconditioner,
+    physical_points,
     reference_stiffness,
     solve,
     stiffness_metric,
 )
-from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
-from afem2d.problems import lshaped_mixed, unit_square_mesh
+from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, uniform_refine
+from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
     jittered_square,
@@ -294,6 +299,32 @@ def test_load_vector_neumann_contribution():
     assert abs(b.sum() - 2.5) < 1e-12
 
 
+def test_load_blocks_match_one_block(monkeypatch):
+    """Blocking the load over cells changes no bit: the one-pass formula
+    is the oracle, with a block size that does not divide the cell count
+    and Neumann data on the mixed boundary."""
+    import afem2d.fem as fem
+
+    problem = lshaped_mixed()
+    space = FunctionSpace(uniform_refine(problem.mesh, 1), 3)
+    order = 2 * space.degree + 1
+    pts, _ = quad.triangle_rule(order)
+    edge = neumann_values(space.mesh, problem.g, order) * space.mesh.lane_lengths[..., None]
+    fvals = eval_data(problem.f, physical_points(space.mesh, pts))
+    local = cell_loads(space.element, order, space.mesh.det, fvals, edge)
+    want = np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 100)
+    assert space.mesh.num_cells % fem.ERROR_BLOCK != 0
+    cells_per_call = []
+
+    def f(x, y):
+        cells_per_call.append(len(x))
+        return problem.f(x, y)
+
+    assert np.array_equal(assemble_load(space, f, problem.g), want)
+    assert cells_per_call == [100, 100, 100, space.mesh.num_cells - 300]
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet elimination
 # ---------------------------------------------------------------------------
@@ -417,6 +448,121 @@ def test_solve_cg_reports_nonconvergence():
                               u_dirichlet=lambda x, y: np.zeros_like(x))
     with pytest.raises(SolverError):
         solve(system, method="cg", maxiter=1)
+
+
+@pytest.mark.parametrize("method", ["cg", "lu"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_non_finite_load_before_solving(monkeypatch, method, bad):
+    """A NaN or infinite load entry fails before CG iterates (it would run
+    to maxiter on a NaN) or the LU factorization starts."""
+    import afem2d.fem as fem
+
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran on a non-finite load")
+
+    monkeypatch.setattr(fem.spla, "cg", never)
+    monkeypatch.setattr(fem.spla, "splu", never)
+    problem = lshaped()
+    space = FunctionSpace(problem.mesh, 1)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    system.rhs[space.num_dofs // 2] = bad
+    with pytest.raises(SolverError, match="NaN or infinite"):
+        solve(system, method=method)
+
+
+def test_solve_passes_the_given_preconditioner_to_cg_only(monkeypatch):
+    import afem2d.fem as fem
+
+    system, _ = two_load_system()
+    identity = LinearOperator(system.matrix.shape, matvec=lambda r: r, dtype=float)
+    seen = []
+    original = fem.spla.cg
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["M"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "cg", recording)
+    solve(system, method="cg", M=identity)
+    assert seen == [identity]
+    with pytest.raises(ValueError, match="cg only"):
+        solve(system, method="lu", M=identity)
+
+
+def p1_embedding(space):
+    """Dense P1 -> Pk embedding from the barycentric coordinates of each
+    DOF node in a cell that holds it, with the rows of Dirichlet DOFs and
+    the columns of Dirichlet vertices zeroed."""
+    mesh = space.mesh
+    nodes = space.dof_coordinates()[space.dofmap]
+    ref = np.einsum("cij,ckj->cki", mesh.inv, nodes - mesh.vertices[mesh.cells[:, :1]])
+    bary = np.concatenate([1.0 - ref.sum(axis=-1, keepdims=True), ref], axis=-1)
+    dense = np.zeros((space.num_dofs, mesh.num_vertices))
+    dense[space.dofmap[..., None], mesh.cells[:, None, :]] = bary
+    dense[space.dirichlet_dofs()] = 0.0
+    dense[:, FunctionSpace(mesh, 1).dirichlet_dofs()] = 0.0
+    return dense
+
+
+def galerkin_p1_matrix(space, matrix):
+    """P^T A P of an eliminated Pk matrix, with the elimination's unit
+    diagonal on the Dirichlet vertices."""
+    p = p1_embedding(space)
+    coarse = p.T @ (matrix @ p)
+    fixed = FunctionSpace(space.mesh, 1).dirichlet_dofs()
+    coarse[fixed, fixed] = 1.0
+    return p, coarse
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_p1_matrix_is_the_galerkin_product(degree):
+    """On a mesh with Dirichlet and Neumann facets the eliminated P1
+    stiffness equals P^T A P, so the coarse level can be assembled."""
+    problem = lshaped_mixed()
+    space = FunctionSpace(problem.mesh, degree)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    coarse = FunctionSpace(problem.mesh, 1)
+    fixed = coarse.dirichlet_dofs()
+    assembled, _ = apply_dirichlet(assemble_stiffness(coarse), np.zeros(coarse.num_dofs),
+                                   fixed, np.zeros(len(fixed)))
+    _, galerkin = galerkin_p1_matrix(space, system.matrix)
+    assembled = assembled.toarray()
+    assert np.abs(galerkin - assembled).max() <= 1e-13 * np.abs(assembled).max()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_p1_coarse_preconditioner_is_the_two_level_cycle(degree):
+    """The operator is, with dense matrices, two Jacobi sweeps of weight
+    1/2, the exact Galerkin coarse correction and two more sweeps; it is
+    symmetric positive definite and leaves the Dirichlet DOFs uncoupled.
+    The cells' local vertices are rotated so that boundary edges become
+    local edge 0, whose P3 node carries a -5.55e-17 P1 weight on the
+    opposite vertex."""
+    problem = lshaped_mixed()
+    mesh = problem.mesh
+    boundary = mesh.boundary_facets()
+    tags = {(int(a), int(b)): int(t)
+            for (a, b), t in zip(mesh.facets[boundary], mesh.facet_tags[boundary])}
+    mesh = Mesh(mesh.vertices, np.roll(mesh.cells, 1, axis=1), boundary=tags)
+    space = FunctionSpace(mesh, degree)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    a = system.matrix.toarray()
+    p, coarse = galerkin_p1_matrix(space, a)
+    step = 0.5 / np.diag(a)[:, None]
+    r = np.eye(space.num_dofs)
+    want = np.zeros_like(r)
+    for _ in range(2):
+        want += step * (r - a @ want)
+    want += p @ np.linalg.solve(coarse, p.T @ (r - a @ want))
+    for _ in range(2):
+        want += step * (r - a @ want)
+    got = p1_coarse_preconditioner(space, system) @ r
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    # Dirichlet DOFs see only the four sweeps, which keep 1 - 2^-4 of r.
+    fixed = system.dirichlet_dofs
+    assert np.array_equal(got[fixed], r[fixed] * (15 / 16))
+    assert np.abs(got - got.T).max() <= 1e-12 * np.abs(got).max()
+    assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
