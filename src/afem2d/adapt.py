@@ -1,6 +1,7 @@
 """The solve-estimate-mark-refine loop and goal-oriented weighting."""
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -13,6 +14,7 @@ from .element import MAX_DEGREE
 from .fem import (
     FEFunction,
     FunctionSpace,
+    MeshHierarchy,
     assemble_load,
     assemble_poisson,
     dirichlet_rhs,
@@ -53,7 +55,8 @@ class AdaptConfig:
     """Settings for one adaptive run.
 
     At least one stopping rule (max_dofs, tol, max_iterations) must be
-    set; they are checked in that order after each solve.  Settings that
+    set; they are checked in that order after each solve.  ``max_dofs`` is
+    an integer >= 1 and ``max_iterations`` an integer >= 0.  Settings that
     no run could complete with are rejected here, before any assembly.
     """
 
@@ -73,6 +76,11 @@ class AdaptConfig:
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta!r}")
         if self.max_dofs is None and self.tol is None and self.max_iterations is None:
             raise ValueError("need at least one stopping rule")
+        for name, low in (("max_iterations", 0), ("max_dofs", 1)):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral) or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.solver not in ("cg", "lu"):
@@ -169,6 +177,12 @@ def adapt_loop(problem, config, reference=None):
     and Dirichlet DOFs, so its load is a second right-hand-side column: a
     goal iteration assembles and factors one matrix.  ``reference``
     defaults to :func:`reference_goal_value` and is used only with a goal.
+
+    Under ``cg`` the loop keeps the meshes' P1 levels in a
+    :class:`~afem2d.fem.MeshHierarchy`, and each solve is preconditioned
+    by a V-cycle over it (:func:`~afem2d.fem.p1_coarse_preconditioner`);
+    only the coarsest level's matrix, of at most ``COARSE_DOFS`` rows once
+    the meshes pass that size, is factored.
     """
     goal = problem.goal
     if goal is not None and reference is None:
@@ -176,22 +190,25 @@ def adapt_loop(problem, config, reference=None):
     estimator = resolve_estimator(config.estimator)
     mark = _marker(config)
     mesh = problem.mesh
+    hierarchy = MeshHierarchy() if config.solver == "cg" else None
     trace = AdaptTrace()
     iteration = 0
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+        precond = None if hierarchy is None else p1_coarse_preconditioner(space, system, hierarchy)
         z = None
         if goal is not None:
             dual = dirichlet_rhs(assemble_load(space, goal.c), system.dirichlet_dofs, 0.0)
             system.rhs = np.column_stack([system.rhs, dual])
-            u, z = (FEFunction(space, x) for x in solve(system, method=config.solver).T)
+            u, z = (FEFunction(space, x)
+                    for x in solve(system, method=config.solver, M=precond).T)
             indicator, eta = wgo_indicators(
                 estimator(u, problem.f, problem.g), estimator(z, goal.c, None)
             )
             err = abs(reference - evaluate_goal(u, goal.c))
         else:
-            u = FEFunction(space, solve(system, method=config.solver))
+            u = FEFunction(space, solve(system, method=config.solver, M=precond))
             indicator = estimator(u, problem.f, problem.g)
             eta = indicator.global_value
             if problem.grad_exact is not None:

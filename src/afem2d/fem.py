@@ -34,10 +34,18 @@ from .mesh import DIRICHLET, NEUMANN
 # not their results.
 ERROR_BLOCK = 8192
 
-# Damped Jacobi smoothing of p1_coarse_preconditioner: weight, and sweeps
-# before and after the coarse correction.
+# Damped Jacobi smoothing of p1_coarse_preconditioner's p-level: weight, and
+# sweeps before and after the coarse correction.
 SMOOTHING_WEIGHT = 0.5
 SMOOTHING_SWEEPS = 2
+
+# MeshHierarchy: the largest mesh (in P1 DOFs) factored as the coarsest
+# level, the growth in DOFs that keeps a mesh as a level, and the damped
+# Jacobi smoothing of every h-level.
+COARSE_DOFS = 1000
+LEVEL_GROWTH = 2
+MG_WEIGHT = 0.8
+MG_SWEEPS = 1
 
 
 class SolverError(RuntimeError):
@@ -359,27 +367,124 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
     return x.reshape(rhs.shape)
 
 
-def p1_coarse_preconditioner(space, system):
-    """Two-level preconditioner for ``solve(system, "cg", M=...)`` on the
-    eliminated Poisson system of ``space``.
+def v_cycle(levels, coarse_solve, r):
+    """One V-cycle for ``r`` from a zero initial guess.
+
+    ``levels`` run from the finest down, each ``(matrix, prolong, restrict,
+    step, sweeps)``: ``sweeps`` damped Jacobi sweeps ``x += step * (r -
+    matrix @ x)`` before and after the correction from the level below,
+    reached through ``restrict`` and ``prolong``; ``coarse_solve`` applies
+    below the last level.
+    """
+    if not levels:
+        return coarse_solve(r)
+    matrix, prolong, restrict, step, sweeps = levels[0]
+    x = step * r  # the first sweep from zero
+    for _ in range(sweeps - 1):
+        x += step * (r - matrix @ x)
+    x += prolong @ v_cycle(levels[1:], coarse_solve, restrict @ (r - matrix @ x))
+    for _ in range(sweeps):
+        x += step * (r - matrix @ x)
+    return x
+
+
+def free_vertices(mesh):
+    """Mask of the vertices on no Dirichlet facet: (nv,) bool."""
+    free = np.ones(mesh.num_vertices, dtype=bool)
+    free[mesh.facets[mesh.facet_tags == DIRICHLET]] = False
+    return free
+
+
+def prolongation(coarse, fine):
+    """P1 prolongation (fine.num_vertices, coarse.num_vertices), CSR, from
+    ``coarse`` to its refinement ``fine``: old vertices keep their value and
+    each new vertex takes 1/2 from each of its ``fine.parents``.  Columns of
+    coarse Dirichlet vertices are zero, and with them the rows of fine ones,
+    each an old Dirichlet vertex or the midpoint of a split Dirichlet facet;
+    so on free vertices P^T A_fine P is the eliminated P1 stiffness of
+    ``coarse``.  Raises ValueError when ``fine`` is not a refinement of
+    ``coarse``.
+    """
+    parents, nc = fine.parents, coarse.num_vertices
+    if parents is None or nc + len(parents) != fine.num_vertices:
+        raise ValueError("the mesh is not a refinement of the previous one")
+    k = len(parents)
+    indptr = np.concatenate([np.arange(nc), nc + 2 * np.arange(k + 1)])
+    indices = np.concatenate([np.arange(nc), parents.ravel()])
+    data = np.concatenate([np.ones(nc), np.full(2 * k, 0.5)]) * free_vertices(coarse)[indices]
+    return sparse.csr_matrix((data, indices, indptr), shape=(fine.num_vertices, nc))
+
+
+class MeshHierarchy:
+    """P1 levels over a sequence of nested meshes, for :func:`v_cycle`.
+
+    :meth:`add` takes each new mesh with its eliminated P1 stiffness.  The
+    coarsest level is the last mesh with at most ``COARSE_DOFS`` P1 DOFs
+    (or the first mesh), solved exactly by ``splu``.  Above it a mesh stays
+    a level only if it has ``LEVEL_GROWTH`` times the DOFs of the level
+    below; the prolongation of a skipped mesh is multiplied into the next
+    level's.  The newest mesh is always the top level, smoothed like every
+    level by ``MG_SWEEPS`` damped Jacobi sweeps of weight ``MG_WEIGHT``.
+    :meth:`cycle` applies the levels as they stand, so an operator built on
+    it serves the newest mesh only.
+    """
+
+    def __init__(self):
+        self.levels = []  # finest first, as v_cycle takes them
+        self._mesh = None
+        self._coarse_lu = None
+
+    def add(self, mesh, matrix):
+        """Make ``mesh``, a refinement of the last mesh added, the top level."""
+        prolong = None if self._mesh is None else prolongation(self._mesh, mesh)
+        self._mesh = mesh
+        if prolong is None or mesh.num_vertices <= COARSE_DOFS:
+            self.levels = []
+            self._coarse_lu = spla.splu(matrix.tocsc())
+            return
+        sizes = [level[0].shape[0] for level in self.levels] + [self._coarse_lu.shape[0]]
+        if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
+            prolong = prolong @ self.levels.pop(0)[1]
+        step = MG_WEIGHT / matrix.diagonal()
+        self.levels.insert(0, (matrix, prolong, prolong.T, step, MG_SWEEPS))
+
+    def cycle(self, r):
+        """One V-cycle over every level for the top level's residual r."""
+        return v_cycle(self.levels, self._coarse_lu.solve, np.ravel(r))
+
+
+def p1_coarse_preconditioner(space, system, hierarchy=None):
+    """Preconditioner for ``solve(system, "cg", M=...)`` on the eliminated
+    Poisson system of ``space``.
 
     One application runs two damped Jacobi sweeps (weight 1/2) from zero,
-    an exact correction by the eliminated P1 stiffness on the same mesh
-    (factored once by ``splu``; the Pk matrix is never factored) and two
+    a correction by the eliminated P1 stiffness on the same mesh and two
     more sweeps.  The P1 -> Pk embedding P is the element's interpolant of
     ``lagrange(1)`` gathered through the dofmap, with zero rows on Dirichlet
     DOFs and zero columns on Dirichlet vertices, so on the free vertices
     the assembled P1 matrix is the Galerkin product P^T A P.  This is the
     symmetric two-level p-multigrid of Helenbrook, Mavriplis & Atkins
     (AIAA 2003-3989).
+
+    Without ``hierarchy`` the P1 correction is exact (``splu``; the Pk
+    matrix is never factored).  With a :class:`MeshHierarchy` the mesh and
+    its P1 matrix join it, and the correction is one V-cycle over it; at
+    degree 1 that V-cycle, on ``system.matrix``, is the whole operator.
     """
     mesh, matrix = space.mesh, system.matrix
+    if hierarchy is not None and space.degree == 1:
+        hierarchy.add(mesh, matrix)
+        return spla.LinearOperator(matrix.shape, matvec=hierarchy.cycle, dtype=float)
     coarse = FunctionSpace(mesh, 1)
     fixed = coarse.dirichlet_dofs()
     coarse_matrix, _ = apply_dirichlet(
         assemble_stiffness(coarse), np.zeros(coarse.num_dofs), fixed, np.zeros(len(fixed))
     )
-    coarse_lu = spla.splu(coarse_matrix.tocsc())
+    if hierarchy is None:
+        coarse_solve = spla.splu(coarse_matrix.tocsc()).solve
+    else:
+        hierarchy.add(mesh, coarse_matrix)
+        coarse_solve = hierarchy.cycle
 
     # One cell and local slot per DOF: every cell sharing a DOF gives it the
     # same P1 weights, so any one of them does.
@@ -389,25 +494,16 @@ def p1_coarse_preconditioner(space, system):
     weights = space.element.interpolate(el.lagrange(1).tabulate)[slot % dim]
     vertices = mesh.cells[slot // dim]
     weights[system.dirichlet_dofs] = 0.0
-    free_vertex = np.ones(mesh.num_vertices, dtype=bool)
-    free_vertex[fixed] = False
-    weights *= free_vertex[vertices]
+    weights *= free_vertices(mesh)[vertices]
     prolong = sparse.csr_matrix(
         (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
         shape=(space.num_dofs, mesh.num_vertices),
     )
-    restrict = prolong.T.tocsr()
-    step = SMOOTHING_WEIGHT / matrix.diagonal()
+    levels = [(matrix, prolong, prolong.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
+               SMOOTHING_SWEEPS)]
 
     def apply(r):
-        r = np.ravel(r)
-        x = step * r  # the first sweep from zero
-        for _ in range(SMOOTHING_SWEEPS - 1):
-            x += step * (r - matrix @ x)
-        x += prolong @ coarse_lu.solve(restrict @ (r - matrix @ x))
-        for _ in range(SMOOTHING_SWEEPS):
-            x += step * (r - matrix @ x)
-        return x
+        return v_cycle(levels, coarse_solve, np.ravel(r))
 
     return spla.LinearOperator(matrix.shape, matvec=apply, dtype=float)
 

@@ -86,6 +86,10 @@ class Mesh:
     (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, ``areas``
     = det / 2, and per lane (local edge i) ``lane_lengths`` (3, nc) and
     outward unit ``lane_normals`` (3, nc, 2).
+
+    ``parents`` is None, except on a mesh made by :func:`refine`: there it
+    is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
+    the coarse vertex pair ``parents[i]`` (nv the coarse vertex count).
     """
 
     def __init__(self, vertices, cells, boundary=None):
@@ -119,6 +123,7 @@ class Mesh:
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
+        self.parents = None
         for array in (self.vertices, self.cells, jac, det, inv, lengths, normals, self.areas):
             array.setflags(write=False)
 
@@ -275,7 +280,8 @@ def refine(mesh, marked):
 
     All three edges of a marked cell are bisected; the closure then adds
     refinement edges of any cell that would otherwise hang.  Returns a new
-    mesh; boundary tags are inherited by split facets.
+    mesh whose ``parents`` give each new vertex's split facet; old vertices
+    keep their indices and boundary tags are inherited by split facets.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
@@ -296,8 +302,9 @@ def refine(mesh, marked):
     split_ids = np.flatnonzero(split)
     midpoint_of = np.full(len(mesh.facets), -1, dtype=np.int64)
     midpoint_of[split_ids] = nv + np.arange(len(split_ids))
-    midpoints = mesh.vertices[mesh.facets[split_ids]].mean(axis=1)
-    new_vertices = np.vstack([mesh.vertices, midpoints])
+    parents = mesh.facets[split_ids]
+    parents.setflags(write=False)
+    new_vertices = np.vstack([mesh.vertices, mesh.vertices[parents].mean(axis=1)])
 
     cells = mesh.cells
     b = split[mesh.cell_facets]  # (nc, 3) per-lane split flags
@@ -335,7 +342,9 @@ def refine(mesh, marked):
         np.column_stack([mesh.facets[cut, 1], mid]),
     ])
     tags = mesh.facet_tags[np.concatenate([whole, cut, cut])]
-    return Mesh(new_vertices, new_cells, boundary=dict(zip(map(tuple, pairs.tolist()), tags)))
+    fine = Mesh(new_vertices, new_cells, boundary=dict(zip(map(tuple, pairs.tolist()), tags)))
+    fine.parents = parents
+    return fine
 
 
 def uniform_refine(mesh, times=1):

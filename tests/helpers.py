@@ -228,7 +228,8 @@ def row_reduction_kernel(g, tol=1e-9):
 def two_solve_goal_trace(problem, config, reference):
     """The goal loop with a separate primal and dual assembly and solve
     on every mesh (Dörfler marking, ``max_dofs`` stop): the oracle for
-    ``adapt_loop``'s one two-column solve."""
+    ``adapt_loop``'s one two-column solve.  Under ``cg`` both solves take
+    the V-cycle over the same mesh hierarchy."""
     from afem2d.adapt import (
         AdaptTrace, TraceRow, assemble_dual, evaluate_goal, resolve_estimator, wgo_indicators,
     )
@@ -236,11 +237,16 @@ def two_solve_goal_trace(problem, config, reference):
 
     estimator, c = resolve_estimator(config.estimator), problem.goal.c
     mesh, trace, iteration = problem.mesh, AdaptTrace(), 0
+    hierarchy = fem.MeshHierarchy()
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = fem.assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        u = FEFunction(space, fem.solve(system, method=config.solver))
-        z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver))
+        precond = None
+        if config.solver == "cg":
+            precond = fem.p1_coarse_preconditioner(space, system, hierarchy)
+        u = FEFunction(space, fem.solve(system, method=config.solver, M=precond))
+        z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver,
+                                        M=precond))
         indicator, eta = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
         err = abs(reference - evaluate_goal(u, c))
         marked = mark_dorfler(indicator, config.theta)

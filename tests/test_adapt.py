@@ -118,6 +118,32 @@ def test_adapt_config_rejects_unknown_solver_and_bad_tolerance(settings, message
         AdaptConfig(**settings)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_dofs", float("nan")),
+        ("max_dofs", 0),
+        ("max_dofs", -100),
+        ("max_dofs", 2000.0),
+        ("max_dofs", True),
+        ("max_iterations", -3),
+        ("max_iterations", 1.5),
+        ("max_iterations", float("inf")),
+    ],
+)
+def test_adapt_config_rejects_bad_stopping_rules(name, value):
+    """A NaN dof budget would never stop the loop, and a negative or
+    fractional count means nothing; both fail when the config is made."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        AdaptConfig(**{name: value})
+
+
+def test_adapt_config_keeps_the_smallest_stopping_rules():
+    assert AdaptConfig(max_iterations=0).max_iterations == 0
+    assert AdaptConfig(max_dofs=1).max_dofs == 1
+    assert AdaptConfig(max_dofs=np.int64(30000)).max_dofs == 30000
+
+
 # ---------------------------------------------------------------------------
 # traces and slopes
 # ---------------------------------------------------------------------------
@@ -340,26 +366,34 @@ def test_adapt_loop_follows_the_goal():
 
 @pytest.mark.parametrize("solver", ["lu", "cg"])
 def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
+    """One stiffness assembly per mesh; ``lu`` factors each mesh's matrix
+    once, and ``cg`` factors only its coarsest level, of at most
+    ``COARSE_DOFS`` rows."""
     import afem2d.fem as fem
 
-    calls = {"assemble_stiffness": 0, "splu": 0}
+    calls = {"assemble_stiffness": [], "splu": []}
 
-    def counted(owner, name):
+    def spy(owner, name):
         original = getattr(owner, name)
 
-        def spy(*args, **kwargs):
-            calls[name] += 1
+        def recording(*args, **kwargs):
+            calls[name].append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(owner, name, recording)
 
-    counted(fem, "assemble_stiffness")
-    counted(fem.spla, "splu")
+    spy(fem, "assemble_stiffness")
+    spy(fem.spla, "splu")
     config = AdaptConfig(estimator="bw:2,1", solver=solver, max_iterations=2)
     result = adapt_loop(lshaped_goal(), config, FROZEN_GOAL_REFERENCE)
     meshes = len(result.trace.rows)
     assert meshes == 3
-    assert calls == {"assemble_stiffness": meshes, "splu": meshes if solver == "lu" else 0}
+    assert len(calls["assemble_stiffness"]) == meshes
+    factored = [matrix.shape[0] for matrix in calls["splu"]]
+    if solver == "lu":
+        assert factored == result.trace.column("num_dofs").tolist()
+    else:
+        assert factored and max(factored) <= fem.COARSE_DOFS
 
 
 def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
@@ -370,9 +404,9 @@ def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
     problem = dataclasses.replace(lshaped_mixed(), goal=GoalSpec())
     seen = []
 
-    def recording(system, method):
+    def recording(system, method, M=None):
         seen.append(system)
-        return solve(system, method)
+        return solve(system, method, M=M)
 
     monkeypatch.setattr(adapt_module, "solve", recording)
     result = adapt_loop(problem, AdaptConfig(degree=2, solver="lu", max_iterations=0), 0.0)
@@ -525,6 +559,46 @@ def test_reference_factors_only_the_p1_matrix(monkeypatch):
     reference_goal_value(problem, 1, refinements=2)
     vertices = uniform_refine(problem.mesh, 2).num_vertices
     assert shapes == [(vertices, vertices)]
+
+
+def test_loop_cg_iterations_stay_flat_over_the_hierarchy(monkeypatch):
+    """Under the V-cycle, a solve up to COARSE_DOFS is the exact coarse
+    solve (one iteration), and every larger one takes at most 25."""
+    import afem2d.fem as fem
+
+    runs = []
+    original = fem.spla.cg
+
+    def counting(matrix, *args, **kwargs):
+        runs.append([matrix.shape[0], 0])
+
+        def step(xk):
+            runs[-1][1] += 1
+
+        return original(matrix, *args, callback=step, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "cg", counting)
+    adapt_loop(lshaped(), AdaptConfig(estimator="bw:2,1", solver="cg", max_dofs=20000))
+    assert runs[-1][0] >= 20000
+    assert all(n == 1 for size, n in runs if size <= fem.COARSE_DOFS), runs
+    assert all(n <= 25 for size, n in runs if size > fem.COARSE_DOFS), runs
+
+
+def test_loop_cg_trace_matches_the_jacobi_path(monkeypatch):
+    """On the mixed-boundary L-shape with the ZZ estimator (no symmetric
+    Dörfler ties) the V-cycle changes the solutions only at roundoff: every
+    mesh and marking equals that of Jacobi-preconditioned CG."""
+    import afem2d.adapt as adapt_module
+
+    config = AdaptConfig(estimator="zz", solver="cg", max_dofs=20000)
+    multigrid = adapt_loop(lshaped_mixed(), config).trace
+    monkeypatch.setattr(adapt_module, "p1_coarse_preconditioner", lambda *args: None)
+    jacobi = adapt_loop(lshaped_mixed(), config).trace
+    for name in ("num_dofs", "num_marked"):
+        assert np.array_equal(multigrid.column(name), jacobi.column(name))
+    assert multigrid.rows[-1].num_dofs >= 20000
+    eta_mg, eta_jacobi = multigrid.column("eta"), jacobi.column("eta")
+    assert np.abs(eta_mg - eta_jacobi).max() <= 1e-9 * eta_jacobi.min()
 
 
 def test_goal_error_bounded_by_error_product():

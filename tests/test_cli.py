@@ -108,6 +108,20 @@ def test_usage_error_exits_2_before_any_assembly(monkeypatch, capsys):
     assert "degree 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--max-iter", "-3"], ["--max-dof", "0"], ["--max-dof", "-5", "--max-iter", "1"]]
+)
+def test_run_rejects_bad_stopping_rules_before_any_assembly(monkeypatch, capsys, flags):
+    import afem2d.adapt as adapt_module
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran with a bad stopping rule")
+
+    monkeypatch.setattr(adapt_module, "assemble_poisson", no_assembly)
+    assert main(["run", "--problem", "lshaped", *flags]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_run_rejects_infinite_alpha_before_any_assembly(monkeypatch, capsys):
     import afem2d.adapt as adapt_module
 

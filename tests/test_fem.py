@@ -8,9 +8,11 @@ from scipy.sparse.linalg import LinearOperator
 
 from afem2d import element as el
 from afem2d import quadrature as quad
+from afem2d import fem
 from afem2d.fem import (
     FEFunction,
     FunctionSpace,
+    MeshHierarchy,
     SolverError,
     apply_dirichlet,
     assemble_load,
@@ -27,11 +29,12 @@ from afem2d.fem import (
     neumann_values,
     p1_coarse_preconditioner,
     physical_points,
+    prolongation,
     reference_stiffness,
     solve,
     stiffness_metric,
 )
-from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, uniform_refine
+from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refine
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
@@ -563,6 +566,105 @@ def test_p1_coarse_preconditioner_is_the_two_level_cycle(degree):
     assert np.array_equal(got[fixed], r[fixed] * (15 / 16))
     assert np.abs(got - got.T).max() <= 1e-12 * np.abs(got).max()
     assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0.0
+
+
+def randomly_refined(mesh, rounds, seed):
+    """``mesh`` followed by ``rounds`` bisections of a random twentieth of
+    the cells, so that each mesh grows by less than half."""
+    rng = np.random.default_rng(seed)
+    meshes = [mesh]
+    for _ in range(rounds):
+        n = meshes[-1].num_cells
+        meshes.append(refine(meshes[-1], rng.choice(n, size=max(1, n // 20), replace=False)))
+    return meshes
+
+
+def eliminated_p1_matrix(mesh):
+    space = FunctionSpace(mesh, 1)
+    return assemble_poisson(space, lambda x, y: 0.0 * x).matrix
+
+
+def assert_galerkin(prolong, coarse, fine):
+    """P^T A_fine P is the assembled eliminated P1 matrix of the coarse mesh
+    on its free vertices and zero on the rows and columns of the others."""
+    free = fem.free_vertices(coarse)
+    assert free.any() and not free.all()
+    assert not prolong[~fem.free_vertices(fine)].toarray().any()
+    want = eliminated_p1_matrix(coarse).toarray() * np.outer(free, free)
+    got = (prolong.T @ eliminated_p1_matrix(fine) @ prolong).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prolongation_is_galerkin_over_one_and_two_refinements(seed):
+    """On a mesh with Dirichlet and Neumann facets, for one refinement and
+    for the product of two (a skipped level)."""
+    m0, m1, m2 = randomly_refined(lshaped_mixed().mesh, 2, seed)
+    p10, p21 = prolongation(m0, m1), prolongation(m1, m2)
+    assert p10.shape == (m1.num_vertices, m0.num_vertices)
+    assert_galerkin(p10, m0, m1)
+    assert_galerkin(p21 @ p10, m0, m2)
+
+
+def test_hierarchy_skips_a_level_that_grows_less_than_twofold(monkeypatch):
+    """A mesh with under LEVEL_GROWTH times the DOFs of the level below is
+    dropped when the next mesh comes, and its prolongation is multiplied
+    into the next level's."""
+    monkeypatch.setattr(fem, "COARSE_DOFS", 0)
+    meshes = randomly_refined(lshaped_mixed().mesh, 2, seed=3)
+    hierarchy = MeshHierarchy()
+    for mesh in meshes:
+        hierarchy.add(mesh, eliminated_p1_matrix(mesh))
+    assert meshes[1].num_vertices < fem.LEVEL_GROWTH * meshes[0].num_vertices
+    (matrix, prolong, restrict, step, sweeps), = hierarchy.levels
+    assert matrix.shape[0] == meshes[2].num_vertices and sweeps == fem.MG_SWEEPS
+    product = prolongation(meshes[1], meshes[2]) @ prolongation(meshes[0], meshes[1])
+    assert (prolong != product).nnz == 0
+    assert (restrict != prolong.T).nnz == 0
+    assert np.array_equal(step, fem.MG_WEIGHT / matrix.diagonal())
+    assert_galerkin(prolong, meshes[0], meshes[2])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_v_cycle_is_symmetric_positive_definite(monkeypatch, degree):
+    """Dense check of the preconditioner over a small hierarchy with a
+    coarse level, kept levels and skipped ones."""
+    monkeypatch.setattr(fem, "COARSE_DOFS", 70)
+    problem = lshaped_mixed()
+    hierarchy = MeshHierarchy()
+    for mesh in randomly_refined(problem.mesh, 4, seed=4):
+        space = FunctionSpace(mesh, degree)
+        system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+        op = p1_coarse_preconditioner(space, system, hierarchy)
+    assert len(hierarchy.levels) >= 2
+    dense = op @ np.eye(space.num_dofs)
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+    x = solve(system, "cg", M=op)
+    assert np.linalg.norm(x - solve(system, "lu")) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_hierarchy_coarse_level_alone_is_the_exact_solve():
+    problem = lshaped_mixed()
+    hierarchy = MeshHierarchy()
+    for mesh in randomly_refined(problem.mesh, 2, seed=5):
+        space = FunctionSpace(mesh, 1)
+        system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+        op = p1_coarse_preconditioner(space, system, hierarchy)
+    assert space.num_dofs <= fem.COARSE_DOFS and hierarchy.levels == []
+    assert np.abs(op @ system.rhs - solve(system, "lu")).max() <= 1e-12
+
+
+def test_hierarchy_rejects_a_mesh_that_is_not_the_next_refinement():
+    m0, m1, m2 = randomly_refined(lshaped_mixed().mesh, 2, seed=6)
+    hierarchy = MeshHierarchy()
+    hierarchy.add(m0, eliminated_p1_matrix(m0))
+    for mesh in (m0, m2, lshaped().mesh):  # no parents, two steps, unrelated
+        with pytest.raises(ValueError, match="not a refinement"):
+            hierarchy.add(mesh, eliminated_p1_matrix(mesh))
+    hierarchy.add(m1, eliminated_p1_matrix(m1))
+    with pytest.raises(ValueError, match="not a refinement"):
+        prolongation(m0, m2)
 
 
 # ---------------------------------------------------------------------------

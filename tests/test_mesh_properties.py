@@ -1,7 +1,7 @@
 """Property tests of bisection refinement on random markings of the seed
-meshes: conservation, tag inheritance and connectivity against the
-``np.unique(axis=0)`` reference; of each mesh's geometry record; and of
-Dörfler marking on random indicator fields."""
+meshes: conservation, tag inheritance, connectivity against the
+``np.unique(axis=0)`` reference and nestedness; of each mesh's geometry
+record; and of Dörfler marking on random indicator fields."""
 
 import math
 
@@ -101,6 +101,24 @@ def test_geometry_record(mesh):
     inner = mesh.facet_cells[:, 1] >= 0
     (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
     assert np.array_equal(normals[l0, c0], -normals[l1, c1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=meshes(), data=st.data())
+def test_refinement_is_nested(mesh, data):
+    """Old vertices keep their index and coordinates, and each new vertex
+    is, bitwise, the midpoint of the coarse facet named by its parents."""
+    n, nv = mesh.num_cells, mesh.num_vertices
+    fine = refine(mesh, sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                                  max_size=max(1, n // 3)))))
+    parents = fine.parents
+    assert parents.shape == (fine.num_vertices - nv, 2) and len(parents) > 0
+    assert np.array_equal(fine.vertices[:nv], mesh.vertices)
+    keys = mesh.facets[:, 0] * nv + mesh.facets[:, 1]
+    assert np.isin(parents[:, 0] * nv + parents[:, 1], keys).all()
+    assert np.array_equal(fine.vertices[nv:], mesh.vertices[parents].mean(axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        parents[0, 0] = 0
 
 
 @pytest.mark.parametrize("name", ["jac", "det", "inv", "areas", "lane_lengths", "lane_normals"])
