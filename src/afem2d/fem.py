@@ -207,9 +207,9 @@ class FunctionSpace:
     def dirichlet_dofs(self):
         """Sorted indices of all DOFs sitting on Dirichlet facets."""
         mesh, k = self.mesh, self.degree
-        tagged = np.flatnonzero(mesh.facet_tags == DIRICHLET)
-        ids = [mesh.facets[tagged].ravel()]
+        ids = [np.flatnonzero(~free_vertices(mesh))]
         if k > 1:
+            tagged = np.flatnonzero(mesh.facet_tags == DIRICHLET)
             base = mesh.num_vertices + tagged * (k - 1)
             ids.append((base[:, None] + np.arange(k - 1)).ravel())
         return np.unique(np.concatenate(ids)) if ids[0].size else np.empty(0, np.int64)
@@ -389,7 +389,8 @@ def v_cycle(levels, coarse_solve, r):
 
 
 def free_vertices(mesh):
-    """Mask of the vertices on no Dirichlet facet: (nv,) bool."""
+    """Mask of the vertices on no Dirichlet facet: (nv,) bool.  The others
+    are the vertex DOFs of :meth:`FunctionSpace.dirichlet_dofs`."""
     free = np.ones(mesh.num_vertices, dtype=bool)
     free[mesh.facets[mesh.facet_tags == DIRICHLET]] = False
     return free
@@ -466,10 +467,11 @@ def p1_coarse_preconditioner(space, system, hierarchy=None):
     symmetric two-level p-multigrid of Helenbrook, Mavriplis & Atkins
     (AIAA 2003-3989).
 
-    Without ``hierarchy`` the P1 correction is exact (``splu``; the Pk
-    matrix is never factored).  With a :class:`MeshHierarchy` the mesh and
-    its P1 matrix join it, and the correction is one V-cycle over it; at
-    degree 1 that V-cycle, on ``system.matrix``, is the whole operator.
+    The mesh and its P1 matrix join ``hierarchy`` (a fresh
+    :class:`MeshHierarchy` by default), and the correction is one V-cycle
+    over it: exact (``splu``; the Pk matrix is never factored) when the
+    mesh is its only level.  At degree 1 with a ``hierarchy`` that
+    V-cycle, on ``system.matrix``, is the whole operator.
     """
     mesh, matrix = space.mesh, system.matrix
     if hierarchy is not None and space.degree == 1:
@@ -480,11 +482,8 @@ def p1_coarse_preconditioner(space, system, hierarchy=None):
     coarse_matrix, _ = apply_dirichlet(
         assemble_stiffness(coarse), np.zeros(coarse.num_dofs), fixed, np.zeros(len(fixed))
     )
-    if hierarchy is None:
-        coarse_solve = spla.splu(coarse_matrix.tocsc()).solve
-    else:
-        hierarchy.add(mesh, coarse_matrix)
-        coarse_solve = hierarchy.cycle
+    hierarchy = MeshHierarchy() if hierarchy is None else hierarchy
+    hierarchy.add(mesh, coarse_matrix)
 
     # One cell and local slot per DOF: every cell sharing a DOF gives it the
     # same P1 weights, so any one of them does.
@@ -494,7 +493,9 @@ def p1_coarse_preconditioner(space, system, hierarchy=None):
     weights = space.element.interpolate(el.lagrange(1).tabulate)[slot % dim]
     vertices = mesh.cells[slot // dim]
     weights[system.dirichlet_dofs] = 0.0
-    weights *= free_vertices(mesh)[vertices]
+    free_vertex = np.ones(mesh.num_vertices, dtype=bool)
+    free_vertex[fixed] = False
+    weights *= free_vertex[vertices]
     prolong = sparse.csr_matrix(
         (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
         shape=(space.num_dofs, mesh.num_vertices),
@@ -503,7 +504,7 @@ def p1_coarse_preconditioner(space, system, hierarchy=None):
                SMOOTHING_SWEEPS)]
 
     def apply(r):
-        return v_cycle(levels, coarse_solve, np.ravel(r))
+        return v_cycle(levels, hierarchy.cycle, np.ravel(r))
 
     return spla.LinearOperator(matrix.shape, matvec=apply, dtype=float)
 
