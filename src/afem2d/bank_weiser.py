@@ -123,7 +123,7 @@ def local_system(u, f, g, fine):
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
     data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
     pattern = (1 << np.arange(3)) @ (tags == DIRICHLET)
-    return fem.stiffness_metric(det, inv), fem.cell_loads(fine, order, det, r, data), pattern
+    return mesh.metric, fem.cell_loads(fine, order, det, r, data), pattern
 
 
 def _project(metric, b, pattern, kind):

@@ -88,11 +88,6 @@ def reference_stiffness(element):
     return kref
 
 
-def stiffness_metric(det, inv):
-    """G_c = det J^-1 J^-T of every cell, flattened to (nc, 4)."""
-    return (det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
-
-
 def cell_loads(element, order, det, vol, edge):
     """Cell loads (nc, dim) of ``vol`` (nc, nq) at ``quad.triangle_rule(order)``
     and of length-scaled ``edge`` (3, nc, nt) at each lane's ``quad.edge_rule(order)``."""
@@ -255,7 +250,7 @@ class SparseSystem:
 
 def assemble_stiffness(space):
     """Raw Poisson stiffness matrix (no boundary conditions)."""
-    local = stiffness_metric(space.mesh.det, space.mesh.inv) @ reference_stiffness(space.element)
+    local = space.mesh.metric @ reference_stiffness(space.element)
     # SciPy stores the indices as int32 whenever they fit; building them so
     # skips two int64 (nc, dim^2) temporaries and their downcast copies.
     dofmap = space.dofmap.astype(np.int32 if space.num_dofs < 2**31 else np.int64)

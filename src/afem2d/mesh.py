@@ -49,23 +49,28 @@ def build_connectivity(cells):
     cells = np.asarray(cells, dtype=np.int64)
     n = cells.max(initial=0) + 1
     lanes = cells[:, _LANE_ENDS].reshape(-1, 2)
-    keys, inverse, counts = np.unique(
-        lanes.min(axis=1) * n + lanes.max(axis=1), return_inverse=True, return_counts=True
-    )
-    facets = np.column_stack(divmod(keys, n))
+    a, b = lanes[:, 0], lanes[:, 1]
+    # One sort of the keys groups the lane entries (3 * cell + lane) by facet.
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=len(key))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    facets = np.column_stack(divmod(key[first], n))
     if counts.size and counts.max() > 2:
         bad = facets[np.argmax(counts)]
         raise NonManifoldError(f"facet {tuple(bad.tolist())} is shared by more than two cells")
-    # Stable sort groups lane entries by facet while keeping cell order,
-    # so the first incident cell is automatically the owner.
-    order = np.argsort(inverse, kind="stable")
-    first = np.cumsum(counts) - counts
-    two = counts == 2
-    facet_cells, facet_lanes = np.full((2, len(keys), 2), -1, dtype=np.int64)
-    for out, entry in ((facet_cells, order // 3), (facet_lanes, order % 3)):
-        out[:, 0] = entry[first]
-        out[two, 1] = entry[first[two] + 1]
-    return facets, facet_cells, inverse.reshape(-1, 3), facet_lanes
+    # The sort may put a shared facet's two entries either way round; an
+    # entry is smaller exactly when its cell is, so the smaller one is the owner's.
+    last = first + counts - 1
+    e0, e1 = order[first], order[last]
+    entries = np.column_stack([np.minimum(e0, e1), np.where(last > first, np.maximum(e0, e1), -1)])
+    facet_lanes = np.where(entries < 0, -1, entries % 3)
+    return facets, entries // 3, inverse.reshape(-1, 3), facet_lanes
 
 
 class Mesh:
@@ -84,7 +89,8 @@ class Mesh:
 
     The affine geometry is computed once, as read-only arrays: ``jac``
     (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, ``areas``
-    = det / 2, and per lane (local edge i) ``lane_lengths`` (3, nc) and
+    = det / 2, the stiffness ``metric`` G_c = det J^-1 J^-T flattened to
+    (nc, 4), and per lane (local edge i) ``lane_lengths`` (3, nc) and
     outward unit ``lane_normals`` (3, nc, 2).
 
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
@@ -103,8 +109,10 @@ class Mesh:
             raise ValueError("cell vertex index out of range")
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("vertex coordinates must be finite")
-        v = self.vertices[self.cells]
-        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        x, y = self.vertices[:, 0][self.cells.T], self.vertices[:, 1][self.cells.T]  # (3, nc)
+        jac = np.empty((len(self.cells), 2, 2))
+        jac[:, 0, 0], jac[:, 1, 0] = x[1] - x[0], y[1] - y[0]
+        jac[:, 0, 1], jac[:, 1, 1] = x[2] - x[0], y[2] - y[0]
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         if np.any(det <= 0):
             raise ValueError("cells must be counterclockwise with positive area")
@@ -114,17 +122,22 @@ class Mesh:
         inv[:, 0, 1] = -jac[:, 0, 1]
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv /= det[:, None, None]
-        lane = (v[:, _LANE_ENDS[:, 1]] - v[:, _LANE_ENDS[:, 0]]).transpose(1, 0, 2)
-        lengths = np.hypot(lane[..., 0], lane[..., 1])
-        normals = np.stack([lane[..., 1], -lane[..., 0]], axis=-1) / lengths[..., None]
+        lx = x[_LANE_ENDS[:, 1]] - x[_LANE_ENDS[:, 0]]
+        ly = y[_LANE_ENDS[:, 1]] - y[_LANE_ENDS[:, 0]]
+        lengths = np.hypot(lx, ly)
+        normals = np.empty(lx.shape + (2,))
+        np.divide(ly, lengths, out=normals[..., 0])
+        np.divide(-lx, lengths, out=normals[..., 1])
         self.jac, self.det, self.inv = jac, det, inv
+        self.metric = (det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
         self.lane_lengths, self.lane_normals = lengths, normals
         self.areas = 0.5 * det
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
-        for array in (self.vertices, self.cells, jac, det, inv, lengths, normals, self.areas):
+        for array in (self.vertices, self.cells, jac, det, inv, self.metric, lengths, normals,
+                      self.areas):
             array.setflags(write=False)
 
     def _assign_tags(self, boundary):
@@ -218,7 +231,7 @@ class IndicatorField:
 
 
 def _indicator_values(field):
-    return field.values if isinstance(field, IndicatorField) else np.asarray(field, dtype=float)
+    return (field if isinstance(field, IndicatorField) else IndicatorField(field)).values
 
 
 def _check_theta(theta):
@@ -278,12 +291,17 @@ def orient_longest_edge(vertices, cells):
 def refine(mesh, marked):
     """Newest-vertex bisection of the marked cells with conformity closure.
 
-    All three edges of a marked cell are bisected; the closure then adds
-    refinement edges of any cell that would otherwise hang.  Returns a new
-    mesh whose ``parents`` give each new vertex's split facet; old vertices
-    keep their indices and boundary tags are inherited by split facets.
+    ``marked`` holds integer cell indices; a boolean mask or a float array
+    raises ``TypeError``.  All three edges of a marked cell are bisected;
+    the closure then adds refinement edges of any cell that would
+    otherwise hang.  Returns a new mesh whose ``parents`` give each new
+    vertex's split facet; old vertices keep their indices and boundary
+    tags are inherited by split facets.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.asarray(marked)
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise TypeError(f"marked must hold integer cell indices, got dtype {marked.dtype}")
+    marked = np.unique(marked.astype(np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.num_cells:
@@ -292,8 +310,8 @@ def refine(mesh, marked):
     split = np.zeros(len(mesh.facets), dtype=bool)
     split[mesh.cell_facets[marked].ravel()] = True
     while True:
-        hit = split[mesh.cell_facets].any(axis=1)
-        need = hit & ~split[mesh.cell_facets[:, 0]]
+        s = split[mesh.cell_facets]
+        need = (s[:, 1] | s[:, 2]) & ~s[:, 0]
         if not need.any():
             break
         split[mesh.cell_facets[need, 0]] = True
@@ -342,7 +360,8 @@ def refine(mesh, marked):
         np.column_stack([mesh.facets[cut, 1], mid]),
     ])
     tags = mesh.facet_tags[np.concatenate([whole, cut, cut])]
-    fine = Mesh(new_vertices, new_cells, boundary=dict(zip(map(tuple, pairs.tolist()), tags)))
+    fine = Mesh(new_vertices, new_cells)
+    fine.facet_tags[fine._facet_index(pairs[:, 0], pairs[:, 1])] = tags
     fine.parents = parents
     return fine
 

@@ -32,7 +32,6 @@ from afem2d.fem import (
     prolongation,
     reference_stiffness,
     solve,
-    stiffness_metric,
 )
 from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refine
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
@@ -181,7 +180,7 @@ KERNEL_ELEMENTS = [el.lagrange(k) for k in range(1, el.MAX_DEGREE + 1)] + [el.p2
 @pytest.mark.parametrize("element", KERNEL_ELEMENTS, ids=lambda e: e.name)
 def test_reference_tensor_stiffness_matches_quadrature(element):
     mesh = jittered_square(4, seed=11)
-    exact = stiffness_metric(mesh.det, mesh.inv) @ reference_stiffness(element)
+    exact = mesh.metric @ reference_stiffness(element)
     exact = exact.reshape(-1, element.dim, element.dim)
     for order in (2 * element.degree, 2 * element.degree + 1):
         oracle = quadrature_stiffness(element, order, mesh)
@@ -266,7 +265,7 @@ def test_stiffness_index_width_leaves_matrix_unchanged(degree):
 
     space = FunctionSpace(lshaped_mixed().mesh, degree)
     mesh, dim = space.mesh, space.element.dim
-    local = stiffness_metric(mesh.det, mesh.inv) @ reference_stiffness(space.element)
+    local = mesh.metric @ reference_stiffness(space.element)
     rows = np.repeat(space.dofmap, dim, axis=1).ravel()
     cols = np.tile(space.dofmap, dim).ravel()
     assert rows.dtype == np.int64

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from afem2d import mesh as m
+from afem2d.problems import make_problem
 from helpers import assert_conforming, criss_cross_square, two_cell_square, unit_triangle_mesh
 
 
@@ -141,6 +142,16 @@ def test_mark_dorfler_examples():
     assert m.mark_dorfler(np.zeros(4), 0.9).size == 0
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [np.inf, 1.0], [-3.0, 1.0], [[1.0, 2.0]]],
+                         ids=["nan", "inf", "negative", "2d"])
+def test_marking_checks_raw_arrays(values):
+    """A raw array gets the checks of IndicatorField before anything is marked."""
+    with pytest.raises(ValueError, match="indicator"):
+        m.mark_dorfler(np.array(values), 0.5)
+    with pytest.raises(ValueError, match="indicator"):
+        m.mark_maximum(np.array(values), 0.5)
+
+
 def test_mark_dorfler_tie_block_kept():
     marked = m.mark_dorfler(np.array([2.0, 1.0, 2.0, 0.5]), 0.4)
     assert marked.tolist() == [0, 2]  # one value-2 cell suffices, tie kept
@@ -216,6 +227,16 @@ def test_refine_single_cell_triggers_closure():
 def test_refine_empty_returns_same_object():
     mm = two_cell_square()
     assert m.refine(mm, np.array([], dtype=int)) is mm
+    assert m.refine(mm, []) is mm  # an empty list arrives as float64
+
+
+@pytest.mark.parametrize("marked", [[True, False, True], [0.7, 2.2], np.array([0.0, 1.0])],
+                         ids=["bool-mask", "float", "integral-float"])
+def test_refine_rejects_non_integer_marks(marked):
+    """A mask or float indices would be cast to other cells, so they raise."""
+    mm = make_problem("lshaped").mesh
+    with pytest.raises(TypeError, match="integer"):
+        m.refine(mm, marked)
 
 
 def test_refine_bad_index():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afem2d.element import EDGE_VERTICES
-from afem2d.mesh import mark_dorfler, refine
+from afem2d.mesh import build_connectivity, mark_dorfler, refine
 from afem2d.problems import make_problem
 from helpers import jittered_square, unique_rows_connectivity
 
@@ -68,6 +68,34 @@ def test_random_refinement_invariants(name, rounds, data):
         mesh = fine
 
 
+def reversed_ties(a):
+    """An unstable argsort's legal answer: sorted by value, equal values in
+    reversed position order."""
+    return np.lexsort((-np.arange(len(a)), a))
+
+
+@pytest.mark.parametrize("mesh", [
+    refine(SEED_MESHES["lshaped"], np.arange(0, 96, 3)),
+    jittered_square(6, seed=3),
+], ids=["refined-lshaped", "jittered-square"])
+def test_connectivity_does_not_depend_on_tie_order(monkeypatch, mesh):
+    assert reversed_ties(np.array([1, 0, 1])).tolist() == [1, 2, 0]
+    argsort, calls = np.argsort, []
+
+    def patched(a, *args, **kwargs):
+        if args or kwargs:
+            return argsort(a, *args, **kwargs)
+        calls.append(len(a))
+        return reversed_ties(a)
+
+    monkeypatch.setattr(np, "argsort", patched)
+    got = build_connectivity(mesh.cells)
+    monkeypatch.undo()
+    assert calls == [3 * mesh.num_cells]
+    for have, want in zip(got, unique_rows_connectivity(mesh.cells)):
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+
+
 @st.composite
 def meshes(draw):
     """A jittered square, or a seed mesh after random bisection rounds."""
@@ -90,9 +118,16 @@ def test_geometry_record(mesh):
     assert np.array_equal(mesh.det, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     assert np.array_equal(mesh.areas, 0.5 * mesh.det)
     assert np.abs(mesh.inv @ mesh.jac - np.eye(2)).max() <= 1e-12
+    inv = mesh.inv
+    metric = (mesh.det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
+    assert np.array_equal(mesh.metric, metric)
     assert np.array_equal(mesh.lane_lengths, mesh.facet_lengths()[mesh.cell_facets].T)
 
     normals = mesh.lane_normals
+    lane = np.stack([v[:, b] - v[:, a] for a, b in EDGE_VERTICES])
+    lengths = np.hypot(lane[..., 0], lane[..., 1])
+    outward = np.stack([lane[..., 1], -lane[..., 0]], axis=-1)
+    assert np.array_equal(normals, outward / lengths[..., None])
     assert np.abs(np.hypot(normals[..., 0], normals[..., 1]) - 1.0).max() <= 1e-15
     mids = np.stack([v[:, list(ends)].mean(axis=1) for ends in EDGE_VERTICES])
     inward = v.mean(axis=1) - mids
@@ -121,7 +156,9 @@ def test_refinement_is_nested(mesh, data):
         parents[0, 0] = 0
 
 
-@pytest.mark.parametrize("name", ["jac", "det", "inv", "areas", "lane_lengths", "lane_normals"])
+@pytest.mark.parametrize(
+    "name", ["jac", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals"]
+)
 def test_geometry_record_is_read_only(name):
     array = getattr(jittered_square(3, seed=1), name)
     with pytest.raises(ValueError, match="read-only"):
