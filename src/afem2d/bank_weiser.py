@@ -17,7 +17,10 @@ f + lap(u_h) and the facet data
 and N^T (P A+ P + I - P) N x = N^T P b+ is solved, P masking the fine
 DOFs on Dirichlet facets.  Its matrix G_c @ N^T P K_ref P N + N^T (I - P) N
 takes two reference tensors per Dirichlet pattern of the cell's edges,
-projected once per pair.  The energy norm of the lift N x is the indicator.
+projected once per pair.  The projected systems are symmetric positive
+definite, and they are solved by one Cholesky factorization vectorized
+across cells (the cell index last), over blocks of ``fem.ERROR_BLOCK``
+cells.  The energy norm of the lift N x is the indicator.
 """
 
 import functools
@@ -111,52 +114,98 @@ def local_system(u, f, g, fine):
     Returns (G, b, pattern): the (nc, 4) metrics whose cell stiffness is
     G @ K_ref, the (nc, d) residual loads against the fine basis, and the
     (nc,) Dirichlet patterns, bit i set when local edge i is Dirichlet.
+    The facet traces are taken once for all cells, since the jumps need the
+    neighbours; the interior residual and the loads go by blocks of
+    ``fem.ERROR_BLOCK`` cells.
     """
     space = u.space
     mesh = space.mesh
-    det, inv = mesh.det, mesh.inv
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
     pts, _ = quad.triangle_rule(order)
-    r = fem.eval_data(f, fem.physical_points(mesh, pts))
-    if space.degree >= 2:
-        r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
+    hess = space.element.tabulate_hess(pts) if space.degree >= 2 else None
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
-    data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
+    data = jump * (0.5 * length)[..., None]
+    neumann = np.nonzero(tags == NEUMANN)
+    data[neumann] = (gv[neumann] - dn[neumann]) * length[neumann][:, None]
+    b = np.empty((mesh.num_cells, fine.dim))
+    for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
+        cells = slice(start, start + fem.ERROR_BLOCK)
+        r = fem.eval_data(f, fem.physical_points(mesh, pts, cells))
+        if hess is not None:
+            r = r + fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
+        b[cells] = fem.cell_loads(fine, order, mesh.det[cells], r, data[:, cells])
     pattern = (1 << np.arange(3)) @ (tags == DIRICHLET)
-    return mesh.metric, fem.cell_loads(fine, order, det, r, data), pattern
+    return mesh.metric, b, pattern
 
 
 def _project(metric, b, pattern, kind):
-    """Every cell's N^T (P A P + I - P) N and N^T P b, by pattern."""
+    """Every cell's N^T (P A P + I - P) N as (k, k, nc) and N^T P b as
+    (k, nc), cell index last: one product for all cells as if none had a
+    Dirichlet edge, then the cells of each Dirichlet pattern overwritten."""
     _, _, free, stiff, fixed = _operators(kind)
-    a_bw = np.empty((len(b),) + fixed.shape[1:])
-    b_bw = np.empty(a_bw.shape[:2])
-    for m in np.unique(pattern):
-        cells = np.flatnonzero(pattern == m)
-        a_bw[cells] = np.tensordot(metric[cells], stiff[m], 1) + fixed[m]
-        b_bw[cells] = b[cells] @ free[m]
+    k = fixed.shape[1]
+    a_bw = (stiff[0].reshape(4, -1).T @ metric.T).reshape(k, k, -1)
+    b_bw = free[0].T @ b.T
+    dirichlet = np.flatnonzero(pattern)
+    for m in np.unique(pattern[dirichlet]):
+        # einsum, not a product that BLAS treats differently for one cell,
+        # so that no cell's bits depend on how many share its pattern
+        cells = dirichlet[pattern[dirichlet] == m]
+        a_bw[:, :, cells] = np.einsum("sab,cs->abc", stiff[m], metric[cells]) + fixed[m][..., None]
+        b_bw[:, cells] = np.einsum("da,cd->ac", free[m], b[cells])
     return a_bw, b_bw
 
 
-def _solve_projected(a_bw, b_bw):
-    try:
-        return np.linalg.solve(a_bw, b_bw[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for c in range(len(a_bw)):
-            try:
-                np.linalg.solve(a_bw[c], b_bw[c])
-            except np.linalg.LinAlgError:
-                raise LocalSolveError(f"singular projected system on cell {c}") from None
-        raise
+def _solve_projected(a_bw, b_bw, first=0):
+    """Solve the projected systems a_bw (k, k, nc) x = b_bw (k, nc) of all
+    cells; returns x (k, nc).
+
+    The systems are symmetric positive definite, so one Cholesky
+    factorization runs over all cells at once, a column at a time, in the
+    lower triangle of a_bw (overwritten), followed by forward and back
+    substitution.  A cell with a non-positive or non-finite pivot raises
+    LocalSolveError naming the first such cell, numbered from ``first``.
+    """
+    k = len(b_bw)
+    x = np.array(b_bw, dtype=float)
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            np.sqrt(a_bw[j, j], out=a_bw[j, j])
+            col = a_bw[j + 1 :, j]
+            col /= a_bw[j, j]
+            for i in range(j + 1, k):
+                a_bw[i, j + 1 : i + 1] -= col[i - j - 1] * col[: i - j]
+        pivots = a_bw[np.arange(k), np.arange(k)]
+        bad = ~(np.isfinite(pivots) & (pivots > 0.0)).all(axis=0)
+        if bad.any():
+            raise LocalSolveError(
+                f"projected system on cell {first + int(np.argmax(bad))} is not positive definite"
+            )
+        for j in range(k):
+            x[j] /= pivots[j]
+            x[j + 1 :] -= a_bw[j + 1 :, j] * x[j]
+        for j in reversed(range(k)):
+            x[j] /= pivots[j]
+            x[:j] -= a_bw[j, :j] * x[j]
+    return x
 
 
 def _estimate(u, f, g, kind):
     fine, null, _, stiff, _ = _operators(kind)
     metric, b, pattern = local_system(u, f, g, fine)
-    x = _solve_projected(*_project(metric, b, pattern, kind))
-    # eta^2 = (N x)^T A+ (N x) = x^T (G_c @ stiff[0]) x
-    eta2 = np.einsum("ca,cab,cb->c", x, np.tensordot(metric, stiff[0], 1), x)
-    return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), x @ null.T
+    k = null.shape[1]
+    # eta^2 = (N x)^T A+ (N x) = sum_s G_c[s] x^T stiff[0][s] x
+    forms = stiff[0].transpose(0, 2, 1).reshape(4 * k, k)
+    eta2 = np.empty(len(b))
+    lift = np.empty(b.shape)
+    for start in range(0, len(b), fem.ERROR_BLOCK):
+        cells = slice(start, start + fem.ERROR_BLOCK)
+        a_bw, b_bw = _project(metric[cells], b[cells], pattern[cells], kind)
+        x = _solve_projected(a_bw, b_bw, first=start)
+        quad_forms = ((forms @ x).reshape(4, k, -1) * x).sum(axis=1)
+        eta2[cells] = (quad_forms * metric[cells].T).sum(axis=0)
+        lift[cells] = x.T @ null.T
+    return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), lift
 
 
 def estimate(u, f, g=None, pair=(2, 1)):

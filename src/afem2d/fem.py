@@ -137,23 +137,40 @@ def facet_traces(u, g, order):
     """
     space, mesh = u.space, u.space.mesh
     t, _ = quad.edge_rule(order)
-    coeffs = u.cell_coeffs()
-    grads = np.stack([
-        cell_gradients(coeffs, space.element.tabulate_grad(lane_points(lane, t)), mesh.inv)
-        for lane in range(3)
-    ])
-    dn = np.matmul(grads, mesh.lane_normals[..., None])[..., 0]
+    nc, nt = mesh.num_cells, len(t)
+    # grad u_h . n = (J^-T grad_ref u_h) . n = grad_ref u_h . (J^-1 n); each
+    # lane is formed with the cell index last.
+    inv, (nx, ny) = mesh.inv, mesh.lane_normals.transpose(2, 0, 1)
+    mapped_x = inv[:, 0, 0] * nx + inv[:, 0, 1] * ny
+    mapped_y = inv[:, 1, 0] * nx + inv[:, 1, 1] * ny
+    coeffs = u.cell_coeffs().T
+    dn = np.empty((3, nc, nt))
+    for lane in range(3):
+        ref_grads = space.element.tabulate_grad(lane_points(lane, t))
+        ref = ref_grads.transpose(2, 0, 1).reshape(2 * nt, -1) @ coeffs
+        ref[:nt] *= mapped_x[lane]
+        ref[nt:] *= mapped_y[lane]
+        ref[:nt] += ref[nt:]
+        dn[lane] = ref[:nt].T
 
-    jump = np.zeros_like(dn)
-    inner = mesh.facet_cells[:, 1] >= 0
-    (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
-    # Outward normals of the two sides are exactly opposite, so the jump
-    # seen from either side is minus the sum of both outward fluxes.
-    total = dn[l0, c0] + dn[l1, c1, ::-1]
-    jump[l0, c0] = -total
-    jump[l1, c1] = -total[:, ::-1]
+    # Row lane * nc + cell of the flattened traces faces row ``other`` of the
+    # neighbour.  Outward normals of the two sides are exactly opposite, so
+    # the jump seen from either side is minus the sum of both outward
+    # fluxes, the neighbour's read backwards.
+    cells, lanes = mesh.facet_cells.T, mesh.facet_lanes.T
+    rows = lanes * nc + cells
+    inner = cells[1] >= 0
+    mine, theirs = rows[0, inner], rows[1, inner]
+    other = np.arange(3 * nc)
+    other[mine] = theirs
+    other[theirs] = mine
+    flat = dn.reshape(-1, nt)
+    jump = np.take(flat[:, ::-1], other, axis=0)
+    jump += flat
+    np.negative(jump, out=jump)
+    jump[rows[0, ~inner]] = 0.0
     tags = mesh.facet_tags[mesh.cell_facets].T
-    return tags, mesh.lane_lengths, dn, jump, neumann_values(mesh, g, order)
+    return tags, mesh.lane_lengths, dn, jump.reshape(dn.shape), neumann_values(mesh, g, order)
 
 
 class FunctionSpace:

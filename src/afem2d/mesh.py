@@ -266,7 +266,9 @@ def mark_dorfler(field, theta):
     order = np.argsort(-squares, kind="stable")
     sorted_squares = squares[order]
     cumsum = np.cumsum(sorted_squares)
-    target = theta * total * (1.0 - 1e-12)
+    # The target is measured against the running sum itself, not the
+    # differently rounded ``total``, so that even theta = 1 cuts inside it.
+    target = theta * cumsum[-1] * (1.0 - 1e-12)
     cut = int(np.searchsorted(cumsum, target))
     # Include the whole tied block at the cutoff value.
     end = int(np.searchsorted(-sorted_squares, -sorted_squares[cut], side="right"))

@@ -54,6 +54,28 @@ def jittered_square(divisions, seed):
     return Mesh(vertices, base.cells)
 
 
+def randomly_tagged_mesh(divisions, seed):
+    """A jittered unit square with every cell's vertices rotated at random
+    and random D/N boundary tags, plus seven detached triangles, one per
+    nonzero Dirichlet pattern (the last one all-Dirichlet), so that every
+    pattern 0-7 occurs and Dirichlet edges sit on every lane."""
+    base = jittered_square(divisions, seed)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 3, size=base.num_cells)
+    cells = [np.take_along_axis(base.cells, (np.arange(3) + shift[:, None]) % 3, axis=1)]
+    vertices = [base.vertices]
+    pairs = base.facets[base.boundary_facets()]
+    tags = rng.choice([DIRICHLET, NEUMANN], size=len(pairs))
+    boundary = {(int(a), int(b)): int(t) for (a, b), t in zip(pairs, tags)}
+    for m in range(1, 8):
+        v = base.num_vertices + 3 * (m - 1)
+        vertices.append(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + [2.0 * m, 0.0])
+        cells.append([[v, v + 1, v + 2]])
+        for lane, (a, b) in enumerate(el.EDGE_VERTICES):
+            boundary[(v + a, v + b)] = DIRICHLET if m >> lane & 1 else NEUMANN
+    return Mesh(np.vstack(vertices), np.vstack(cells), boundary=boundary)
+
+
 def quadrature_gradients(ref_grads, inv):
     """The einsum push-forward of reference gradients: (nc, nq, d, 2)."""
     return np.einsum("cst,qis->cqit", inv, ref_grads)

@@ -1,5 +1,7 @@
 """Tests for the hierarchical estimator built on projected local problems."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +26,14 @@ from afem2d.bank_weiser import (
     validate_pair,
 )
 from afem2d.fem import FEFunction, FunctionSpace, interpolate
-from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh
+from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
-    jittered_square,
     mapped_point_traces,
     mask_and_project,
     quadrature_stiffness,
+    randomly_tagged_mesh,
     row_reduction_kernel,
     solve_poisson,
     tagged_unit_square,
@@ -273,28 +275,6 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
     assert np.abs(b - b_oracle).max() <= 1e-12 * np.abs(b_oracle).max()
 
 
-def randomly_tagged_mesh(divisions, seed):
-    """A jittered unit square with every cell's vertices rotated at random
-    and random D/N boundary tags, plus seven detached triangles, one per
-    nonzero Dirichlet pattern (the last one all-Dirichlet), so that every
-    pattern 0-7 occurs and Dirichlet edges sit on every lane."""
-    base = jittered_square(divisions, seed)
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(0, 3, size=base.num_cells)
-    cells = [np.take_along_axis(base.cells, (np.arange(3) + shift[:, None]) % 3, axis=1)]
-    vertices = [base.vertices]
-    pairs = base.facets[base.boundary_facets()]
-    tags = rng.choice([DIRICHLET, NEUMANN], size=len(pairs))
-    boundary = {(int(a), int(b)): int(t) for (a, b), t in zip(pairs, tags)}
-    for m in range(1, 8):
-        v = base.num_vertices + 3 * (m - 1)
-        vertices.append(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + [2.0 * m, 0.0])
-        cells.append([[v, v + 1, v + 2]])
-        for lane, (a, b) in enumerate(el.EDGE_VERTICES):
-            boundary[(v + a, v + b)] = DIRICHLET if m >> lane & 1 else NEUMANN
-    return Mesh(np.vstack(vertices), np.vstack(cells), boundary=boundary)
-
-
 def test_random_taggings_cover_every_pattern():
     mesh = randomly_tagged_mesh(3, seed=0)
     space = FunctionSpace(mesh, 1)
@@ -322,6 +302,7 @@ def test_projected_systems_match_mask_and_project(kind, seed, divisions, degree)
     g = lambda x, y: np.cos(x + 2 * y)
     fine, nullbasis, _, _, _ = _operators(kind)
     a_bw, b_bw = _project(*local_system(u, f, g, fine), kind)
+    a_bw, b_bw = a_bw.transpose(2, 0, 1), b_bw.T
     a_oracle, b_oracle, lift_oracle, eta_oracle = mask_and_project(u, f, g, fine, nullbasis)
     assert _relative_error(a_bw, a_oracle) <= 1e-13
     assert _relative_error(b_bw, b_oracle) <= 1e-13
@@ -341,7 +322,8 @@ def test_solve_projected_galerkin_residual():
     m = RNG.normal(size=(nc, dim, dim))
     a = m @ m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
     b = RNG.normal(size=(nc, dim))
-    x = _solve_projected(np.matmul(nullbasis.T, a) @ nullbasis, b @ nullbasis)
+    a_bw = np.matmul(nullbasis.T, a) @ nullbasis
+    x = _solve_projected(a_bw.transpose(1, 2, 0), (b @ nullbasis).T).T
     lift = x @ nullbasis.T
     residual = np.einsum("cij,cj->ci", a, lift) - b
     assert np.abs(np.einsum("ij,ci->cj", nullbasis, residual)).max() < 1e-10
@@ -350,11 +332,51 @@ def test_solve_projected_galerkin_residual():
     assert np.abs(recon - lift).max() < 1e-12
 
 
+@pytest.mark.parametrize("k", range(1, 15))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), nc=st.integers(1, 40), log_cond=st.floats(0.0, 3.0))
+def test_solve_projected_matches_linalg_solve(k, seed, nc, log_cond):
+    """The Cholesky solve across cells agrees with LAPACK's on batches of
+    random SPD systems of every size the shipped kinds produce and more."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(nc, k, k)))
+    eigs = 10.0 ** rng.uniform(-log_cond, 0.0, size=(nc, 1, k))
+    a = (q * eigs) @ q.transpose(0, 2, 1)
+    b = rng.normal(size=(nc, k))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    got = _solve_projected(a.transpose(1, 2, 0).copy(), b.T).T
+    assert _relative_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["singular", "indefinite", "nan"])
+def test_solve_projected_names_the_first_failing_cell(defect):
+    """A singular, indefinite or non-finite cell in the middle of a batch
+    is named, before any later one and without a RuntimeWarning; ``first``
+    shifts the numbering."""
+    nc, k = 9, 4
+    m = RNG.normal(size=(nc, k, k))
+    a = m @ m.transpose(0, 2, 1) + k * np.eye(k)
+    for cell in (5, 7):
+        if defect == "singular":
+            a[cell, -1, :] = a[cell, :, -1] = 0.0
+        elif defect == "indefinite":
+            a[cell] = np.diag([1.0, -1.0, 1.0, 1.0])
+        else:
+            a[cell, 2, 1] = a[cell, 1, 2] = np.nan
+    b = RNG.normal(size=(k, nc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LocalSolveError, match=r"cell 5\b"):
+            _solve_projected(a.transpose(1, 2, 0).copy(), b)
+        with pytest.raises(LocalSolveError, match=r"cell 105\b"):
+            _solve_projected(a.transpose(1, 2, 0).copy(), b, first=100)
+
+
 def test_solve_projected_singular_system():
     a_bw = np.zeros((1, 3, 3))
     b_bw = np.ones((1, 3))
     with pytest.raises(LocalSolveError, match="cell 0"):
-        _solve_projected(a_bw, b_bw)
+        _solve_projected(a_bw.transpose(1, 2, 0), b_bw.T)
 
 
 def test_projected_systems_positive_definite_on_real_mesh():
@@ -367,6 +389,7 @@ def test_projected_systems_positive_definite_on_real_mesh():
     assert (pattern > 0).any()
 
     a_bw, _ = _project(metric, b, pattern, (2, 1))
+    a_bw = a_bw.transpose(2, 0, 1)
     assert np.abs(a_bw - a_bw.transpose(0, 2, 1)).max() < 1e-13
     eigs = np.linalg.eigvalsh(a_bw)
     assert eigs.min() > 1e-12
@@ -396,6 +419,37 @@ def test_estimate_bubble_positive_on_singular_problem():
     assert lift.shape == (problem.mesh.num_cells, 7)
     assert (indicator.values >= 0.0).all()
     assert indicator.global_value > 0.0
+
+
+@pytest.mark.parametrize("kind", [(2, 1), (4, 2), "bubble"], ids=str)
+def test_estimate_blocks_match_one_block(monkeypatch, kind):
+    """Blocking the loads, projections and solves over cells changes no
+    bit, with a block size that does not divide the cell count and cells
+    of every Dirichlet pattern."""
+    mesh = randomly_tagged_mesh(5, seed=1)
+    space = FunctionSpace(mesh, 2)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    g = lambda x, y: np.cos(x + 2 * y)
+    calls = []
+
+    def f(x, y):
+        calls.append(len(x))
+        return np.exp(x) - y * y
+
+    def run():
+        if kind == "bubble":
+            return estimate_bubble(u, f, g)
+        return estimate(u, f, g, pair=kind)
+
+    assert fem.ERROR_BLOCK >= mesh.num_cells
+    want_eta, want_lift = run()
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 10)
+    assert mesh.num_cells % fem.ERROR_BLOCK != 0
+    calls.clear()
+    eta, lift = run()
+    assert calls == [10] * (mesh.num_cells // 10) + [mesh.num_cells % 10]
+    assert np.array_equal(eta.values, want_eta.values)
+    assert np.array_equal(lift, want_lift)
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (3, 1)], ids=str)

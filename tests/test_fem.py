@@ -41,6 +41,7 @@ from helpers import (
     mapped_point_traces,
     quadrature_gradients,
     quadrature_stiffness,
+    randomly_tagged_mesh,
     solve_poisson,
     tagged_unit_square,
     two_cell_square,
@@ -207,11 +208,17 @@ def test_cell_derivatives_match_einsum(degree):
     assert np.abs(got - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
 
 
-@pytest.mark.parametrize("degree", [1, 3])
-def test_facet_traces_match_mapped_points(degree):
+@pytest.mark.parametrize("random_tags,degree", [
+    pytest.param(False, 1, id="1"),
+    pytest.param(False, 3, id="3"),
+    *(pytest.param(True, k, id=f"random-tags-{k}") for k in (1, 2, 3, 4)),
+])
+def test_facet_traces_match_mapped_points(random_tags, degree):
     """Reading the neighbour's own lane backwards gives the traces that
-    mapping the edge points into the neighbour gives."""
-    mesh = lshaped_mixed().mesh
+    mapping the edge points into the neighbour gives, on the mixed
+    L-shape and on a jittered mesh whose cells start at random vertices
+    and whose boundary is tagged Dirichlet or Neumann at random."""
+    mesh = randomly_tagged_mesh(3, seed=0) if random_tags else lshaped_mixed().mesh
     tags = set(mesh.facet_tags.tolist())
     assert tags == {INTERIOR, DIRICHLET, NEUMANN}
     space = FunctionSpace(mesh, degree)

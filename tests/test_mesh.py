@@ -152,6 +152,19 @@ def test_marking_checks_raw_arrays(values):
         m.mark_maximum(np.array(values), 0.5)
 
 
+def test_mark_dorfler_theta_one_stays_in_bounds():
+    """theta = 1 cuts inside the sorted indicators even where the running
+    sum of the squares ends below their pairwise sum."""
+    tiny_tail = np.sqrt(np.r_[1.0, np.full(20_000, 1e-16)])
+    near_equal = np.full(10**6, np.sqrt(0.3))
+    for values in (tiny_tail, near_equal):
+        squares = values**2
+        assert np.cumsum(squares)[-1] < squares.sum() * (1.0 - 1e-12)
+    # The tail adds nothing to the running sum, so the large cell holds it all.
+    assert m.mark_dorfler(tiny_tail, 1.0).tolist() == [0]
+    assert np.array_equal(m.mark_dorfler(near_equal, 1.0), np.arange(10**6))
+
+
 def test_mark_dorfler_tie_block_kept():
     marked = m.mark_dorfler(np.array([2.0, 1.0, 2.0, 0.5]), 0.4)
     assert marked.tolist() == [0, 2]  # one value-2 cell suffices, tie kept
