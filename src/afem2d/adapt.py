@@ -20,7 +20,6 @@ from .fem import (
     dirichlet_rhs,
     eval_data,
     h1_seminorm_error,
-    p1_coarse_preconditioner,
     physical_points,
     solve,
 )
@@ -178,11 +177,11 @@ def adapt_loop(problem, config, reference=None):
     goal iteration assembles and factors one matrix.  ``reference``
     defaults to :func:`reference_goal_value` and is used only with a goal.
 
-    Under ``cg`` the loop keeps the meshes' P1 levels in a
+    Under ``cg`` each mesh's space and system join one
     :class:`~afem2d.fem.MeshHierarchy`, and each solve is preconditioned
-    by a V-cycle over it (:func:`~afem2d.fem.p1_coarse_preconditioner`);
-    only the coarsest level's matrix, of at most ``COARSE_DOFS`` rows once
-    the meshes pass that size, is factored.
+    by the V-cycle over its levels that :meth:`~afem2d.fem.MeshHierarchy.add`
+    returns; only the coarsest P1 level's matrix, of at most ``COARSE_DOFS``
+    rows once the meshes pass that size, is factored.
     """
     goal = problem.goal
     if goal is not None and reference is None:
@@ -196,7 +195,7 @@ def adapt_loop(problem, config, reference=None):
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        precond = None if hierarchy is None else p1_coarse_preconditioner(space, system, hierarchy)
+        precond = None if hierarchy is None else hierarchy.add(space, system)
         z = None
         if goal is not None:
             dual = dirichlet_rhs(assemble_load(space, goal.c), system.dirichlet_dofs, 0.0)
@@ -272,9 +271,10 @@ def reference_goal_value(
 
     ``fe`` solves once on the ``refinements``-times uniformly refined
     initial mesh with degree + 2 elements (at most 4), by conjugate
-    gradients preconditioned with :func:`~afem2d.fem.p1_coarse_preconditioner`:
-    the only matrix factored is the P1 stiffness on that mesh, and the
-    solve meets ``solve``'s 1e-10 residual check.  ``quadrature``
+    gradients preconditioned by a one-mesh
+    :class:`~afem2d.fem.MeshHierarchy` (the p-level over an exact P1
+    solve): the only matrix factored is the P1 stiffness on that mesh, and
+    the solve meets ``solve``'s 1e-10 residual check.  ``quadrature``
     integrates c * u_exact directly and needs the exact solution.  The cache file
     holds a key line (problem, method, degree, refinements and the goal
     density's parameters) and the value; a file with another key, or one
@@ -299,7 +299,7 @@ def reference_goal_value(
         mesh = uniform_refine(problem.mesh, refinements)
         space = FunctionSpace(mesh, min(degree + 2, 4))
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        u = FEFunction(space, solve(system, "cg", M=p1_coarse_preconditioner(space, system)))
+        u = FEFunction(space, solve(system, "cg", M=MeshHierarchy().add(space, system)))
         value = evaluate_goal(u, problem.goal.c)
     elif method == "quadrature":
         from .problems import goal_reference_quadrature

@@ -34,14 +34,14 @@ from .mesh import DIRICHLET, NEUMANN
 # not their results.
 ERROR_BLOCK = 8192
 
-# Damped Jacobi smoothing of p1_coarse_preconditioner's p-level: weight, and
-# sweeps before and after the coarse correction.
+# Damped Jacobi smoothing of MeshHierarchy's p-level (degree > 1): weight,
+# and sweeps before and after the P1 correction.
 SMOOTHING_WEIGHT = 0.5
 SMOOTHING_SWEEPS = 2
 
-# MeshHierarchy: the largest mesh (in P1 DOFs) factored as the coarsest
-# level, the growth in DOFs that keeps a mesh as a level, and the damped
-# Jacobi smoothing of every h-level.
+# MeshHierarchy's P1 levels: the largest mesh (in P1 DOFs) factored as the
+# coarsest level, the growth in DOFs that keeps a mesh as a level, and the
+# damped Jacobi smoothing of every h-level.
 COARSE_DOFS = 1000
 LEVEL_GROWTH = 2
 MG_WEIGHT = 0.8
@@ -262,7 +262,6 @@ class SparseSystem:
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dirichlet_dofs: np.ndarray
-    dirichlet_values: np.ndarray
 
 
 def assemble_stiffness(space):
@@ -336,7 +335,7 @@ def assemble_poisson(space, f, g=None, u_dirichlet=None):
     else:
         values = eval_data(u_dirichlet, space.dof_coordinates()[dofs]).copy()
     matrix, rhs = apply_dirichlet(matrix, rhs, dofs, values)
-    return SparseSystem(matrix, rhs, dofs, values)
+    return SparseSystem(matrix, rhs, dofs)
 
 
 def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
@@ -344,7 +343,7 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
 
     ``cg`` runs conjugate gradients column by column with the
     preconditioner ``M`` (an operator applying an approximate inverse, such
-    as :func:`p1_coarse_preconditioner`'s), or by default with a Jacobi
+    as the one :meth:`MeshHierarchy.add` returns), or by default with a Jacobi
     preconditioner built once; ``lu`` factors the matrix once and solves
     all columns with the factors, and takes no ``M``.  A load with a NaN or
     infinite entry raises :class:`SolverError` before any factorization or
@@ -429,96 +428,79 @@ def prolongation(coarse, fine):
 
 
 class MeshHierarchy:
-    """P1 levels over a sequence of nested meshes, for :func:`v_cycle`.
+    """Multigrid preconditioner for ``solve(system, "cg", M=...)`` over a
+    sequence of nested meshes, for :func:`v_cycle`.
 
-    :meth:`add` takes each new mesh with its eliminated P1 stiffness.  The
-    coarsest level is the last mesh with at most ``COARSE_DOFS`` P1 DOFs
-    (or the first mesh), solved exactly by ``splu``.  Above it a mesh stays
-    a level only if it has ``LEVEL_GROWTH`` times the DOFs of the level
-    below; the prolongation of a skipped mesh is multiplied into the next
-    level's.  The newest mesh is always the top level, smoothed like every
-    level by ``MG_SWEEPS`` damped Jacobi sweeps of weight ``MG_WEIGHT``.
+    :meth:`add` takes each new mesh's space and eliminated Poisson system.
+    Its P1 levels: the coarsest is the last mesh with at most
+    ``COARSE_DOFS`` P1 DOFs (or the first mesh), solved exactly by ``splu``.
+    Above it a mesh stays a level only if it has ``LEVEL_GROWTH`` times the
+    DOFs of the level below; the prolongation of a skipped mesh is
+    multiplied into the next level's.  The newest mesh is always the top P1
+    level, smoothed like every P1 level by ``MG_SWEEPS`` damped Jacobi
+    sweeps of weight ``MG_WEIGHT``.
+
+    At degree k > 1 the newest space's Pk matrix is one more level on top
+    (the p-level), a two-level p-multigrid in the manner of Helenbrook,
+    Mavriplis & Atkins (AIAA 2003-3989): ``SMOOTHING_SWEEPS`` damped Jacobi
+    sweeps of weight ``SMOOTHING_WEIGHT`` around the P1 correction, reached
+    through the P1 -> Pk embedding P.  P is the element's interpolant of
+    ``lagrange(1)`` gathered through the dofmap, with zero rows on Dirichlet
+    DOFs and zero columns on Dirichlet vertices, so on the free vertices the
+    eliminated P1 stiffness is the Galerkin product P^T A P.  The Pk matrix
+    is never factored.
+
     :meth:`cycle` applies the levels as they stand, so an operator built on
-    it serves the newest mesh only.
+    it serves the newest system only.
     """
 
     def __init__(self):
-        self.levels = []  # finest first, as v_cycle takes them
+        self.levels = []  # P1 levels, finest first, as v_cycle takes them
+        self.p_level = []  # the Pk level above them at degree > 1
         self._mesh = None
         self._coarse_lu = None
 
-    def add(self, mesh, matrix):
-        """Make ``mesh``, a refinement of the last mesh added, the top level."""
+    def add(self, space, system):
+        """Make ``space.mesh``, a refinement of the last mesh added, the top
+        level, and return the preconditioner for ``system``, the eliminated
+        Poisson system of ``space``."""
+        mesh, matrix = space.mesh, system.matrix
         prolong = None if self._mesh is None else prolongation(self._mesh, mesh)
-        self._mesh = mesh
+        p1_matrix, p_level = matrix, []
+        if space.degree > 1:
+            free = free_vertices(mesh)
+            p1_matrix, _ = apply_dirichlet(assemble_stiffness(FunctionSpace(mesh, 1)),
+                                           np.zeros(mesh.num_vertices), np.flatnonzero(~free), 0.0)
+            # One cell and local slot per DOF: every cell sharing a DOF gives
+            # it the same P1 weights, so any one of them does.
+            dim = space.element.dim
+            slot = np.empty(space.num_dofs, dtype=np.int64)
+            slot[space.dofmap.ravel()] = np.arange(mesh.num_cells * dim)
+            weights = space.element.interpolate(el.lagrange(1).tabulate)[slot % dim]
+            vertices = mesh.cells[slot // dim]
+            weights[system.dirichlet_dofs] = 0.0
+            weights *= free[vertices]
+            embed = sparse.csr_matrix(
+                (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
+                shape=(space.num_dofs, mesh.num_vertices),
+            )
+            p_level = [(matrix, embed, embed.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
+                        SMOOTHING_SWEEPS)]
+        self._mesh, self.p_level = mesh, p_level
         if prolong is None or mesh.num_vertices <= COARSE_DOFS:
             self.levels = []
-            self._coarse_lu = spla.splu(matrix.tocsc())
-            return
-        sizes = [level[0].shape[0] for level in self.levels] + [self._coarse_lu.shape[0]]
-        if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
-            prolong = prolong @ self.levels.pop(0)[1]
-        step = MG_WEIGHT / matrix.diagonal()
-        self.levels.insert(0, (matrix, prolong, prolong.T, step, MG_SWEEPS))
+            self._coarse_lu = spla.splu(p1_matrix.tocsc())
+        else:
+            sizes = [level[0].shape[0] for level in self.levels] + [self._coarse_lu.shape[0]]
+            if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
+                prolong = prolong @ self.levels.pop(0)[1]
+            step = MG_WEIGHT / p1_matrix.diagonal()
+            self.levels.insert(0, (p1_matrix, prolong, prolong.T, step, MG_SWEEPS))
+        return spla.LinearOperator(matrix.shape, matvec=self.cycle, dtype=float)
 
     def cycle(self, r):
-        """One V-cycle over every level for the top level's residual r."""
-        return v_cycle(self.levels, self._coarse_lu.solve, np.ravel(r))
-
-
-def p1_coarse_preconditioner(space, system, hierarchy=None):
-    """Preconditioner for ``solve(system, "cg", M=...)`` on the eliminated
-    Poisson system of ``space``.
-
-    One application runs two damped Jacobi sweeps (weight 1/2) from zero,
-    a correction by the eliminated P1 stiffness on the same mesh and two
-    more sweeps.  The P1 -> Pk embedding P is the element's interpolant of
-    ``lagrange(1)`` gathered through the dofmap, with zero rows on Dirichlet
-    DOFs and zero columns on Dirichlet vertices, so on the free vertices
-    the assembled P1 matrix is the Galerkin product P^T A P.  This is the
-    symmetric two-level p-multigrid of Helenbrook, Mavriplis & Atkins
-    (AIAA 2003-3989).
-
-    The mesh and its P1 matrix join ``hierarchy`` (a fresh
-    :class:`MeshHierarchy` by default), and the correction is one V-cycle
-    over it: exact (``splu``; the Pk matrix is never factored) when the
-    mesh is its only level.  At degree 1 with a ``hierarchy`` that
-    V-cycle, on ``system.matrix``, is the whole operator.
-    """
-    mesh, matrix = space.mesh, system.matrix
-    if hierarchy is not None and space.degree == 1:
-        hierarchy.add(mesh, matrix)
-        return spla.LinearOperator(matrix.shape, matvec=hierarchy.cycle, dtype=float)
-    coarse = FunctionSpace(mesh, 1)
-    fixed = coarse.dirichlet_dofs()
-    coarse_matrix, _ = apply_dirichlet(
-        assemble_stiffness(coarse), np.zeros(coarse.num_dofs), fixed, np.zeros(len(fixed))
-    )
-    hierarchy = MeshHierarchy() if hierarchy is None else hierarchy
-    hierarchy.add(mesh, coarse_matrix)
-
-    # One cell and local slot per DOF: every cell sharing a DOF gives it the
-    # same P1 weights, so any one of them does.
-    dim = space.element.dim
-    slot = np.empty(space.num_dofs, dtype=np.int64)
-    slot[space.dofmap.ravel()] = np.arange(mesh.num_cells * dim)
-    weights = space.element.interpolate(el.lagrange(1).tabulate)[slot % dim]
-    vertices = mesh.cells[slot // dim]
-    weights[system.dirichlet_dofs] = 0.0
-    free_vertex = np.ones(mesh.num_vertices, dtype=bool)
-    free_vertex[fixed] = False
-    weights *= free_vertex[vertices]
-    prolong = sparse.csr_matrix(
-        (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
-        shape=(space.num_dofs, mesh.num_vertices),
-    )
-    levels = [(matrix, prolong, prolong.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
-               SMOOTHING_SWEEPS)]
-
-    def apply(r):
-        return v_cycle(levels, hierarchy.cycle, np.ravel(r))
-
-    return spla.LinearOperator(matrix.shape, matvec=apply, dtype=float)
+        """One V-cycle over every level for the newest system's residual r."""
+        return v_cycle(self.p_level + self.levels, self._coarse_lu.solve, np.ravel(r))
 
 
 def h1_seminorm_error(u, grad_exact):

@@ -262,18 +262,10 @@ def audit(problem, tol=1e-8):
             if not np.max(np.abs(got - want), initial=0.0) <= tol:
                 raise ValueError(f"{problem.name}: Dirichlet data disagrees with u_exact")
     if problem.grad_exact is not None:
-        neumann = np.flatnonzero(mesh.facet_tags == NEUMANN)
-        if neumann.size and problem.g is not None:
-            ends = mesh.vertices[mesh.facets[neumann]]
-            mids = ends.mean(axis=1)
-            owner = mesh.facet_cells[neumann, 0]
-            # Outward normal: the owner's third vertex must be on the inside.
-            evec = ends[:, 1] - ends[:, 0]
-            normal = np.column_stack([evec[:, 1], -evec[:, 0]])
-            normal /= np.linalg.norm(normal, axis=1)[:, None]
-            centroid = mesh.vertices[mesh.cells[owner]].mean(axis=1)
-            flip = np.einsum("ft,ft->f", centroid - mids, normal) > 0
-            normal[flip] *= -1.0
+        lanes, cells = np.nonzero(mesh.facet_tags[mesh.cell_facets].T == NEUMANN)
+        if lanes.size and problem.g is not None:
+            mids = mesh.vertices[mesh.facets[mesh.cell_facets[cells, lanes]]].mean(axis=1)
+            normal = mesh.lane_normals[lanes, cells]
             gx, gy = problem.grad_exact(mids[:, 0], mids[:, 1])
             flux = gx * normal[:, 0] + gy * normal[:, 1]
             want = eval_data(problem.g, mids)

@@ -263,9 +263,7 @@ def two_solve_goal_trace(problem, config, reference):
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = fem.assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        precond = None
-        if config.solver == "cg":
-            precond = fem.p1_coarse_preconditioner(space, system, hierarchy)
+        precond = hierarchy.add(space, system) if config.solver == "cg" else None
         u = FEFunction(space, fem.solve(system, method=config.solver, M=precond))
         z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver,
                                         M=precond))

@@ -22,10 +22,10 @@ from afem2d.adapt import (
 from afem2d.fem import (
     FEFunction,
     FunctionSpace,
+    MeshHierarchy,
     assemble_poisson,
     assemble_stiffness,
     interpolate,
-    p1_coarse_preconditioner,
     solve,
 )
 from afem2d.mesh import IndicatorField, uniform_refine
@@ -515,7 +515,7 @@ def test_reference_cg_matches_lu(degree):
     space = FunctionSpace(uniform_refine(problem.mesh, 2), degree + 2)
     system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
     direct = solve(system, "lu")
-    iterated = solve(system, "cg", M=p1_coarse_preconditioner(space, system))
+    iterated = solve(system, "cg", M=MeshHierarchy().add(space, system))
     assert np.linalg.norm(iterated - direct) <= 1e-10 * np.linalg.norm(direct)
     value = reference_goal_value(problem, degree, refinements=2)
     assert abs(value - evaluate_goal(FEFunction(space, direct), problem.goal.c)) <= 1e-12
@@ -588,11 +588,9 @@ def test_loop_cg_trace_matches_the_jacobi_path(monkeypatch):
     """On the mixed-boundary L-shape with the ZZ estimator (no symmetric
     Dörfler ties) the V-cycle changes the solutions only at roundoff: every
     mesh and marking equals that of Jacobi-preconditioned CG."""
-    import afem2d.adapt as adapt_module
-
     config = AdaptConfig(estimator="zz", solver="cg", max_dofs=20000)
     multigrid = adapt_loop(lshaped_mixed(), config).trace
-    monkeypatch.setattr(adapt_module, "p1_coarse_preconditioner", lambda *args: None)
+    monkeypatch.setattr(MeshHierarchy, "add", lambda *args: None)
     jacobi = adapt_loop(lshaped_mixed(), config).trace
     for name in ("num_dofs", "num_marked"):
         assert np.array_equal(multigrid.column(name), jacobi.column(name))

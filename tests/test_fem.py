@@ -27,7 +27,6 @@ from afem2d.fem import (
     h1_seminorm_error,
     interpolate,
     neumann_values,
-    p1_coarse_preconditioner,
     physical_points,
     prolongation,
     reference_stiffness,
@@ -373,7 +372,7 @@ def test_solve_small_system_both_methods():
 
     a = csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     b = np.array([3.0, 3.0])
-    system = SparseSystem(a, b, np.array([], dtype=int), np.array([]))
+    system = SparseSystem(a, b, np.array([], dtype=int))
     for method in ("cg", "lu"):
         x = solve(system, method=method)
         assert np.allclose(x, [1.0, 1.0], atol=1e-10)
@@ -445,7 +444,7 @@ def test_solve_unknown_method():
     from afem2d.fem import SparseSystem
 
     a = csr_matrix(np.eye(2))
-    system = SparseSystem(a, np.ones(2), np.array([], dtype=int), np.array([]))
+    system = SparseSystem(a, np.ones(2), np.array([], dtype=int))
     with pytest.raises(ValueError):
         solve(system, method="qr")
 
@@ -539,14 +538,14 @@ def test_p1_matrix_is_the_galerkin_product(degree):
     assert np.abs(galerkin - assembled).max() <= 1e-13 * np.abs(assembled).max()
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_p1_coarse_preconditioner_is_the_two_level_cycle(degree):
-    """The operator is, with dense matrices, two Jacobi sweeps of weight
-    1/2, the exact Galerkin coarse correction and two more sweeps; it is
-    symmetric positive definite and leaves the Dirichlet DOFs uncoupled.
-    The cells' local vertices are rotated so that boundary edges become
-    local edge 0, whose P3 node carries a -5.55e-17 P1 weight on the
-    opposite vertex."""
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_hierarchy_p_level_is_the_two_level_cycle(degree):
+    """On a one-mesh hierarchy the operator is, with dense matrices, two
+    Jacobi sweeps of weight 1/2, the exact Galerkin coarse correction and
+    two more sweeps; it is symmetric positive definite and leaves the
+    Dirichlet DOFs uncoupled.  The cells' local vertices are rotated so
+    that boundary edges become local edge 0, whose P3 node carries a
+    -5.55e-17 P1 weight on the opposite vertex."""
     problem = lshaped_mixed()
     mesh = problem.mesh
     boundary = mesh.boundary_facets()
@@ -565,7 +564,7 @@ def test_p1_coarse_preconditioner_is_the_two_level_cycle(degree):
     want += p @ np.linalg.solve(coarse, p.T @ (r - a @ want))
     for _ in range(2):
         want += step * (r - a @ want)
-    got = p1_coarse_preconditioner(space, system) @ r
+    got = MeshHierarchy().add(space, system) @ r
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     # Dirichlet DOFs see only the four sweeps, which keep 1 - 2^-4 of r.
     fixed = system.dirichlet_dofs
@@ -585,9 +584,14 @@ def randomly_refined(mesh, rounds, seed):
     return meshes
 
 
+def poisson_system(mesh, degree=1):
+    """The space of ``degree`` on ``mesh`` and its eliminated Poisson system."""
+    space = FunctionSpace(mesh, degree)
+    return space, assemble_poisson(space, lambda x, y: 0.0 * x)
+
+
 def eliminated_p1_matrix(mesh):
-    space = FunctionSpace(mesh, 1)
-    return assemble_poisson(space, lambda x, y: 0.0 * x).matrix
+    return poisson_system(mesh)[1].matrix
 
 
 def assert_galerkin(prolong, coarse, fine):
@@ -620,7 +624,7 @@ def test_hierarchy_skips_a_level_that_grows_less_than_twofold(monkeypatch):
     meshes = randomly_refined(lshaped_mixed().mesh, 2, seed=3)
     hierarchy = MeshHierarchy()
     for mesh in meshes:
-        hierarchy.add(mesh, eliminated_p1_matrix(mesh))
+        hierarchy.add(*poisson_system(mesh))
     assert meshes[1].num_vertices < fem.LEVEL_GROWTH * meshes[0].num_vertices
     (matrix, prolong, restrict, step, sweeps), = hierarchy.levels
     assert matrix.shape[0] == meshes[2].num_vertices and sweeps == fem.MG_SWEEPS
@@ -641,7 +645,7 @@ def test_v_cycle_is_symmetric_positive_definite(monkeypatch, degree):
     for mesh in randomly_refined(problem.mesh, 4, seed=4):
         space = FunctionSpace(mesh, degree)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        op = p1_coarse_preconditioner(space, system, hierarchy)
+        op = hierarchy.add(space, system)
     assert len(hierarchy.levels) >= 2
     dense = op @ np.eye(space.num_dofs)
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
@@ -656,19 +660,45 @@ def test_hierarchy_coarse_level_alone_is_the_exact_solve():
     for mesh in randomly_refined(problem.mesh, 2, seed=5):
         space = FunctionSpace(mesh, 1)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
-        op = p1_coarse_preconditioner(space, system, hierarchy)
+        op = hierarchy.add(space, system)
     assert space.num_dofs <= fem.COARSE_DOFS and hierarchy.levels == []
     assert np.abs(op @ system.rhs - solve(system, "lu")).max() <= 1e-12
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_p1_levels_do_not_depend_on_degree(monkeypatch):
+    """The same refinement sequence at degree 1 and 2 gives bitwise the
+    same P1 levels and coarse factorization size; degree 2 adds the
+    p-level on top."""
+    monkeypatch.setattr(fem, "COARSE_DOFS", 70)
+    meshes = randomly_refined(lshaped_mixed().mesh, 4, seed=7)
+    hierarchies = {1: MeshHierarchy(), 2: MeshHierarchy()}
+    for mesh in meshes:
+        for degree, hierarchy in hierarchies.items():
+            hierarchy.add(*poisson_system(mesh, degree))
+    p1, p2 = hierarchies[1], hierarchies[2]
+    assert len(p1.levels) >= 2 and len(p2.levels) == len(p1.levels)
+    for (a1, pr1, _, s1, w1), (a2, pr2, _, s2, w2) in zip(p1.levels, p2.levels):
+        assert_same_csr(a1, a2)
+        assert_same_csr(pr1, pr2)
+        assert np.array_equal(s1, s2) and w1 == w2
+    assert p1._coarse_lu.shape == p2._coarse_lu.shape
+    assert p1.p_level == [] and len(p2.p_level) == 1
+    assert p2.p_level[0][0].shape[0] == FunctionSpace(meshes[-1], 2).num_dofs
 
 
 def test_hierarchy_rejects_a_mesh_that_is_not_the_next_refinement():
     m0, m1, m2 = randomly_refined(lshaped_mixed().mesh, 2, seed=6)
     hierarchy = MeshHierarchy()
-    hierarchy.add(m0, eliminated_p1_matrix(m0))
+    hierarchy.add(*poisson_system(m0))
     for mesh in (m0, m2, lshaped().mesh):  # no parents, two steps, unrelated
         with pytest.raises(ValueError, match="not a refinement"):
-            hierarchy.add(mesh, eliminated_p1_matrix(mesh))
-    hierarchy.add(m1, eliminated_p1_matrix(m1))
+            hierarchy.add(*poisson_system(mesh))
+    hierarchy.add(*poisson_system(m1))
     with pytest.raises(ValueError, match="not a refinement"):
         prolongation(m0, m2)
 

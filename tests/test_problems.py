@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from afem2d.fem import FunctionSpace, interpolate
-from afem2d.mesh import DIRICHLET, NEUMANN
+from afem2d.mesh import DIRICHLET, NEUMANN, Mesh
 from afem2d.adapt import evaluate_goal
 from afem2d.problems import (
     PROBLEMS,
     GoalSpec,
+    Problem,
     audit,
     boundary_singularity,
     goal_reference_quadrature,
@@ -66,6 +67,33 @@ def test_audit_catches_inconsistent_neumann_data():
     bad = dataclasses.replace(lshaped_mixed(), g=lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError, match="Neumann data"):
         audit(bad)
+
+
+def linear_flux_problem(g):
+    """u = x on the unit square with Neumann data ``g`` on x = 1, where
+    the outward normal derivative of u is 1."""
+    square = unit_square_mesh(2)
+    mesh = Mesh(square.vertices, square.cells,
+                boundary=lambda x, y: np.where(np.abs(x - 1.0) < 1e-12, NEUMANN, DIRICHLET))
+    return Problem(
+        name="unit-square-x",
+        mesh=mesh,
+        f=lambda x, y: np.zeros_like(x),
+        u_dirichlet=lambda x, y: x,
+        g=lambda x, y: np.full_like(x, g),
+        u_exact=lambda x, y: x,
+        grad_exact=lambda x, y: (np.ones_like(x), np.zeros_like(x)),
+    )
+
+
+def test_audit_takes_the_outward_normal_on_neumann_facets():
+    """dn(u) is nonzero here, so a normal pointing inwards would flip the
+    sign of the flux that the data is checked against."""
+    good = linear_flux_problem(1.0)
+    assert np.any(good.mesh.facet_tags == NEUMANN)
+    assert audit(good) is good
+    with pytest.raises(ValueError, match="Neumann data"):
+        audit(linear_flux_problem(-1.0))
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan])
