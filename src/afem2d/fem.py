@@ -53,11 +53,16 @@ class SolverError(RuntimeError):
 
 
 def physical_points(mesh, ref_pts, cells=slice(None)):
-    """Map reference points to the selected cells (default all): (n, nq, 2)."""
+    """Map reference points to the selected cells (default all): (n, nq, 2).
+
+    The result is the transposed view of a fresh (n, 2, nq) array, so each
+    cell's x and y values are contiguous.
+    """
     jac = mesh.jac[cells]
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)
-    return v0[:, None, :] + mapped.transpose(0, 2, 1)
+    mapped += v0[:, :, None]
+    return mapped.transpose(0, 2, 1)
 
 
 def cell_gradients(coeffs, ref_grads, inv):
@@ -311,12 +316,20 @@ def dirichlet_rhs(rhs, dofs, values, matrix=None):
 
 
 def apply_dirichlet(matrix, rhs, dofs, values):
-    """Symmetric elimination: zero rows/columns, unit diagonal, lifted rhs."""
-    keep = np.ones(matrix.shape[0])
-    keep[dofs] = 0.0
-    d_free = sparse.diags(keep)
-    d_fixed = sparse.diags(1.0 - keep)
-    eliminated = (d_free @ matrix @ d_free + d_fixed).tocsr()
+    """Symmetric elimination: zero rows/columns, unit diagonal, lifted rhs.
+
+    The eliminated matrix is a CSR copy of ``matrix`` with the entries in
+    the rows and columns of ``dofs`` set to zero, a unit diagonal on those
+    rows, and every zero entry dropped (also zeros stored in ``matrix``).
+    ``matrix`` itself is left unchanged.
+    """
+    eliminated = sparse.csr_matrix(matrix, copy=True)
+    fixed = np.zeros(matrix.shape[0], dtype=bool)
+    fixed[dofs] = True
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(eliminated.indptr))
+    eliminated.data[fixed[rows] | fixed[eliminated.indices]] = 0.0
+    eliminated[dofs, dofs] = 1.0
+    eliminated.eliminate_zeros()
     return eliminated, dirichlet_rhs(rhs, dofs, values, matrix)
 
 
@@ -403,7 +416,7 @@ def free_vertices(mesh):
     """Mask of the vertices on no Dirichlet facet: (nv,) bool.  The others
     are the vertex DOFs of :meth:`FunctionSpace.dirichlet_dofs`."""
     free = np.ones(mesh.num_vertices, dtype=bool)
-    free[mesh.facets[mesh.facet_tags == DIRICHLET]] = False
+    free[np.compress(mesh.facet_tags == DIRICHLET, mesh.facets, axis=0)] = False
     return free
 
 
@@ -505,10 +518,12 @@ class MeshHierarchy:
 
 def h1_seminorm_error(u, grad_exact):
     """|u_exact - u_h|_H1 from the exact gradient, by quadrature over
-    blocks of ``ERROR_BLOCK`` cells; the final sum runs over all cells."""
+    blocks of ``ERROR_BLOCK`` cells; the final sum runs over all cells.
+    At degree 1 each cell's gradient is constant, so it is formed at one
+    point and broadcast over the rule."""
     space, mesh = u.space, u.space.mesh
     pts, wts = quad.triangle_rule(2 * space.degree + 3)
-    ref_grads = space.element.tabulate_grad(pts)
+    ref_grads = space.element.tabulate_grad(pts[:1] if space.degree == 1 else pts)
     cell_sums = np.empty(mesh.num_cells)
     for start in range(0, mesh.num_cells, ERROR_BLOCK):
         cells = slice(start, start + ERROR_BLOCK)

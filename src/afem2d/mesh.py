@@ -129,7 +129,10 @@ class Mesh:
         np.divide(ly, lengths, out=normals[..., 0])
         np.divide(-lx, lengths, out=normals[..., 1])
         self.jac, self.det, self.inv = jac, det, inv
-        self.metric = (det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
+        # A contiguous J^-T makes matmul's stacked 2x2 products several times
+        # faster than on the transposed view, with the same values.
+        metric = np.matmul(inv, inv.transpose(0, 2, 1).copy())
+        self.metric = (det[:, None, None] * metric).reshape(-1, 4)
         self.lane_lengths, self.lane_normals = lengths, normals
         self.areas = 0.5 * det
         (self.facets, self.facet_cells, self.cell_facets,

@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand: tiny meshes and independent evaluation helpers."""
 
 import numpy as np
+import scipy.sparse as sparse
 
 from afem2d import FEFunction, FunctionSpace, Mesh
 from afem2d import element as el
@@ -79,6 +80,63 @@ def randomly_tagged_mesh(divisions, seed):
 def quadrature_gradients(ref_grads, inv):
     """The einsum push-forward of reference gradients: (nc, nq, d, 2)."""
     return np.einsum("cst,qis->cqit", inv, ref_grads)
+
+
+def mapped_points(mesh, ref_pts, cells=slice(None)):
+    """Reference points mapped to the selected cells by v0 + J x: the
+    direct formula behind ``fem.physical_points``, (n, nq, 2) C-ordered."""
+    jac = mesh.jac[cells]
+    v0 = mesh.vertices[mesh.cells[cells, 0]]
+    mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)
+    return v0[:, None, :] + mapped.transpose(0, 2, 1)
+
+
+def h1_error_at_all_points(u, grad_exact):
+    """``fem.h1_seminorm_error`` with u_h's gradient formed at every point
+    of the rule, at any degree."""
+    space, mesh = u.space, u.space.mesh
+    pts, wts = quad.triangle_rule(2 * space.degree + 3)
+    ref_grads = space.element.tabulate_grad(pts)
+    cell_sums = np.empty(mesh.num_cells)
+    for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
+        cells = slice(start, start + fem.ERROR_BLOCK)
+        gh = fem.cell_gradients(u.coeffs[space.dofmap[cells]], ref_grads, mesh.inv[cells])
+        x = mapped_points(mesh, pts, cells)
+        gx, gy = grad_exact(x[..., 0], x[..., 1])
+        cell_sums[cells] = ((gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2) @ wts
+    return float(np.sqrt(mesh.det @ cell_sums))
+
+
+def zz_recovery(u, grads=None):
+    """ZZ recovery of a P1 function by the direct formulas: cell gradients
+    by a three-operand einsum (unless ``grads`` is given) and area-weighted
+    vertex sums by ``np.add.at``.  Returns (grads, recovered)."""
+    space, mesh = u.space, u.space.mesh
+    if grads is None:
+        ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))[0]
+        grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), mesh.inv, ref_grad)
+    weighted = np.zeros((mesh.num_vertices, 2))
+    measure = np.zeros(mesh.num_vertices)
+    np.add.at(weighted, mesh.cells.ravel(), np.repeat(mesh.areas[:, None] * grads, 3, axis=0))
+    np.add.at(measure, mesh.cells.ravel(), np.repeat(mesh.areas, 3))
+    return grads, weighted / measure[:, None]
+
+
+def zz_mass_form(mesh, grads, recovered):
+    """ZZ indicators with the P1 mass matrix (1 + delta_jk) / 12 applied
+    as a 3x3 matrix."""
+    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    diff = recovered[mesh.cells] - grads[:, None, :]
+    return np.sqrt(mesh.areas * np.einsum("cjt,jk,ckt->c", diff, mass, diff))
+
+
+def eliminate_by_diagonal_products(matrix, dofs):
+    """D_free A D_free + D_fixed, as CSR: the Dirichlet elimination of
+    ``fem.apply_dirichlet`` by diagonal matrix products."""
+    keep = np.ones(matrix.shape[0])
+    keep[dofs] = 0.0
+    d_free = sparse.diags(keep)
+    return (d_free @ matrix @ d_free + sparse.diags(1.0 - keep)).tocsr()
 
 
 def quadrature_stiffness(element, order, mesh):

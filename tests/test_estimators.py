@@ -7,16 +7,20 @@ from afem2d import fem
 from afem2d import quadrature as quad
 from afem2d.estimators import residual_estimate, zz_estimate
 from afem2d.fem import FEFunction, FunctionSpace, interpolate
-from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh
+from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh, refine
 from afem2d.problems import lshaped_mixed, unit_square_mesh
 
 from helpers import (
     criss_cross_square,
+    jittered_square,
     mapped_point_traces,
+    randomly_tagged_mesh,
     solve_poisson,
     tagged_unit_square,
     two_cell_square,
     unit_triangle_mesh,
+    zz_mass_form,
+    zz_recovery,
 )
 
 
@@ -191,6 +195,50 @@ def test_zz_patch_average_oracle():
     eta = zz_estimate(u)
     assert np.abs(eta.values - oracle).max() < 1e-13
     assert eta.global_value > 0.0
+
+
+def _zz_meshes():
+    """Meshes whose cells all have different Jacobians (jittered, with
+    random vertex rotations and detached cells), and a locally refined
+    mixed L-shape."""
+    mixed = lshaped_mixed().mesh
+    mixed = refine(mixed, np.arange(0, mixed.num_cells, 3))
+    return {"jittered": jittered_square(8, seed=4), "random-tags": randomly_tagged_mesh(4, seed=1),
+            "lshaped-mixed": refine(mixed, np.arange(0, mixed.num_cells, 2))}
+
+
+ZZ_MESHES = _zz_meshes()
+
+
+@pytest.mark.parametrize("name", sorted(ZZ_MESHES))
+def test_zz_matches_einsum_recovery(name):
+    """``cell_gradients``, ``bincount`` and the closed-form mass give the
+    indicators of the einsum gradients, ``np.add.at`` sums and the 3x3 P1
+    mass matrix, up to rounding."""
+    mesh = ZZ_MESHES[name]
+    space = FunctionSpace(mesh, 1)
+    u = FEFunction(space, np.random.default_rng(7).standard_normal(space.num_dofs))
+    oracle = zz_mass_form(mesh, *zz_recovery(u))
+    got = zz_estimate(u).values
+    assert np.abs(got - oracle).max() <= 1e-14 * oracle.max()
+
+
+@pytest.mark.parametrize("name", sorted(ZZ_MESHES))
+def test_zz_bincount_recovery_matches_add_at(name):
+    """The recovered field is bitwise the ``np.add.at`` one: with the same
+    cell gradients, the ``np.add.at`` sums and the closed-form mass give
+    the indicators bit for bit."""
+    mesh = ZZ_MESHES[name]
+    space = FunctionSpace(mesh, 1)
+    u = FEFunction(space, np.random.default_rng(8).standard_normal(space.num_dofs))
+    ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
+    grads = fem.cell_gradients(u.cell_coeffs(), ref_grad, mesh.inv)[:, 0]
+    grads, recovered = zz_recovery(u, grads)
+    diff = recovered[mesh.cells] - grads[:, None, :]
+    total = diff.sum(axis=1)
+    eta2 = mesh.areas * (np.einsum("ct,ct->c", total, total)
+                         + np.einsum("cjt,cjt->c", diff, diff)) / 12.0
+    assert np.array_equal(zz_estimate(u).values, np.sqrt(eta2))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,11 @@ from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refi
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    eliminate_by_diagonal_products,
+    h1_error_at_all_points,
     jittered_square,
     mapped_point_traces,
+    mapped_points,
     quadrature_gradients,
     quadrature_stiffness,
     randomly_tagged_mesh,
@@ -207,6 +210,30 @@ def test_cell_derivatives_match_einsum(degree):
     assert np.abs(got - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
 
 
+@pytest.mark.parametrize("order", [3, 5, 8])
+@pytest.mark.parametrize("random_tags", [False, True], ids=["jittered", "random-tags"])
+def test_physical_points_match_vertex_plus_mapped(order, random_tags):
+    """Adding v0 into the mapped array in place gives v0 + J x bit for bit,
+    for all cells and for a slice, with each cell's x and y values
+    contiguous."""
+    mesh = randomly_tagged_mesh(5, seed=2) if random_tags else jittered_square(6, seed=9)
+    pts, _ = quad.triangle_rule(order)
+    for cells in (slice(None), slice(7, 40)):
+        got, want = physical_points(mesh, pts, cells), mapped_points(mesh, pts, cells)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.transpose(0, 2, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_interior_dof_coordinates_match_vertex_plus_mapped(degree):
+    mesh = randomly_tagged_mesh(4, seed=3)
+    space = FunctionSpace(mesh, degree)
+    interior = el.lagrange_nodes(degree)[3 + 3 * (degree - 1):]
+    first = mesh.num_vertices + len(mesh.facets) * (degree - 1)
+    assert np.array_equal(space.dof_coordinates()[first:],
+                          mapped_points(mesh, interior).reshape(-1, 2))
+
+
 @pytest.mark.parametrize("random_tags,degree", [
     pytest.param(False, 1, id="1"),
     pytest.param(False, 3, id="3"),
@@ -358,6 +385,33 @@ def test_apply_dirichlet_structure():
         assert abs(b_bc[dof] - values[i]) < 1e-14
     # Symmetry is preserved by the lift-based elimination.
     assert np.abs(dense - dense.T).max() < 1e-14
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_apply_dirichlet_matches_diagonal_products(degree):
+    """Zeroing the constrained rows and columns in the CSR data, a unit
+    diagonal and dropping zeros give D_free A D_free + D_fixed exactly, in
+    indptr, indices and data: for the scalar zero data MeshHierarchy.add
+    passes, for nonzero data, and for a raw matrix that stores exact zeros
+    (some on constrained diagonals).  The input matrix is left unchanged."""
+    space = FunctionSpace(randomly_tagged_mesh(3, seed=degree), degree)
+    dofs = space.dirichlet_dofs()
+    stiffness = assemble_stiffness(space)
+    stored_zeros = stiffness.copy()
+    stored_zeros.data[::5] = 0.0
+    rows = np.repeat(np.arange(space.num_dofs), np.diff(stored_zeros.indptr))
+    stored_zeros.data[(rows == stored_zeros.indices) & np.isin(rows, dofs[::2])] = 0.0
+    rhs = RNG.standard_normal(space.num_dofs)
+    for matrix, values in ((stiffness, 0.0), (stiffness, RNG.standard_normal(len(dofs))),
+                           (stored_zeros, 0.0)):
+        before = [a.copy() for a in (matrix.indptr, matrix.indices, matrix.data)]
+        got, _ = apply_dirichlet(matrix, rhs, dofs, values)
+        want = eliminate_by_diagonal_products(matrix, dofs)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.indices.dtype == want.indices.dtype
+        for have, was in zip((matrix.indptr, matrix.indices, matrix.data), before):
+            assert np.array_equal(have, was)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +836,22 @@ def test_h1_seminorm_of_quadratic():
     zero_grad = lambda x, y: np.zeros((2,) + np.shape(x))
     value = h1_seminorm_error(u, zero_grad)
     assert abs(value - 2.0 / np.sqrt(3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["jittered", "random-tags", "lshaped-mixed"])
+def test_h1_seminorm_degree_one_matches_all_points(monkeypatch, name):
+    """At degree 1 the gradient formed at one point and broadcast gives the
+    error of the gradient formed at every point, bit for bit, also over
+    several blocks."""
+    mesh = {"jittered": lambda: jittered_square(12, seed=5),
+            "random-tags": lambda: randomly_tagged_mesh(6, seed=4),
+            "lshaped-mixed": lambda: lshaped_mixed().mesh}[name]()
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 50)
+    space = FunctionSpace(mesh, 1)
+    u = FEFunction(space, RNG.standard_normal(space.num_dofs))
+    for grad_exact in (lshaped().grad_exact,
+                       lambda x, y: (np.cos(3 * x) * y, np.sin(3 * x) / 3 + 0 * y)):
+        assert h1_seminorm_error(u, grad_exact) == h1_error_at_all_points(u, grad_exact)
 
 
 @pytest.mark.parametrize("degree,min_rate", [(1, 0.9), (2, 1.85)])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afem2d.element import EDGE_VERTICES
@@ -111,6 +111,7 @@ def meshes(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(mesh=meshes())
+@example(mesh=jittered_square(64, 7))  # 8,192 cells, all with different Jacobians
 def test_geometry_record(mesh):
     v = mesh.vertices[mesh.cells]
     d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
