@@ -274,8 +274,15 @@ def reference_goal_value(
     gradients preconditioned by a one-mesh
     :class:`~afem2d.fem.MeshHierarchy` (the p-level over an exact P1
     solve): the only matrix factored is the P1 stiffness on that mesh, and
-    the solve meets ``solve``'s 1e-10 residual check.  ``quadrature``
-    integrates c * u_exact directly and needs the exact solution.  The cache file
+    the solve meets ``solve``'s 1e-10 residual check; on ``lshaped-goal``
+    it takes about 1 s and sits about 2e-5 below the exact J, the
+    discretization error of the corner singularity.  ``quadrature`` integrates
+    c * u_exact by :func:`~afem2d.problems.goal_reference_quadrature`'s
+    polar Gauss rule, in about 50 ms to about 1e-14, and needs the exact
+    solution.  ``fe`` stays the default for now: perfbench's goal-bw42
+    band was fitted to efficiencies measured against it, and the exact
+    reference moves that run's final efficiency from about 5 to about 1.9,
+    outside the band.  The cache file
     holds a key line (problem, method, degree, refinements and the goal
     density's parameters) and the value; a file with another key, or one
     that is truncated or unreadable, is recomputed and rewritten.

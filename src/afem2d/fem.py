@@ -14,9 +14,10 @@ The affine data (``J``, ``det J``, ``J^-1`` and each lane's length and
 outward unit normal) are read from the ``Mesh``, which computes them
 once.  Facet terms go by lanes (lane i of a cell is its local edge i); the
 ``Mesh.facet_lanes`` attribute, filled by the same sort that builds the
-connectivity, gives each facet's lane in both incident cells, and since
-those cells traverse the facet in opposite directions the neighbour's
-trace is its own lane trace read backwards.
+connectivity, gives each facet's lane in both incident cells (paired once
+per mesh in ``Mesh.facing_rows``), and since those cells traverse the
+facet in opposite directions the neighbour's trace is its own lane trace
+read backwards.
 """
 
 import functools
@@ -162,18 +163,12 @@ def facet_traces(u, g, order):
     # neighbour.  Outward normals of the two sides are exactly opposite, so
     # the jump seen from either side is minus the sum of both outward
     # fluxes, the neighbour's read backwards.
-    cells, lanes = mesh.facet_cells.T, mesh.facet_lanes.T
-    rows = lanes * nc + cells
-    inner = cells[1] >= 0
-    mine, theirs = rows[0, inner], rows[1, inner]
-    other = np.arange(3 * nc)
-    other[mine] = theirs
-    other[theirs] = mine
+    other, boundary = mesh.facing_rows
     flat = dn.reshape(-1, nt)
     jump = np.take(flat[:, ::-1], other, axis=0)
     jump += flat
     np.negative(jump, out=jump)
-    jump[rows[0, ~inner]] = 0.0
+    jump[boundary] = 0.0
     tags = mesh.facet_tags[mesh.cell_facets].T
     return tags, mesh.lane_lengths, dn, jump.reshape(dn.shape), neumann_values(mesh, g, order)
 

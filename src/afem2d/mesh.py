@@ -7,6 +7,7 @@ newest-vertex rule.  Interior facets have a fixed owner (the incident cell
 with the smaller index); all jump-orientation conventions derive from it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,7 @@ class Mesh:
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
     the coarse vertex pair ``parents[i]`` (nv the coarse vertex count).
+    ``facing_rows`` pairs the lanes across facets; it is built on first use.
     """
 
     def __init__(self, vertices, cells, boundary=None):
@@ -179,6 +181,26 @@ class Mesh:
             k = missing[0]
             raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
         return idx
+
+    @functools.cached_property
+    def facing_rows(self):
+        """(other, boundary) for per-lane arrays laid out (3, nc, ...) and
+        flattened to rows ``lane * nc + cell``: ``other[row]`` is the row of
+        the same facet in the neighbouring cell (the row itself on the
+        boundary), and ``boundary`` lists the rows of boundary facets.
+        Both are read-only and depend only on the connectivity."""
+        nc = self.num_cells
+        cells, lanes = self.facet_cells.T, self.facet_lanes.T
+        rows = lanes * nc + cells
+        inner = cells[1] >= 0
+        mine, theirs = rows[0, inner], rows[1, inner]
+        other = np.arange(3 * nc)
+        other[mine] = theirs
+        other[theirs] = mine
+        boundary = rows[0, ~inner]
+        other.setflags(write=False)
+        boundary.setflags(write=False)
+        return other, boundary
 
     @property
     def num_vertices(self):

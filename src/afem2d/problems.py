@@ -9,10 +9,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .fem import eval_data
 from .mesh import DIRICHLET, NEUMANN, Mesh, orient_longest_edge, uniform_refine
+
+# Gauss-Legendre points per direction and panel of goal_reference_quadrature's
+# polar rule, and the bound on its error estimate |J_n - J_2n|.
+GOAL_RULE_POINTS = 200
+GOAL_RULE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -213,38 +217,102 @@ def make_problem(name, alpha=0.7):
     return PROBLEMS[name]()
 
 
-def goal_reference_quadrature(problem):
-    """J(u) by adaptive quadrature of c * u_exact over supp(c) in Omega.
+def _goal_panels(spec):
+    """Angular panels of the polar rule about the re-entrant corner, and
+    whether the support disk holds the corner.
 
-    Only the part of the support disk inside the L-shape contributes; the
-    missing third quadrant is excluded by clamping the y-range to 0 for
-    x < 0.
+    The panels cover the part of the domain's sector (-pi/2, pi) that the
+    disk covers: all of it when the disk holds the corner, else the window
+    between the two tangent rays.  They break where the clipped radial range
+    has a kink: at square corners inside the disk and where the circle
+    crosses the lines x = +-1 and y = +-1.
+    """
+    cx, cy, eps = spec.xbar, spec.ybar, spec.eps
+    dist = np.hypot(cx, cy)
+    lo, hi = -0.5 * np.pi, np.pi
+    holds_corner = bool(dist < eps)
+    if holds_corner:
+        windows = [(lo, hi)]
+    else:
+        mid, half = np.arctan2(cy, cx), np.arcsin(eps / dist)
+        # arctan2 puts mid in (-pi, pi], so a window reaching below -pi
+        # continues at the top of the sector.
+        windows = [(max(lo, mid + s - half), min(hi, mid + s + half))
+                   for s in (0.0, 2.0 * np.pi)]
+    corners = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    inside = np.hypot(corners[:, 0] - cx, corners[:, 1] - cy) < eps
+    breaks = list(np.arctan2(corners[inside, 1], corners[inside, 0]))
+    for k in (-1.0, 1.0):
+        h = eps**2 - (k - cx) ** 2  # the circle crosses the line x = k
+        if h > 0.0:
+            breaks += list(np.arctan2(cy + np.array([-1.0, 1.0]) * np.sqrt(h), k))
+        h = eps**2 - (k - cy) ** 2  # and the line y = k
+        if h > 0.0:
+            breaks += list(np.arctan2(k, cx + np.array([-1.0, 1.0]) * np.sqrt(h)))
+    panels = []
+    for a, b in windows:
+        if a < b:
+            edges = [a, *sorted(t for t in breaks if a < t < b), b]
+            panels += zip(edges[:-1], edges[1:])
+    return panels, holds_corner
+
+
+def _polar_goal_rule(spec, u, panels, holds_corner, n):
+    """J = int c u over the panels by an n x n Gauss-Legendre rule in (theta, t)."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    total = 0.0
+    for a, b in panels:
+        theta = a + (b - a) * s
+        cos, sin = np.cos(theta), np.sin(theta)
+        # The ray meets the circle at r = p -+ root and leaves the square
+        # |x|, |y| <= 1 at r = 1 / max(|cos|, |sin|).
+        p = cos * spec.xbar + sin * spec.ybar
+        root = np.sqrt(np.maximum(p**2 - spec.xbar**2 - spec.ybar**2 + spec.eps**2, 0.0))
+        r_hi = np.minimum(p + root, 1.0 / np.maximum(np.abs(cos), np.abs(sin)))
+        if holds_corner:
+            # r = R t^3 makes the corner factor r^(alpha + 1) dr smooth in t.
+            r = r_hi[:, None] * s**3
+            dr = 3.0 * r_hi[:, None] * s**2
+        else:
+            r_lo = p - root
+            length = np.maximum(r_hi - r_lo, 0.0)
+            r = r_lo[:, None] + length[:, None] * s
+            dr = length[:, None]
+        x, y = r * cos[:, None], r * sin[:, None]
+        integrand = spec.c(x, y) * u(x, y) * r * dr
+        total += (b - a) * float(w @ integrand @ w)
+    return total
+
+
+def goal_reference_quadrature(problem):
+    """J(u) = int c u_exact over the L-shape by a polar Gauss rule.
+
+    The rule is a tensor Gauss-Legendre rule in polar coordinates (theta,
+    r) about the re-entrant corner, with ``GOAL_RULE_POINTS`` points per
+    direction on each angular panel (see ``_goal_panels``).  Along each
+    ray r runs over the ray's chord of the support disk, from the corner
+    when the disk holds it, clipped at the square |x|, |y| <= 1, so only
+    the disk's part inside the domain counts.  When the disk holds the
+    corner, r = R t^3 makes the singular factor r^(alpha + 1) dr smooth.
+    The rule is run at n and 2n points; it returns J_2n and raises
+    ``ValueError`` when |J_n - J_2n| exceeds ``GOAL_RULE_TOL``.  On the
+    default ``GoalSpec`` (one panel) it takes about 50 ms and agrees with
+    SciPy's adaptive ``dblquad`` (1.4-2 s) to about 1e-14.
     """
     if problem.goal is None or problem.u_exact is None:
         raise ValueError("need a goal spec and an exact solution")
-    spec, u = problem.goal, problem.u_exact
-
-    def integrand(y, x):
-        return float(spec.c(x, y) * u(x, y))
-
-    def y_lo(x):
-        return spec.ybar - np.sqrt(max(spec.eps**2 - (x - spec.xbar) ** 2, 0.0))
-
-    def y_hi(x):
-        return spec.ybar + np.sqrt(max(spec.eps**2 - (x - spec.xbar) ** 2, 0.0))
-
-    x_min, x_max = spec.xbar - spec.eps, spec.xbar + spec.eps
-    total = 0.0
-    if x_min < 0.0:
-        part, _ = integrate.dblquad(
-            integrand, x_min, 0.0, lambda x: max(y_lo(x), 0.0), y_hi,
-            epsabs=1e-12, epsrel=1e-12,
+    spec = problem.goal
+    panels, holds_corner = _goal_panels(spec)
+    coarse, fine = (_polar_goal_rule(spec, problem.u_exact, panels, holds_corner, n)
+                    for n in (GOAL_RULE_POINTS, 2 * GOAL_RULE_POINTS))
+    error = abs(coarse - fine)
+    if not error <= GOAL_RULE_TOL:
+        raise ValueError(
+            f"goal reference quadrature unresolved: |J_n - J_2n| = {error:.3g} at "
+            f"n = {GOAL_RULE_POINTS}, above {GOAL_RULE_TOL:g}"
         )
-        total += part
-    part, _ = integrate.dblquad(
-        integrand, max(x_min, 0.0), x_max, y_lo, y_hi, epsabs=1e-12, epsrel=1e-12
-    )
-    return total + part
+    return float(fine)
 
 
 def audit(problem, tol=1e-8):

@@ -1,6 +1,10 @@
 """End-to-end tests of the command line driver."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,19 @@ def test_goal_table_computes_one_reference(monkeypatch):
     rows = efficiency_table(lshaped_goal(), ["bw:2,1", "res"], max_dofs=200, solver="lu")
     assert [s for s, _ in rows] == ["bw:2,1", "res"]
     assert calls == [("lshaped-goal", 1)]
+
+
+def test_import_loads_no_unused_scipy_modules():
+    """``import afem2d`` and the CLI need no scipy.integrate (nor the
+    scipy.optimize and scipy.special it pulls in).  A fresh interpreter,
+    because this process may already hold them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, afem2d, afem2d.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

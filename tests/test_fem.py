@@ -263,6 +263,44 @@ def test_facet_traces_match_mapped_points(random_tags, degree):
     assert np.count_nonzero(gv) > 0
 
 
+def per_call_jump(mesh, dn):
+    """The jump with its neighbour index built from the connectivity on
+    every call: the oracle for the index the mesh caches."""
+    nc, nt = dn.shape[1:]
+    cells, lanes = mesh.facet_cells.T, mesh.facet_lanes.T
+    rows = lanes * nc + cells
+    inner = cells[1] >= 0
+    other = np.arange(3 * nc)
+    other[rows[0, inner]] = rows[1, inner]
+    other[rows[1, inner]] = rows[0, inner]
+    flat = dn.reshape(-1, nt)
+    jump = -(flat[other, ::-1] + flat)
+    jump[rows[0, ~inner]] = 0.0
+    return jump.reshape(dn.shape)
+
+
+def test_facet_traces_build_the_neighbour_index_once_per_mesh():
+    """Two spaces on one mesh share its lane pairing: the first call builds
+    it, the second reuses it, and both jumps are bitwise those of an index
+    built per call and match the traces mapped into the neighbours."""
+    mesh = randomly_tagged_mesh(4, seed=5)
+    assert "facing_rows" not in vars(mesh)
+    g = lambda x, y: 1.0 + x - 2.0 * y
+    indices = []
+    for degree in (1, 2):
+        u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y,
+                        FunctionSpace(mesh, degree))
+        _, _, dn, jump, _ = facet_traces(u, g, 2 * degree + 4)
+        indices.append(vars(mesh)["facing_rows"])
+        assert np.array_equal(jump, per_call_jump(mesh, dn))
+        reference = mapped_point_traces(u, g, 2 * degree + 4)[2]
+        assert np.abs(jump - reference).max() <= 1e-12 * np.abs(dn).max()
+    assert indices[0] is indices[1]
+    other, boundary = indices[0]
+    assert not other.flags.writeable and not boundary.flags.writeable
+    assert np.array_equal(other[other], np.arange(3 * mesh.num_cells))
+
+
 # ---------------------------------------------------------------------------
 # assembly oracles
 # ---------------------------------------------------------------------------

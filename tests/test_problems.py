@@ -8,6 +8,7 @@ import pytest
 from afem2d.fem import FunctionSpace, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, Mesh
 from afem2d.adapt import evaluate_goal
+import afem2d.problems as problems
 from afem2d.problems import (
     PROBLEMS,
     GoalSpec,
@@ -290,3 +291,64 @@ def test_goal_reference_against_mesh_quadrature():
     u1 = interpolate(one, FunctionSpace(mesh, 1))
     approx = evaluate_goal(u1, lshaped_goal().goal.c)
     assert abs(mass - approx) < 1e-3
+
+
+def dblquad_goal_reference(problem):
+    """J(u) by SciPy's adaptive dblquad over the part of the support disk
+    inside the L-shape; the disk must lie inside the square (-1, 1)^2."""
+    from scipy import integrate
+
+    spec, u = problem.goal, problem.u_exact
+    assert max(abs(spec.xbar), abs(spec.ybar)) + spec.eps < 1.0
+    half = lambda x: np.sqrt(max(spec.eps**2 - (x - spec.xbar) ** 2, 0.0))
+    integrand = lambda y, x: float(spec.c(x, y) * u(x, y))
+    x_min, x_max = spec.xbar - spec.eps, spec.xbar + spec.eps
+    total = 0.0
+    if x_min < 0.0:  # the third quadrant is not in the domain
+        total += integrate.dblquad(
+            integrand, x_min, 0.0, lambda x: max(spec.ybar - half(x), 0.0),
+            lambda x: spec.ybar + half(x), epsabs=1e-13, epsrel=1e-13,
+        )[0]
+    total += integrate.dblquad(
+        integrand, max(x_min, 0.0), x_max, lambda x: spec.ybar - half(x),
+        lambda x: spec.ybar + half(x), epsabs=1e-13, epsrel=1e-13,
+    )[0]
+    return total
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(GoalSpec(), id="disk-holds-corner"),
+    pytest.param(GoalSpec(xbar=0.3, ybar=0.25), id="disk-misses-corner"),
+])
+def test_goal_reference_matches_dblquad(spec):
+    """The polar rule against adaptive quadrature in Cartesian coordinates,
+    with the singular u_exact, for a disk around the corner and one 0.04
+    away from it."""
+    problem = dataclasses.replace(lshaped_goal(), goal=spec)
+    assert abs(goal_reference_quadrature(problem) - dblquad_goal_reference(problem)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(GoalSpec(xbar=0.8, ybar=0.3), id="crosses-x=1"),
+    pytest.param(GoalSpec(xbar=0.85, ybar=0.85), id="holds-square-corner"),
+    pytest.param(GoalSpec(eps=0.3, xbar=-0.5, ybar=0.1), id="crosses-reentrant-edge"),
+    pytest.param(GoalSpec(eps=0.3, xbar=-0.2, ybar=-0.25), id="centre-in-missing-quadrant"),
+])
+def test_goal_reference_clips_the_disk_at_the_domain(spec):
+    """With u = 1 the reference is the mass of c inside the L-shape: below
+    the whole disk's mass when the disk leaves the domain, and reproduced
+    by mesh quadrature, which knows nothing of the disk's geometry."""
+    from scipy import integrate
+
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    mass = goal_reference_quadrature(dataclasses.replace(lshaped_goal(), goal=spec, u_exact=one))
+    whole, _ = integrate.quad(lambda r: 2.0 * np.pi * r * np.exp(-1.0 / (1.0 - r**2)), 0.0, 1.0)
+    assert 0.0 < mass < whole - 0.02
+    u1 = interpolate(one, FunctionSpace(lshaped_mesh(5), 1))
+    assert abs(mass - evaluate_goal(u1, spec.c)) < 1e-7
+
+
+def test_goal_reference_raises_when_unresolved(monkeypatch):
+    monkeypatch.setattr(problems, "GOAL_RULE_POINTS", 8)
+    with pytest.raises(ValueError, match=r"unresolved: \|J_n - J_2n\|"):
+        goal_reference_quadrature(lshaped_goal())
