@@ -114,9 +114,10 @@ def local_system(u, f, g, fine):
     Returns (G, b, pattern): the (nc, 4) metrics whose cell stiffness is
     G @ K_ref, the (nc, d) residual loads against the fine basis, and the
     (nc,) Dirichlet patterns, bit i set when local edge i is Dirichlet.
-    The facet traces are taken once for all cells, since the jumps need the
-    neighbours; the interior residual and the loads go by blocks of
-    ``fem.ERROR_BLOCK`` cells.
+    ``f`` None is a zero source, never evaluated.  The facet traces are
+    taken once for all cells, since the jumps need the neighbours; the
+    interior residual and the loads go by blocks of ``fem.ERROR_BLOCK``
+    cells.
     """
     space = u.space
     mesh = space.mesh
@@ -130,9 +131,10 @@ def local_system(u, f, g, fine):
     b = np.empty((mesh.num_cells, fine.dim))
     for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
         cells = slice(start, start + fem.ERROR_BLOCK)
-        r = fem.eval_data(f, fem.physical_points(mesh, pts, cells))
+        r = None if f is None else fem.eval_data(f, fem.physical_points(mesh, pts, cells))
         if hess is not None:
-            r = r + fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
+            lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
+            r = lap if r is None else r + lap
         b[cells] = fem.cell_loads(fine, order, mesh.det[cells], r, data[:, cells])
     pattern = (1 << np.arange(3)) @ (tags == DIRICHLET)
     return mesh.metric, b, pattern
@@ -215,8 +217,8 @@ def estimate(u, f, g=None, pair=(2, 1)):
     ----------
     u : FEFunction
         Discrete solution; its mesh tags decide the facet data.
-    f, g : vectorized callables
-        Volume data and (optional) Neumann data of the solved problem.
+    f, g : vectorized callables or None
+        Volume data and Neumann data of the solved problem; None is zero.
     pair : (k+, k-)
         Fine/coarse degrees of the estimation spaces.
 

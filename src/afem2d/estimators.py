@@ -14,7 +14,8 @@ def residual_estimate(u, f, g=None):
                 + sum over interior facets of T:  1/2 h_E |jump dn(u_h)|_E^2
                 + sum over Neumann facets of T:   h_E |g_E - dn(u_h)|_E^2
 
-    with f_T and g_E the cell and facet means of the data.
+    with f_T and g_E the cell and facet means of the data (None: zero,
+    never evaluated).
     """
     space = u.space
     mesh = space.mesh
@@ -24,13 +25,18 @@ def residual_estimate(u, f, g=None):
     order = 2 * space.degree + 6
     pts, wts = quad.triangle_rule(order)
 
-    fv = fem.eval_data(f, fem.physical_points(mesh, pts))
-    f_mean = 2.0 * (fv @ wts)  # cell weights sum to 1/2
-    resid = np.broadcast_to(f_mean[:, None], fv.shape)
+    resid = None
+    if f is not None:
+        fv = fem.eval_data(f, fem.physical_points(mesh, pts))
+        f_mean = 2.0 * (fv @ wts)  # cell weights sum to 1/2
+        resid = np.broadcast_to(f_mean[:, None], fv.shape)
     if space.degree >= 2:
-        hess = space.element.tabulate_hess(pts)
-        resid = resid + fem.cell_laplacians(u.cell_coeffs(), hess, mesh.inv)
-    eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * mesh.det)
+        lap = fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), mesh.inv)
+        resid = lap if resid is None else resid + lap
+    if resid is None:
+        eta2 = np.zeros(mesh.num_cells)
+    else:
+        eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * mesh.det)
 
     _, wt = quad.edge_rule(order)
     tags, length, dn, jump, gv = fem.facet_traces(u, g, order)

@@ -56,14 +56,15 @@ class SolverError(RuntimeError):
 def physical_points(mesh, ref_pts, cells=slice(None)):
     """Map reference points to the selected cells (default all): (n, nq, 2).
 
-    The result is the transposed view of a fresh (n, 2, nq) array, so each
-    cell's x and y values are contiguous.
+    The result is the transposed view of a fresh (2, n, nq) array, so the
+    x plane ``[..., 0]`` and the y plane ``[..., 1]`` are each C-contiguous
+    (n, nq) arrays, on which a data callable's ufuncs run in one loop.
     """
-    jac = mesh.jac[cells]
+    jac = mesh.jac[cells].transpose(1, 0, 2)
     v0 = mesh.vertices[mesh.cells[cells, 0]]
-    mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)
-    mapped += v0[:, :, None]
-    return mapped.transpose(0, 2, 1)
+    mapped = jac @ ref_pts.T
+    mapped += v0.T[:, :, None]
+    return mapped.transpose(1, 2, 0)
 
 
 def cell_gradients(coeffs, ref_grads, inv):
@@ -95,10 +96,14 @@ def reference_stiffness(element):
 
 
 def cell_loads(element, order, det, vol, edge):
-    """Cell loads (nc, dim) of ``vol`` (nc, nq) at ``quad.triangle_rule(order)``
-    and of length-scaled ``edge`` (3, nc, nt) at each lane's ``quad.edge_rule(order)``."""
-    pts, wts = quad.triangle_rule(order)
-    b = (vol * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
+    """Cell loads (nc, dim) of ``vol`` (nc, nq; None: zero) at
+    ``quad.triangle_rule(order)`` and of length-scaled ``edge`` (3, nc, nt)
+    at each lane's ``quad.edge_rule(order)``."""
+    if vol is None:
+        b = np.zeros((len(det), element.dim))
+    else:
+        pts, wts = quad.triangle_rule(order)
+        b = (vol * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
     t, wt = quad.edge_rule(order)
     for lane in range(3):
         b += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
@@ -282,7 +287,9 @@ def assemble_stiffness(space):
 def assemble_load(space, f, g=None):
     """Raw load vector: volume term plus Neumann flux term.  ``f`` is
     evaluated and the cell loads formed over blocks of ``ERROR_BLOCK``
-    cells; one ``bincount`` then adds the cell loads of all cells."""
+    cells; one ``bincount`` then adds the cell loads of all cells.  ``f``
+    (or ``g``) None is a zero source: no points are mapped for it and it is
+    never evaluated."""
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
@@ -292,7 +299,7 @@ def assemble_load(space, f, g=None):
     local = np.empty((mesh.num_cells, space.element.dim))
     for start in range(0, mesh.num_cells, ERROR_BLOCK):
         cells = slice(start, start + ERROR_BLOCK)
-        fvals = eval_data(f, physical_points(mesh, pts, cells))
+        fvals = None if f is None else eval_data(f, physical_points(mesh, pts, cells))
         local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, edge[:, cells])
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
@@ -331,9 +338,11 @@ def apply_dirichlet(matrix, rhs, dofs, values):
 def assemble_poisson(space, f, g=None, u_dirichlet=None):
     """Poisson system -div(grad u) = f with the mesh's boundary tags.
 
+    ``f`` is a vectorized callable for the source, evaluated on C-contiguous
+    (n, nq) coordinate planes (None means zero, and nothing is evaluated).
     ``u_dirichlet`` is a vectorized callable for the Dirichlet trace
     (None means homogeneous).  Neumann data ``g`` is applied on facets
-    tagged N.
+    tagged N (None means zero).
     """
     matrix = assemble_stiffness(space)
     rhs = assemble_load(space, f, g)

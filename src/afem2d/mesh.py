@@ -280,7 +280,8 @@ def mark_dorfler(field, theta):
     The returned set M satisfies sum_M eta^2 >= theta * sum eta^2 and is
     of minimal cardinality except that cells tied with the last kept
     value are all included, which keeps the result independent of sort
-    stability.
+    stability.  theta = 1 keeps every cell with a nonzero square, also
+    those too small to change a running sum.
     """
     _check_theta(theta)
     values = _indicator_values(field)
@@ -288,11 +289,13 @@ def mark_dorfler(field, theta):
     total = squares.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
+    if theta == 1.0:
+        return np.flatnonzero(squares > 0.0).astype(np.int64)
     order = np.argsort(-squares, kind="stable")
     sorted_squares = squares[order]
     cumsum = np.cumsum(sorted_squares)
     # The target is measured against the running sum itself, not the
-    # differently rounded ``total``, so that even theta = 1 cuts inside it.
+    # differently rounded ``total``, so that theta near 1 cuts inside it.
     target = theta * cumsum[-1] * (1.0 - 1e-12)
     cut = int(np.searchsorted(cumsum, target))
     # Include the whole tied block at the cutoff value.

@@ -83,8 +83,9 @@ def quadrature_gradients(ref_grads, inv):
 
 
 def mapped_points(mesh, ref_pts, cells=slice(None)):
-    """Reference points mapped to the selected cells by v0 + J x: the
-    direct formula behind ``fem.physical_points``, (n, nq, 2) C-ordered."""
+    """Reference points mapped to the selected cells by v0 + J x, one cell's
+    2 x 2 Jacobian at a time: the direct formula that ``fem.physical_points``
+    reproduces in its coordinate-plane layout, (n, nq, 2) C-ordered."""
     jac = mesh.jac[cells]
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     mapped = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(jac), 2, -1)

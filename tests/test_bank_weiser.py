@@ -244,13 +244,14 @@ def test_neumann_facet_data():
 def test_local_system_matches_quadrature_oracle(degree, pair):
     """Reference-tensor metrics and lane-map facet data reproduce the
     quadrature stiffness and the mapped-point load on a mesh with
-    interior, Dirichlet and Neumann facets."""
+    interior, Dirichlet and Neumann facets, with a nonzero source."""
     problem = lshaped_mixed()
     mesh = problem.mesh
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    f = lambda x, y: np.exp(x) - y * y
     fine = el.lagrange(pair[0])
-    metric, b, _ = local_system(u, problem.f, problem.g, fine)
+    metric, b, _ = local_system(u, f, problem.g, fine)
 
     order = max(2 * fine.degree, degree + fine.degree + 2)
     a_oracle = quadrature_stiffness(fine, order, mesh)
@@ -260,7 +261,7 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
     pts, wts = quad.triangle_rule(order)
     det, inv = mesh.det, mesh.inv
     x = fem.physical_points(mesh, pts)
-    r = np.broadcast_to(problem.f(x[..., 0], x[..., 1]), x.shape[:2])
+    r = f(x[..., 0], x[..., 1])
     if degree >= 2:
         lap = np.einsum("csa,qist,cta->cqi", inv, space.element.tabulate_hess(pts), inv)
         r = r + np.einsum("ci,cqi->cq", u.cell_coeffs(), lap)

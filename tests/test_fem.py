@@ -32,6 +32,8 @@ from afem2d.fem import (
     reference_stiffness,
     solve,
 )
+from afem2d.bank_weiser import local_system
+from afem2d.estimators import residual_estimate
 from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refine
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
@@ -213,15 +215,15 @@ def test_cell_derivatives_match_einsum(degree):
 @pytest.mark.parametrize("order", [3, 5, 8])
 @pytest.mark.parametrize("random_tags", [False, True], ids=["jittered", "random-tags"])
 def test_physical_points_match_vertex_plus_mapped(order, random_tags):
-    """Adding v0 into the mapped array in place gives v0 + J x bit for bit,
-    for all cells and for a slice, with each cell's x and y values
-    contiguous."""
+    """Mapping by coordinate planes and adding v0 in place gives v0 + J x
+    bit for bit, for all cells and for a slice, with the x and the y plane
+    each C-contiguous."""
     mesh = randomly_tagged_mesh(5, seed=2) if random_tags else jittered_square(6, seed=9)
     pts, _ = quad.triangle_rule(order)
     for cells in (slice(None), slice(7, 40)):
         got, want = physical_points(mesh, pts, cells), mapped_points(mesh, pts, cells)
         assert got.shape == want.shape and np.array_equal(got, want)
-        assert got.transpose(0, 2, 1).flags.c_contiguous
+        assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -374,16 +376,17 @@ def test_load_vector_neumann_contribution():
 
 def test_load_blocks_match_one_block(monkeypatch):
     """Blocking the load over cells changes no bit: the one-pass formula
-    is the oracle, with a block size that does not divide the cell count
-    and Neumann data on the mixed boundary."""
+    is the oracle, with a block size that does not divide the cell count,
+    a nonzero source and Neumann data on the mixed boundary."""
     import afem2d.fem as fem
 
     problem = lshaped_mixed()
     space = FunctionSpace(uniform_refine(problem.mesh, 1), 3)
+    source = lambda x, y: np.exp(x) - y * y
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
     edge = neumann_values(space.mesh, problem.g, order) * space.mesh.lane_lengths[..., None]
-    fvals = eval_data(problem.f, physical_points(space.mesh, pts))
+    fvals = eval_data(source, physical_points(space.mesh, pts))
     local = cell_loads(space.element, order, space.mesh.det, fvals, edge)
     want = np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
     monkeypatch.setattr(fem, "ERROR_BLOCK", 100)
@@ -392,10 +395,35 @@ def test_load_blocks_match_one_block(monkeypatch):
 
     def f(x, y):
         cells_per_call.append(len(x))
-        return problem.f(x, y)
+        return source(x, y)
 
     assert np.array_equal(assemble_load(space, f, problem.g), want)
     assert cells_per_call == [100, 100, 100, space.mesh.num_cells - 300]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_no_source_matches_zero_source(monkeypatch, degree):
+    """f = None gives bitwise the load, the hierarchical cell loads and the
+    residual indicators of a zero callable, and maps no point and evaluates
+    no data but the Neumann data g."""
+    mesh = randomly_tagged_mesh(3, seed=4)
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    g = lambda x, y: np.cos(x + 2 * y)
+    fine = el.lagrange(degree + 1)
+
+    def results(f):
+        return (assemble_load(space, f, g), local_system(u, f, g, fine)[1],
+                residual_estimate(u, f, g).values)
+
+    want = results(lambda x, y: 0.0 * x)
+    evaluated, mapped = [], []
+    monkeypatch.setattr(fem, "eval_data", lambda fn, x: evaluated.append(fn) or eval_data(fn, x))
+    monkeypatch.setattr(fem, "physical_points", lambda *args: mapped.append(args))
+    got = results(None)
+    assert mapped == [] and evaluated and all(fn is g for fn in evaluated)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

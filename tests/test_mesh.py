@@ -153,16 +153,20 @@ def test_marking_checks_raw_arrays(values):
 
 
 def test_mark_dorfler_theta_one_stays_in_bounds():
-    """theta = 1 cuts inside the sorted indicators even where the running
-    sum of the squares ends below their pairwise sum."""
+    """theta = 1 keeps every nonzero cell, and theta just below 1 cuts
+    inside the sorted indicators, even where the running sum of the squares
+    ends below their pairwise sum."""
     tiny_tail = np.sqrt(np.r_[1.0, np.full(20_000, 1e-16)])
     near_equal = np.full(10**6, np.sqrt(0.3))
     for values in (tiny_tail, near_equal):
         squares = values**2
         assert np.cumsum(squares)[-1] < squares.sum() * (1.0 - 1e-12)
-    # The tail adds nothing to the running sum, so the large cell holds it all.
-    assert m.mark_dorfler(tiny_tail, 1.0).tolist() == [0]
+    # The tail adds nothing to the running sum, yet theta = 1 keeps it all.
+    assert np.array_equal(m.mark_dorfler(tiny_tail, 1.0), np.arange(20_001))
     assert np.array_equal(m.mark_dorfler(near_equal, 1.0), np.arange(10**6))
+    below_one = np.nextafter(1.0, 0.0)
+    assert m.mark_dorfler(tiny_tail, below_one).tolist() == [0]
+    assert np.array_equal(m.mark_dorfler(near_equal, below_one), np.arange(10**6))
 
 
 def test_mark_dorfler_tie_block_kept():

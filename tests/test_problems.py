@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from afem2d.fem import FunctionSpace, interpolate
+from afem2d.fem import FunctionSpace, eval_data, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, Mesh
 from afem2d.adapt import evaluate_goal
 import afem2d.problems as problems
@@ -183,6 +183,37 @@ def test_gradient_matches_finite_differences(factory):
         assert abs(gy - fy) < 1e-7
 
 
+def _polar_gradient(alpha, x, y):
+    """alpha r^(alpha - 1) (sin, cos) of alpha (theta + pi/2) - theta, and
+    alpha r^(alpha - 1) = |grad u|."""
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    arg = alpha * (theta + 0.5 * np.pi) - theta
+    scale = alpha * r ** (alpha - 1.0)
+    return scale * np.sin(arg), scale * np.cos(arg), scale
+
+
+@pytest.mark.parametrize("factory", [lshaped, lshaped_mixed], ids=["alpha=2/3", "alpha=1/3"])
+def test_gradient_matches_polar_formula(factory):
+    """The half-angle gradient is alpha r^(alpha - 1) (sin, cos) to 4e-15
+    |grad u| at random points of the sector, at points 1e-12 to 1e-6 from
+    the corner, on the ray theta = pi (y = +0, x < 0) and on theta = -pi/2;
+    Python floats and 0-d arrays give 0-d results."""
+    problem = factory()
+    rng = np.random.default_rng(15)
+    theta = rng.uniform(-0.5 * np.pi, np.pi, 2000)
+    r = np.concatenate([rng.uniform(0.0, np.sqrt(2.0), 1000), np.logspace(-12, -6, 1000)])
+    ray = np.logspace(-12, 0, 25)
+    x = np.concatenate([r * np.cos(theta), -ray, np.zeros(25)])
+    y = np.concatenate([r * np.sin(theta), np.zeros(25), -ray])
+    cases = [(x, y), (-0.5, 0.0), (0.3, -0.2), (np.array(0.0), np.array(-0.7))]
+    for x, y in cases:
+        gx, gy = problem.grad_exact(x, y)
+        want_x, want_y, scale = _polar_gradient(problem.params["alpha"], x, y)
+        assert np.shape(gx) == np.shape(gy) == np.shape(x)
+        assert np.all(np.abs(gx - want_x) <= 4e-15 * scale)
+        assert np.all(np.abs(gy - want_y) <= 4e-15 * scale)
+
+
 def test_mixed_problem_neumann_side():
     problem = lshaped_mixed()
     assert problem.u_exact(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
@@ -210,6 +241,24 @@ def test_boundary_singularity_data():
         boundary_singularity(alpha=0.5)
     with pytest.raises(ValueError, match="alpha"):
         boundary_singularity(alpha=0.3)
+
+
+def test_boundary_singularity_data_values_are_pinned():
+    """u and f depend on x alone; eval_data broadcasts them, bit for bit the
+    values of the formulas plus 0 * y, also where x = 0; scalar calls
+    return floats."""
+    alpha = 0.7
+    problem = boundary_singularity(alpha=alpha)
+    pts = np.random.default_rng(3).random((40, 6, 2))
+    pts[0, :, 0] = 0.0
+    x, y = pts[..., 0], pts[..., 1]
+    with np.errstate(divide="ignore"):
+        got = eval_data(problem.f, pts), eval_data(problem.u_exact, pts)
+        want = alpha * (1.0 - alpha) * x ** (alpha - 2.0) + 0.0 * y, x**alpha + 0.0 * y
+    for a, b in zip(got, want):
+        assert a.shape == (40, 6) and a.tobytes() == b.tobytes()
+    for fn in (problem.f, problem.u_exact, problem.u_dirichlet):
+        assert isinstance(fn(0.5, 0.3), float)
 
 
 # ---------------------------------------------------------------------------
