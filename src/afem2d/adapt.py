@@ -31,21 +31,25 @@ _BW_SELECTOR = re.compile(r"bw:(\d+),(\d+)")
 
 
 def resolve_estimator(selector):
-    """Map a selector string to a callable (u, f, g) -> IndicatorField.
+    """Map a selector string to a callable (u, f, g, factors=None) ->
+    IndicatorField.
 
-    Grammar: ``bw:K+,K-`` | ``bw:bubble`` | ``res`` | ``zz``.
+    Grammar: ``bw:K+,K-`` | ``bw:bubble`` | ``res`` | ``zz``.  ``factors``
+    is forwarded to the hierarchical estimators (see
+    :func:`~afem2d.bank_weiser.estimate`); ``res`` and ``zz`` ignore it.
     """
     s = selector.strip()
     if s == "res":
-        return lambda u, f, g: estimators.residual_estimate(u, f, g)
+        return lambda u, f, g, factors=None: estimators.residual_estimate(u, f, g)
     if s == "zz":
-        return lambda u, f, g: estimators.zz_estimate(u)
+        return lambda u, f, g, factors=None: estimators.zz_estimate(u)
     if s == "bw:bubble":
-        return lambda u, f, g: bw.estimate_bubble(u, f, g)[0]
+        return lambda u, f, g, factors=None: bw.estimate_bubble(u, f, g, factors=factors)[0]
     match = _BW_SELECTOR.fullmatch(s)
     if match:
         pair = bw.validate_pair((int(match.group(1)), int(match.group(2))))
-        return lambda u, f, g: bw.estimate(u, f, g, pair=pair)[0]
+        return lambda u, f, g, factors=None: bw.estimate(
+            u, f, g, pair=pair, factors=factors)[0]
     raise ValueError(f"unknown estimator selector: {selector!r}")
 
 
@@ -174,7 +178,8 @@ def adapt_loop(problem, config, reference=None):
     trace's eta/err columns then carry the weighted estimator and the
     goal error |reference - J(u_h)|.  The dual shares the primal's matrix
     and Dirichlet DOFs, so its load is a second right-hand-side column: a
-    goal iteration assembles and factors one matrix.  ``reference``
+    goal iteration assembles and factors one matrix, and its two
+    estimates share one factorization of the local systems.  ``reference``
     defaults to :func:`reference_goal_value` and is used only with a goal.
 
     Under ``cg`` each mesh's space and system join one
@@ -202,8 +207,9 @@ def adapt_loop(problem, config, reference=None):
             system.rhs = np.column_stack([system.rhs, dual])
             u, z = (FEFunction(space, x)
                     for x in solve(system, method=config.solver, M=precond).T)
+            factors = {}
             indicator, eta = wgo_indicators(
-                estimator(u, problem.f, problem.g), estimator(z, goal.c, None)
+                estimator(u, problem.f, problem.g, factors), estimator(z, goal.c, None, factors)
             )
             err = abs(reference - evaluate_goal(u, goal.c))
         else:

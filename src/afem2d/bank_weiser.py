@@ -21,6 +21,12 @@ projected once per pair.  The projected systems are symmetric positive
 definite, and they are solved by one Cholesky factorization vectorized
 across cells (the cell index last), over blocks of ``fem.ERROR_BLOCK``
 cells.  The energy norm of the lift N x is the indicator.
+
+The projected matrices depend only on the mesh and the pair, not on the
+function estimated: estimates of several functions on one mesh (the
+primal and dual of a goal-oriented run) can share the factors through
+the ``factors`` dict of :func:`estimate`, and each later one then only
+projects its load and substitutes, with the same bits as on its own.
 """
 
 import functools
@@ -140,36 +146,45 @@ def local_system(u, f, g, fine):
     return mesh.metric, b, pattern
 
 
-def _project(metric, b, pattern, kind):
-    """Every cell's N^T (P A P + I - P) N as (k, k, nc) and N^T P b as
-    (k, nc), cell index last: one product for all cells as if none had a
-    Dirichlet edge, then the cells of each Dirichlet pattern overwritten."""
-    _, _, free, stiff, fixed = _operators(kind)
+def _project_matrix(metric, pattern, kind):
+    """Every cell's N^T (P A P + I - P) N as (k, k, nc), cell index last:
+    one product for all cells as if none had a Dirichlet edge, then the
+    cells of each Dirichlet pattern overwritten."""
+    _, _, _, stiff, fixed = _operators(kind)
     k = fixed.shape[1]
     a_bw = (stiff[0].reshape(4, -1).T @ metric.T).reshape(k, k, -1)
-    b_bw = free[0].T @ b.T
     dirichlet = np.flatnonzero(pattern)
     for m in np.unique(pattern[dirichlet]):
         # einsum, not a product that BLAS treats differently for one cell,
         # so that no cell's bits depend on how many share its pattern
         cells = dirichlet[pattern[dirichlet] == m]
         a_bw[:, :, cells] = np.einsum("sab,cs->abc", stiff[m], metric[cells]) + fixed[m][..., None]
+    return a_bw
+
+
+def _project_load(b, pattern, kind):
+    """Every cell's N^T P b as (k, nc), by the same pattern split as
+    :func:`_project_matrix`."""
+    free = _operators(kind)[2]
+    b_bw = free[0].T @ b.T
+    dirichlet = np.flatnonzero(pattern)
+    for m in np.unique(pattern[dirichlet]):
+        cells = dirichlet[pattern[dirichlet] == m]
         b_bw[:, cells] = np.einsum("da,cd->ac", free[m], b[cells])
-    return a_bw, b_bw
+    return b_bw
 
 
-def _solve_projected(a_bw, b_bw, first=0):
-    """Solve the projected systems a_bw (k, k, nc) x = b_bw (k, nc) of all
-    cells; returns x (k, nc).
+def _factor(a_bw, first=0):
+    """Cholesky factors of the projected systems a_bw (k, k, nc) of all
+    cells; returns (a_bw, pivots), the factor in a_bw's lower triangle
+    (overwritten) and its (k, nc) diagonal.
 
-    The systems are symmetric positive definite, so one Cholesky
-    factorization runs over all cells at once, a column at a time, in the
-    lower triangle of a_bw (overwritten), followed by forward and back
-    substitution.  A cell with a non-positive or non-finite pivot raises
-    LocalSolveError naming the first such cell, numbered from ``first``.
+    The systems are symmetric positive definite, so one factorization runs
+    over all cells at once, a column at a time.  A cell with a
+    non-positive or non-finite pivot raises LocalSolveError naming the
+    first such cell, numbered from ``first``.
     """
-    k = len(b_bw)
-    x = np.array(b_bw, dtype=float)
+    k = len(a_bw)
     with np.errstate(all="ignore"):
         for j in range(k):
             np.sqrt(a_bw[j, j], out=a_bw[j, j])
@@ -179,21 +194,47 @@ def _solve_projected(a_bw, b_bw, first=0):
                 a_bw[i, j + 1 : i + 1] -= col[i - j - 1] * col[: i - j]
         pivots = a_bw[np.arange(k), np.arange(k)]
         bad = ~(np.isfinite(pivots) & (pivots > 0.0)).all(axis=0)
-        if bad.any():
-            raise LocalSolveError(
-                f"projected system on cell {first + int(np.argmax(bad))} is not positive definite"
-            )
-        for j in range(k):
+    if bad.any():
+        raise LocalSolveError(
+            f"projected system on cell {first + int(np.argmax(bad))} is not positive definite"
+        )
+    return a_bw, pivots
+
+
+def _substitute(factor, b_bw):
+    """Solve every cell's system from its :func:`_factor` factors by
+    forward and back substitution; returns x (k, nc).  ``factor`` is only
+    read, so one factorization serves any number of loads."""
+    lower, pivots = factor
+    x = np.array(b_bw, dtype=float)
+    with np.errstate(all="ignore"):
+        for j in range(len(x)):
             x[j] /= pivots[j]
-            x[j + 1 :] -= a_bw[j + 1 :, j] * x[j]
-        for j in reversed(range(k)):
+            x[j + 1 :] -= lower[j + 1 :, j] * x[j]
+        for j in reversed(range(len(x))):
             x[j] /= pivots[j]
-            x[:j] -= a_bw[j, :j] * x[j]
+            x[:j] -= lower[j, :j] * x[j]
     return x
 
 
-def _estimate(u, f, g, kind):
+def _block_factors(factors, mesh, kind):
+    """The per-block store of a shared ``factors`` dict, after checking
+    that the dict was started on this mesh object, pair and block size."""
+    owner = (kind, fem.ERROR_BLOCK)
+    stored_mesh, stored = factors.setdefault("owner", (mesh, owner))
+    if stored_mesh is not mesh:
+        raise ValueError("the factors were computed on another mesh")
+    if stored != owner:
+        raise ValueError(
+            f"the factors were computed for pair {stored[0]!r} in blocks of {stored[1]} cells, "
+            f"not for pair {kind!r} in blocks of {fem.ERROR_BLOCK}"
+        )
+    return factors.setdefault("blocks", {})
+
+
+def _estimate(u, f, g, kind, factors):
     fine, null, _, stiff, _ = _operators(kind)
+    blocks = {} if factors is None else _block_factors(factors, u.space.mesh, kind)
     metric, b, pattern = local_system(u, f, g, fine)
     k = null.shape[1]
     # eta^2 = (N x)^T A+ (N x) = sum_s G_c[s] x^T stiff[0][s] x
@@ -202,15 +243,21 @@ def _estimate(u, f, g, kind):
     lift = np.empty(b.shape)
     for start in range(0, len(b), fem.ERROR_BLOCK):
         cells = slice(start, start + fem.ERROR_BLOCK)
-        a_bw, b_bw = _project(metric[cells], b[cells], pattern[cells], kind)
-        x = _solve_projected(a_bw, b_bw, first=start)
+        factor = blocks.get(start)
+        if factor is None:
+            factor = _factor(_project_matrix(metric[cells], pattern[cells], kind), first=start)
+            if factors is not None:
+                for array in factor:
+                    array.setflags(write=False)
+                blocks[start] = factor
+        x = _substitute(factor, _project_load(b[cells], pattern[cells], kind))
         quad_forms = ((forms @ x).reshape(4, k, -1) * x).sum(axis=1)
         eta2[cells] = (quad_forms * metric[cells].T).sum(axis=0)
         lift[cells] = x.T @ null.T
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), lift
 
 
-def estimate(u, f, g=None, pair=(2, 1)):
+def estimate(u, f, g=None, pair=(2, 1), factors=None):
     """Cell indicators for the solution ``u`` of a Poisson problem.
 
     Parameters
@@ -221,6 +268,15 @@ def estimate(u, f, g=None, pair=(2, 1)):
         Volume data and Neumann data of the solved problem; None is zero.
     pair : (k+, k-)
         Fine/coarse degrees of the estimation spaces.
+    factors : dict or None
+        Shared by the estimates of several functions on one mesh, with
+        one pair.  The first call stores the Cholesky factors of every
+        block's projected systems in it, and later calls substitute their
+        own loads into them instead of projecting and factoring again;
+        the results are bitwise those of calls without it.  A dict
+        started on another mesh object, another pair or another
+        ``fem.ERROR_BLOCK`` raises ``ValueError``.  None (the default)
+        drops each block's factors once the block is solved.
 
     Returns
     -------
@@ -228,10 +284,11 @@ def estimate(u, f, g=None, pair=(2, 1)):
         Indicators eta_T = |grad e_T|_T and the (nc, dim+) lifted local
         error coefficients for diagnostics.
     """
-    return _estimate(u, f, g, validate_pair(pair))
+    return _estimate(u, f, g, validate_pair(pair), factors)
 
 
-def estimate_bubble(u, f, g=None):
+def estimate_bubble(u, f, g=None, factors=None):
     """Same as :func:`estimate` with the P2 + interior-bubble fine space
-    over a P1 coarse space (kernel: interior bubble and edge bubbles)."""
-    return _estimate(u, f, g, "bubble")
+    over a P1 coarse space (kernel: interior bubble and edge bubbles),
+    ``factors`` included."""
+    return _estimate(u, f, g, "bubble", factors)

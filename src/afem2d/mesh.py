@@ -83,12 +83,15 @@ class Mesh:
     cells : (nc, 3) int array
         Counterclockwise triangles; slot 0 marks the refinement edge
         convention described in the module docstring.
-    boundary : callable or dict or None
+    boundary : callable or dict or tuple or None
         Either a vectorized ``tag(x, y) -> array of DIRICHLET/NEUMANN``
         evaluated at boundary facet midpoints, a dict mapping sorted
-        vertex pairs to tags, or None for all-Dirichlet.
+        vertex pairs to tags, the same as a tuple of arrays ((k, 2)
+        pairs, (k,) tags), or None for all-Dirichlet.
 
-    The affine geometry is computed once, as read-only arrays: ``jac``
+    The connectivity of :func:`build_connectivity` and ``facet_tags`` are
+    read-only arrays, so no facet's tag can change under data derived from
+    it.  The affine geometry is computed once, as read-only arrays: ``jac``
     (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, ``areas``
     = det / 2, the stiffness ``metric`` G_c = det J^-1 J^-T flattened to
     (nc, 4), and per lane (local edge i) ``lane_lengths`` (3, nc) and
@@ -142,7 +145,8 @@ class Mesh:
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
         for array in (self.vertices, self.cells, jac, det, inv, self.metric, lengths, normals,
-                      self.areas):
+                      self.areas, self.facets, self.facet_cells, self.cell_facets,
+                      self.facet_lanes, self.facet_tags):
             array.setflags(write=False)
 
     def _assign_tags(self, boundary):
@@ -155,13 +159,15 @@ class Mesh:
             values = np.asarray(boundary(mids[:, 0], mids[:, 1]))
             tags[on_boundary] = values
         else:
-            pairs = np.sort(np.array(list(boundary), dtype=np.int64).reshape(-1, 2), axis=1)
+            pairs, values = ((list(boundary), list(boundary.values()))
+                             if isinstance(boundary, dict) else boundary)
+            pairs = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
             idx = self._facet_index(pairs[:, 0], pairs[:, 1])
             interior = ~on_boundary[idx]
             if np.any(interior):
                 key = tuple(int(v) for v in pairs[np.argmax(interior)])
                 raise ValueError(f"facet {key} is interior, cannot tag it")
-            tags[idx] = list(boundary.values())
+            tags[idx] = values
         bad = on_boundary & ~np.isin(tags, (DIRICHLET, NEUMANN))
         if np.any(bad):
             raise ValueError("every boundary facet needs a D or N tag")
@@ -173,10 +179,11 @@ class Mesh:
         a, b, nv = np.asarray(a), np.asarray(b), len(self.vertices)
         keys = self.facets[:, 0] * nv + self.facets[:, 1]
         want = a * nv + b
-        idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        idx = np.minimum(np.searchsorted(keys, want), max(len(keys) - 1, 0))
         # A vertex outside [0, nv) could alias another facet's key.
         inside = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < nv)
-        missing = np.flatnonzero((keys[idx] != want) | ~inside)
+        found = keys[idx] == want if len(keys) else False
+        missing = np.flatnonzero(~(found & inside))
         if missing.size:
             k = missing[0]
             raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
@@ -390,8 +397,7 @@ def refine(mesh, marked):
         np.column_stack([mesh.facets[cut, 1], mid]),
     ])
     tags = mesh.facet_tags[np.concatenate([whole, cut, cut])]
-    fine = Mesh(new_vertices, new_cells)
-    fine.facet_tags[fine._facet_index(pairs[:, 0], pairs[:, 1])] = tags
+    fine = Mesh(new_vertices, new_cells, boundary=(pairs, tags))
     fine.parents = parents
     return fine
 

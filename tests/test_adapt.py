@@ -396,6 +396,44 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
         assert factored and max(factored) <= fem.COARSE_DOFS
 
 
+@pytest.mark.parametrize("estimator,degree", [("bw:2,1", 1), ("bw:4,2", 2)])
+def test_goal_iteration_factors_each_block_once(monkeypatch, estimator, degree):
+    """The primal and dual estimates of a goal iteration share one
+    factorization of the local systems: the primal estimate factors every
+    block of its mesh once, and the dual one only substitutes."""
+    import afem2d.bank_weiser as bw
+    import afem2d.fem as fem
+
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 40)
+    log = []
+
+    def spy(name, record):
+        original = getattr(bw, name)
+
+        def recording(*args, **kwargs):
+            log.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bw, name, recording)
+
+    spy("local_system", lambda u, *rest: ("estimate", u.space.mesh.num_cells))
+    spy("_factor", lambda a_bw, first=0: ("factor", first))
+    spy("_substitute", lambda factor, b_bw: ("substitute",))
+    problem = dataclasses.replace(lshaped_mixed(), goal=GoalSpec())
+    config = AdaptConfig(estimator=estimator, degree=degree, solver="lu", max_iterations=2)
+    result = adapt_loop(problem, config, 0.0)
+    starts = [i for i, entry in enumerate(log) if entry[0] == "estimate"]
+    calls = [log[i:j] for i, j in zip(starts, starts[1:] + [len(log)])]
+    assert len(calls) == 2 * len(result.trace.rows) == 6
+    for primal, dual in zip(calls[::2], calls[1::2]):
+        assert primal[0] == dual[0]
+        blocks = range(0, primal[0][1], 40)
+        assert len(blocks) > 1
+        assert primal[1:] == [entry for first in blocks
+                              for entry in (("factor", first), ("substitute",))]
+        assert dual[1:] == [("substitute",)] * len(blocks)
+
+
 def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
     """On a mesh with Dirichlet and Neumann facets the loop solves one
     system whose columns are the primal load and assemble_dual's load."""

@@ -15,9 +15,11 @@ from afem2d.bank_weiser import (
     PAIRS,
     LocalSolveError,
     NullspaceError,
+    _factor,
     _operators,
-    _project,
-    _solve_projected,
+    _project_load,
+    _project_matrix,
+    _substitute,
     estimate,
     estimate_bubble,
     interpolation_matrix,
@@ -51,6 +53,14 @@ def _elements(kind):
 
 
 ALL_KINDS = list(PAIRS) + ["bubble"]
+
+
+def _project(metric, b, pattern, kind):
+    return _project_matrix(metric, pattern, kind), _project_load(b, pattern, kind)
+
+
+def _solve_projected(a_bw, b_bw, first=0):
+    return _substitute(_factor(a_bw, first), b_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +461,69 @@ def test_estimate_blocks_match_one_block(monkeypatch, kind):
     assert calls == [10] * (mesh.num_cells // 10) + [mesh.num_cells % 10]
     assert np.array_equal(eta.values, want_eta.values)
     assert np.array_equal(lift, want_lift)
+
+
+def _estimate_kind(kind, u, f, g, factors=None):
+    if kind == "bubble":
+        return estimate_bubble(u, f, g, factors=factors)
+    return estimate(u, f, g, pair=kind, factors=factors)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kind", [(2, 1), (4, 2), "bubble"], ids=str)
+def test_shared_factors_change_no_bit(monkeypatch, kind, degree):
+    """A primal and a dual estimate sharing one factors dict give bitwise
+    the indicators and lifts of separate calls, on a mesh with Dirichlet
+    and Neumann edges of every pattern and factors spread over blocks."""
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 10)
+    mesh = randomly_tagged_mesh(5, seed=3)
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    z = interpolate(lambda x, y: np.exp(-4.0 * ((x - 0.4) ** 2 + y * y)), space)
+    f = lambda x, y: np.exp(x) - y * y
+    g = lambda x, y: np.cos(x + 2 * y)
+    c = lambda x, y: np.where(x < 0.5, 1.0 + y, 0.0)
+    want = [_estimate_kind(kind, u, f, g), _estimate_kind(kind, z, c, None)]
+    factors = {}
+    got = [_estimate_kind(kind, u, f, g, factors), _estimate_kind(kind, z, c, None, factors)]
+    assert len(factors["blocks"]) == -(-mesh.num_cells // 10) > 1
+    for (eta, lift), (want_eta, want_lift) in zip(got, want):
+        assert np.array_equal(eta.values, want_eta.values)
+        assert np.array_equal(lift, want_lift)
+    # the stored factors are frozen, and a third function reuses them too
+    assert not any(array.flags.writeable for factor in factors["blocks"].values()
+                   for array in factor)
+    eta, lift = _estimate_kind(kind, u, f, g, factors)
+    assert np.array_equal(eta.values, want[0][0].values) and np.array_equal(lift, want[0][1])
+
+
+def test_shared_factors_reject_another_mesh_pair_or_block_size(monkeypatch):
+    """A factors dict started on one mesh, pair and block size refuses any
+    other, before any data is evaluated."""
+    mesh = randomly_tagged_mesh(3, seed=0)
+    twin = randomly_tagged_mesh(3, seed=0)
+    shape = lambda x, y: x * x + np.sin(y)
+    u = interpolate(shape, FunctionSpace(mesh, 1))
+    calls = []
+
+    def f(x, y):
+        calls.append(len(x))
+        return 1.0 + x
+
+    factors = {}
+    estimate(u, f, pair=(2, 1), factors=factors)
+    calls.clear()
+    with pytest.raises(ValueError, match="another mesh"):
+        estimate(interpolate(shape, FunctionSpace(twin, 1)), f, pair=(2, 1), factors=factors)
+    other_pair = rf"\(2, 1\) in blocks of {fem.ERROR_BLOCK} cells, not for pair \(3, 1\)"
+    with pytest.raises(ValueError, match=other_pair):
+        estimate(u, f, pair=(3, 1), factors=factors)
+    with pytest.raises(ValueError, match="not for pair 'bubble'"):
+        estimate_bubble(u, f, factors=factors)
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 10)
+    with pytest.raises(ValueError, match=r"not for pair \(2, 1\) in blocks of 10\b"):
+        estimate(u, f, pair=(2, 1), factors=factors)
+    assert calls == []
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (3, 1)], ids=str)

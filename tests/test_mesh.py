@@ -71,6 +71,14 @@ def test_boundary_dict_rejects_out_of_range_vertex():
         two_cell_square(boundary={**tags, (-1, 7): m.NEUMANN})
 
 
+def test_facet_lookup_on_a_mesh_without_facets():
+    with pytest.raises(ValueError, match=r"no facet with vertices \(0, 1\)"):
+        m.Mesh(np.zeros((0, 2)), np.zeros((0, 3), int), boundary={(0, 1): m.DIRICHLET})
+    empty = m.Mesh(np.zeros((0, 2)), np.zeros((0, 3), int))
+    with pytest.raises(ValueError, match=r"no facet with vertices \(0, 1\)"):
+        empty._facet_index(0, 1)
+
+
 def test_boundary_callable_tagging():
     def sides(x, y):
         return np.where(y < 0.25, m.NEUMANN, m.DIRICHLET)
@@ -92,6 +100,13 @@ def test_boundary_dict_tagging_and_errors():
         two_cell_square(boundary={(0, 1): m.NEUMANN})
     with pytest.raises(ValueError, match=r"no facet with vertices \(1, 3\)"):
         two_cell_square(boundary={(0, 1): m.NEUMANN, (3, 1): m.DIRICHLET})
+
+
+def test_boundary_pair_arrays_tag_like_the_dict():
+    tags = {(0, 1): m.NEUMANN, (2, 1): m.DIRICHLET, (2, 3): m.NEUMANN, (0, 3): m.DIRICHLET}
+    want = two_cell_square(boundary=tags).facet_tags
+    pairs, values = np.array(list(tags)), np.array(list(tags.values()), dtype=np.int8)
+    assert np.array_equal(two_cell_square(boundary=(pairs, values)).facet_tags, want)
 
 
 def test_geometry_queries():

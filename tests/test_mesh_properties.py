@@ -159,12 +159,17 @@ def test_refinement_is_nested(mesh, data):
 
 
 @pytest.mark.parametrize(
-    "name", ["jac", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals"]
+    "name", ["jac", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals",
+             "facets", "facet_cells", "cell_facets", "facet_lanes", "facet_tags"]
 )
 def test_geometry_record_is_read_only(name):
-    array = getattr(jittered_square(3, seed=1), name)
-    with pytest.raises(ValueError, match="read-only"):
-        array[(0,) * array.ndim] = 1.0
+    """The geometry, the connectivity and the boundary tags are frozen, on
+    a constructed mesh and on one made by refine."""
+    mesh = jittered_square(3, seed=1)
+    for owner in (mesh, refine(mesh, [0, 5])):
+        array = getattr(owner, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
 
 
 # Few distinct values make ties and zeros common; free floats fill the rest.

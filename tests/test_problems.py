@@ -294,6 +294,46 @@ def test_goal_density_vectorized_and_nonnegative():
     assert ((values > 0.0) == inside).all()
 
 
+def _full_support_density(spec, x, y):
+    """GoalSpec.c as first written: exp and both masks at every point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rbar2 = ((x - spec.xbar) / spec.eps) ** 2 + ((y - spec.ybar) / spec.eps) ** 2
+    inside = rbar2 < 1.0
+    bump = np.exp(-1.0 / np.where(inside, 1.0 - rbar2, 1.0))
+    return np.where(inside, bump, 0.0) / spec.eps**2
+
+
+@pytest.mark.parametrize("spec", [GoalSpec(), GoalSpec(eps=0.5, xbar=0.25, ybar=0.0)],
+                         ids=["default", "exact-rim"])
+def test_goal_density_bitwise_the_full_support_formula(spec):
+    """Evaluating exp on the support only changes no bit and no type: at
+    random points of several array lengths and shapes, on the support
+    circle (where "exact-rim" has rbar^2 exactly 1), at the centre, far
+    outside, and for Python floats and 0-d arrays."""
+    rng = np.random.default_rng(7)
+    rim = (spec.xbar + spec.eps, spec.ybar)
+    cases = [(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)) for n in (1, 7, 8, 33, 1000)]
+    cases += [(rng.uniform(-1.0, 1.0, (40, 6)), rng.uniform(-1.0, 1.0, (40, 6))),
+              (rng.uniform(-1.0, 1.0, (5, 1)), rng.uniform(-1.0, 1.0, (1, 4))),
+              (np.array([rim[0], spec.xbar, 50.0]), np.array([rim[1], spec.ybar, -50.0])),
+              rim, (spec.xbar, spec.ybar), (-50.0, 50.0), (np.array(0.3), np.array(0.1)),
+              (np.float64(0.3), 0.1), (np.empty(0), np.empty(0))]
+    for x, y in cases:
+        got, want = spec.c(x, y), _full_support_density(spec, x, y)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_gauss_legendre_matches_numpy():
+    for n in (1, 2, 5, 200, 400):
+        x, w = problems._gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - want_x).max() <= 1e-14
+        assert np.abs(w - want_w).max() <= 1e-14
+
+
 def test_goal_problem_carries_lshaped_data():
     problem = lshaped_goal()
     base = lshaped()
