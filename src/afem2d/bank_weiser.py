@@ -115,25 +115,25 @@ def _operators(kind):
 
 
 def local_system(u, f, g, fine):
-    """Fine-space cell data, before any elimination.
-
-    Returns (G, b, pattern): the (nc, 4) metrics whose cell stiffness is
-    G @ K_ref, the (nc, d) residual loads against the fine basis, and the
-    (nc,) Dirichlet patterns, bit i set when local edge i is Dirichlet.
-    ``f`` None is a zero source, never evaluated.  The facet traces are
-    taken once for all cells, since the jumps need the neighbours; the
-    interior residual and the loads go by blocks of ``fem.ERROR_BLOCK``
-    cells.
+    """The (nc, d) residual loads against the fine basis, before any
+    elimination; the cell stiffness is ``mesh.metric @ K_ref``.  ``f`` or
+    ``g`` None is zero and never evaluated.  The facet traces are taken
+    once for all cells, since the jumps need the neighbours; the interior
+    residual and the loads go by blocks of ``fem.ERROR_BLOCK`` cells.
     """
     space = u.space
     mesh = space.mesh
     order = max(2 * fine.degree, space.degree + fine.degree + 2)
     pts, _ = quad.triangle_rule(order)
     hess = space.element.tabulate_hess(pts) if space.degree >= 2 else None
-    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
+    dn, jump = fem.facet_traces(u, order)
+    length = mesh.lane_lengths
     data = jump * (0.5 * length)[..., None]
-    neumann = np.nonzero(tags == NEUMANN)
-    data[neumann] = (gv[neumann] - dn[neumann]) * length[neumann][:, None]
+    neumann = np.nonzero(mesh.lane_tags == NEUMANN)
+    flux = -dn[neumann]
+    if g is not None:
+        flux += fem.neumann_values(mesh, g, order)[neumann]
+    data[neumann] = flux * length[neumann][:, None]
     b = np.empty((mesh.num_cells, fine.dim))
     for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
         cells = slice(start, start + fem.ERROR_BLOCK)
@@ -142,8 +142,7 @@ def local_system(u, f, g, fine):
             lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
             r = lap if r is None else r + lap
         b[cells] = fem.cell_loads(fine, order, mesh.det[cells], r, data[:, cells])
-    pattern = (1 << np.arange(3)) @ (tags == DIRICHLET)
-    return mesh.metric, b, pattern
+    return b
 
 
 def _project_matrix(metric, pattern, kind):
@@ -234,8 +233,11 @@ def _block_factors(factors, mesh, kind):
 
 def _estimate(u, f, g, kind, factors):
     fine, null, _, stiff, _ = _operators(kind)
-    blocks = {} if factors is None else _block_factors(factors, u.space.mesh, kind)
-    metric, b, pattern = local_system(u, f, g, fine)
+    mesh = u.space.mesh
+    blocks = {} if factors is None else _block_factors(factors, mesh, kind)
+    b = local_system(u, f, g, fine)
+    # bit i of a cell's Dirichlet pattern is set when its local edge i is Dirichlet
+    metric, pattern = mesh.metric, (1 << np.arange(3)) @ (mesh.lane_tags == DIRICHLET)
     k = null.shape[1]
     # eta^2 = (N x)^T A+ (N x) = sum_s G_c[s] x^T stiff[0][s] x
     forms = stiff[0].transpose(0, 2, 1).reshape(4 * k, k)

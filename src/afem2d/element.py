@@ -12,6 +12,7 @@ values, gradients and Hessians all come from one evaluation path.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -24,38 +25,17 @@ def _exponents(degree):
     return [(t - j, j) for t in range(degree + 1) for j in range(t + 1)]
 
 
-def _safe_pow(base, exp):
-    # 0**0 = 1 and negative exponents never reach the power (factor is 0).
-    return base ** max(exp, 0)
-
-
-def _mono_values(exps, pts):
+def _mono_derivatives(exps, pts, dx, dy):
+    """The derivative d^dx/dx^dx d^dy/dy^dy of each monomial x^a y^b at pts
+    (n, 2): perm(a, dx) perm(b, dy) x^(a - dx) y^(b - dy), as (n, len(exps)).
+    A monomial of lower degree than the derivative gives a zero column,
+    and 0^0 = 1."""
     x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([x**a * y**b for a, b in exps])
-
-
-def _mono_grads(exps, pts):
-    x, y = pts[:, 0], pts[:, 1]
-    out = np.zeros((len(pts), len(exps), 2))
+    out = np.zeros((len(pts), len(exps)))
     for m, (a, b) in enumerate(exps):
-        if a:
-            out[:, m, 0] = a * _safe_pow(x, a - 1) * y**b
-        if b:
-            out[:, m, 1] = b * x**a * _safe_pow(y, b - 1)
-    return out
-
-
-def _mono_hessians(exps, pts):
-    x, y = pts[:, 0], pts[:, 1]
-    out = np.zeros((len(pts), len(exps), 2, 2))
-    for m, (a, b) in enumerate(exps):
-        if a > 1:
-            out[:, m, 0, 0] = a * (a - 1) * _safe_pow(x, a - 2) * y**b
-        if a and b:
-            out[:, m, 0, 1] = a * b * _safe_pow(x, a - 1) * _safe_pow(y, b - 1)
-        if b > 1:
-            out[:, m, 1, 1] = b * (b - 1) * x**a * _safe_pow(y, b - 2)
-    out[:, :, 1, 0] = out[:, :, 0, 1]
+        scale = math.perm(a, dx) * math.perm(b, dy)
+        if scale:
+            out[:, m] = scale * x ** (a - dx) * y ** (b - dy)
     return out
 
 
@@ -104,16 +84,21 @@ class ReferenceElement:
 
     def tabulate(self, pts):
         """Basis values at pts (n, 2) as an (n, dim) array."""
-        return _mono_values(self.exponents, np.asarray(pts, dtype=float)) @ self.coeffs
+        return _mono_derivatives(self.exponents, np.asarray(pts, dtype=float), 0, 0) @ self.coeffs
 
     def tabulate_grad(self, pts):
         """Reference gradients at pts as an (n, dim, 2) array."""
-        g = _mono_grads(self.exponents, np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        g = np.stack([_mono_derivatives(self.exponents, pts, *d) for d in ((1, 0), (0, 1))],
+                     axis=-1)
         return np.einsum("nmd,mi->nid", g, self.coeffs)
 
     def tabulate_hess(self, pts):
         """Reference Hessians at pts as an (n, dim, 2, 2) array."""
-        h = _mono_hessians(self.exponents, np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        h = np.stack([_mono_derivatives(self.exponents, pts, *d)
+                      for d in ((2, 0), (1, 1), (1, 1), (0, 2))], axis=-1)
+        h = h.reshape(h.shape[:2] + (2, 2))
         return np.einsum("nmde,mi->nide", h, self.coeffs)
 
     def interpolate(self, fn):
@@ -139,7 +124,7 @@ def lagrange(degree):
         raise ValueError(f"unsupported element degree: {degree!r}")
     nodes = lagrange_nodes(degree)
     exps = _exponents(degree)
-    vander = _mono_values(exps, nodes)
+    vander = _mono_derivatives(exps, nodes, 0, 0)
     coeffs = np.linalg.inv(vander)
     edge_dofs = tuple(
         (a, b) + tuple(3 + i * (degree - 1) + j for j in range(degree - 1))

@@ -39,10 +39,12 @@ def residual_estimate(u, f, g=None):
         eta2 = mesh.cell_diameters() ** 2 * (((resid**2) @ wts) * mesh.det)
 
     _, wt = quad.edge_rule(order)
-    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
-    g_mean = gv @ wt  # edge weights sum to 1
-    neumann = ((g_mean[..., None] - dn) ** 2) @ wt
-    edge = length**2 * np.where(tags == NEUMANN, neumann, 0.5 * (jump**2 @ wt))
+    dn, jump = fem.facet_traces(u, order)
+    misfit = dn  # g_E - dn(u_h) up to its sign, which the square drops
+    if g is not None:
+        misfit = (fem.neumann_values(mesh, g, order) @ wt)[..., None] - dn  # weights sum to 1
+    length = mesh.lane_lengths
+    edge = length**2 * np.where(mesh.lane_tags == NEUMANN, (misfit**2) @ wt, 0.5 * (jump**2 @ wt))
     for lane in range(3):
         eta2 += edge[lane]
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0)))

@@ -11,8 +11,8 @@ Cell matrices use the tensor representation of Kirby & Logg (ACM TOMS
 ``G_c = det J^-1 J^-T`` flattened to 4 entries and ``K_ref[(s, r), (i, j)]
 = int d_s phi_i d_r phi_j`` tabulated once per element, on first use.
 The affine data (``J``, ``det J``, ``J^-1`` and each lane's length and
-outward unit normal) are read from the ``Mesh``, which computes them
-once.  Facet terms go by lanes (lane i of a cell is its local edge i); the
+outward unit normal) and each lane's tag are read from the ``Mesh``,
+which computes them once.  Facet terms go by lanes (lane i of a cell is its local edge i); the
 ``Mesh.facet_lanes`` attribute, filled by the same sort that builds the
 connectivity, gives each facet's lane in both incident cells (paired once
 per mesh in ``Mesh.facing_rows``), and since those cells traverse the
@@ -96,17 +96,18 @@ def reference_stiffness(element):
 
 
 def cell_loads(element, order, det, vol, edge):
-    """Cell loads (nc, dim) of ``vol`` (nc, nq; None: zero) at
-    ``quad.triangle_rule(order)`` and of length-scaled ``edge`` (3, nc, nt)
-    at each lane's ``quad.edge_rule(order)``."""
+    """Cell loads (nc, dim) of ``vol`` (nc, nq) at ``quad.triangle_rule(order)``
+    and of length-scaled ``edge`` (3, nc, nt) at each lane's
+    ``quad.edge_rule(order)``; None is zero, and no term is formed for it."""
     if vol is None:
         b = np.zeros((len(det), element.dim))
     else:
         pts, wts = quad.triangle_rule(order)
         b = (vol * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
-    t, wt = quad.edge_rule(order)
-    for lane in range(3):
-        b += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
+    if edge is not None:
+        t, wt = quad.edge_rule(order)
+        for lane in range(3):
+            b += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
     return b
 
 
@@ -124,27 +125,25 @@ def eval_data(fn, x):
 
 
 def neumann_values(mesh, g, order):
-    """Data ``g`` (None: zero) at the ``quad.edge_rule(order)`` points of
-    every Neumann local edge, zero on other lanes: (3, nc, nt) by [lane, cell]."""
+    """Data ``g`` at the ``quad.edge_rule(order)`` points of every Neumann
+    local edge, zero on other lanes: (3, nc, nt) by [lane, cell]."""
     t, _ = quad.edge_rule(order)
     gv = np.zeros((3, mesh.num_cells, len(t)))
-    if g is not None:
-        lanes, cells = np.nonzero(mesh.facet_tags[mesh.cell_facets].T == NEUMANN)
-        ends = mesh.cells[cells[:, None], np.asarray(el.EDGE_VERTICES)[lanes]]
-        va, vb = mesh.vertices[ends].transpose(1, 0, 2)
-        gv[lanes, cells] = eval_data(g, va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :])
+    lanes, cells = np.nonzero(mesh.lane_tags == NEUMANN)
+    ends = mesh.cells[cells[:, None], np.asarray(el.EDGE_VERTICES)[lanes]]
+    va, vb = mesh.vertices[ends].transpose(1, 0, 2)
+    gv[lanes, cells] = eval_data(g, va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :])
     return gv
 
 
-def facet_traces(u, g, order):
+def facet_traces(u, order):
     """Normal derivatives of ``u`` from both sides of every local edge.
 
-    Returns (tags, length, dn, jump, gv) indexed by [lane, cell] and, for
-    the last three, by the points of ``quad.edge_rule(order)`` along the
-    cell's own traversal of the edge: facet tags and edge lengths, grad
-    u_h . n (n the outward unit normal), (grad u_h|neighbour - grad u_h) . n
-    on interior facets and the data ``g`` (None: zero) on Neumann facets,
-    zero elsewhere.  Nothing is tabulated at points mapped across facets.
+    Returns (dn, jump) indexed by [lane, cell] and by the points of
+    ``quad.edge_rule(order)`` along the cell's own traversal of the edge:
+    grad u_h . n (n the outward unit normal), and (grad u_h|neighbour -
+    grad u_h) . n on interior facets, zero elsewhere.  Nothing is
+    tabulated at points mapped across facets.
     """
     space, mesh = u.space, u.space.mesh
     t, _ = quad.edge_rule(order)
@@ -174,8 +173,7 @@ def facet_traces(u, g, order):
     jump += flat
     np.negative(jump, out=jump)
     jump[boundary] = 0.0
-    tags = mesh.facet_tags[mesh.cell_facets].T
-    return tags, mesh.lane_lengths, dn, jump.reshape(dn.shape), neumann_values(mesh, g, order)
+    return dn, jump.reshape(dn.shape)
 
 
 class FunctionSpace:
@@ -288,19 +286,18 @@ def assemble_load(space, f, g=None):
     """Raw load vector: volume term plus Neumann flux term.  ``f`` is
     evaluated and the cell loads formed over blocks of ``ERROR_BLOCK``
     cells; one ``bincount`` then adds the cell loads of all cells.  ``f``
-    (or ``g``) None is a zero source: no points are mapped for it and it is
-    never evaluated."""
+    (or ``g``) None is a zero source: no points are mapped for it, it is
+    never evaluated and its term is not formed."""
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
-    edge = neumann_values(mesh, g, order)
-    if g is not None:
-        edge *= mesh.lane_lengths[..., None]
+    edge = None if g is None else neumann_values(mesh, g, order) * mesh.lane_lengths[..., None]
     local = np.empty((mesh.num_cells, space.element.dim))
     for start in range(0, mesh.num_cells, ERROR_BLOCK):
         cells = slice(start, start + ERROR_BLOCK)
         fvals = None if f is None else eval_data(f, physical_points(mesh, pts, cells))
-        local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, edge[:, cells])
+        gvals = None if edge is None else edge[:, cells]
+        local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, gvals)
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
 

@@ -100,7 +100,8 @@ class Mesh:
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
     the coarse vertex pair ``parents[i]`` (nv the coarse vertex count).
-    ``facing_rows`` pairs the lanes across facets; it is built on first use.
+    ``lane_tags`` (3, nc) gives each lane's facet tag, and ``facing_rows``
+    pairs the lanes across facets; both are read-only and built on first use.
     """
 
     def __init__(self, vertices, cells, boundary=None):
@@ -188,6 +189,13 @@ class Mesh:
             k = missing[0]
             raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
         return idx
+
+    @functools.cached_property
+    def lane_tags(self):
+        """Facet tag of local edge i of each cell: (3, nc) by [lane, cell]."""
+        tags = self.facet_tags[self.cell_facets.T]
+        tags.setflags(write=False)
+        return tags
 
     @functools.cached_property
     def facing_rows(self):

@@ -66,10 +66,6 @@ class Problem:
     params: dict = field(default_factory=dict)
 
 
-def _zeros(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _polar_solution(alpha):
     """u = r^alpha sin(alpha (theta + pi/2)) and its gradient.
 
@@ -137,8 +133,8 @@ def lshaped(refinements=2):
 
 
 def lshaped_mixed(refinements=2):
-    """L-shape with a homogeneous Neumann edge on {x < 0, y = 0} and the
-    weaker r^(1/3) singularity."""
+    """L-shape with a homogeneous Neumann edge on {x < 0, y = 0} (g None)
+    and the weaker r^(1/3) singularity."""
 
     def boundary(x, y):
         return np.where((np.abs(y) < 1e-12) & (x < 0.0), NEUMANN, DIRICHLET)
@@ -149,7 +145,6 @@ def lshaped_mixed(refinements=2):
         mesh=lshaped_mesh(refinements, boundary=boundary),
         f=None,
         u_dirichlet=u,
-        g=_zeros,
         u_exact=u,
         grad_exact=grad,
         params={"alpha": 1.0 / 3.0},
@@ -356,8 +351,10 @@ def goal_reference_quadrature(problem):
 
 def audit(problem, tol=1e-8):
     """Wiring checks run before a benchmark: boundary data consistent
-    with the exact solution, and data formulas consistent with it.  A
-    NaN anywhere in the compared values fails the check."""
+    with the exact solution (the exact flux on Neumann facets against
+    ``g``, or against zero when ``g`` is None), and data formulas
+    consistent with it.  A NaN anywhere in the compared values fails the
+    check."""
     mesh = problem.mesh
     dirichlet = np.flatnonzero(mesh.facet_tags == DIRICHLET)
     if problem.u_exact is not None and dirichlet.size and problem.u_dirichlet is not None:
@@ -369,13 +366,13 @@ def audit(problem, tol=1e-8):
             if not np.max(np.abs(got - want), initial=0.0) <= tol:
                 raise ValueError(f"{problem.name}: Dirichlet data disagrees with u_exact")
     if problem.grad_exact is not None:
-        lanes, cells = np.nonzero(mesh.facet_tags[mesh.cell_facets].T == NEUMANN)
-        if lanes.size and problem.g is not None:
+        lanes, cells = np.nonzero(mesh.lane_tags == NEUMANN)
+        if lanes.size:
             mids = mesh.vertices[mesh.facets[mesh.cell_facets[cells, lanes]]].mean(axis=1)
             normal = mesh.lane_normals[lanes, cells]
             gx, gy = problem.grad_exact(mids[:, 0], mids[:, 1])
             flux = gx * normal[:, 0] + gy * normal[:, 1]
-            want = eval_data(problem.g, mids)
+            want = 0.0 if problem.g is None else eval_data(problem.g, mids)
             if not np.max(np.abs(flux - want), initial=0.0) <= tol:
                 raise ValueError(f"{problem.name}: Neumann data disagrees with dn(u_exact)")
     if problem.name == "boundary-sing":

@@ -154,7 +154,7 @@ def mask_and_project(u, f, g, fine, nullbasis):
     rows and columns of the fine DOFs on Dirichlet facets, puts ones on
     their diagonal and projects the result onto the kernel ``nullbasis``.
     Returns (a_bw, b_bw, lift, eta): projected systems and loads, lifted
-    local solutions and cell indicators.
+    local solutions and cell indicators.  ``g`` is a callable.
     """
     space = u.space
     mesh = space.mesh
@@ -169,7 +169,9 @@ def mask_and_project(u, f, g, fine, nullbasis):
     b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
 
     t, wt = quad.edge_rule(order)
-    tags, length, dn, jump, gv = fem.facet_traces(u, g, order)
+    tags, length = mesh.lane_tags, mesh.lane_lengths
+    dn, jump = fem.facet_traces(u, order)
+    gv = fem.neumann_values(mesh, g, order)
     data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
     constrained = np.zeros((mesh.num_cells, fine.dim), dtype=bool)
     for lane in range(3):
@@ -194,9 +196,10 @@ def mapped_point_traces(u, g, order):
 
     For local edge ``lane`` of each cell the physical edge points are
     mapped back into the neighbouring cell and its basis is tabulated
-    there.  Returns (length, dn, jump, gv) laid out like
-    ``fem.facet_traces``: jump is zero off interior facets and gv zero off
-    Neumann facets.
+    there.  Returns (length, dn, jump, gv) laid out like the lane lengths
+    of the mesh, ``fem.facet_traces`` and ``fem.neumann_values``: jump is
+    zero off interior facets and gv zero off Neumann facets (everywhere
+    when ``g`` is None).
     """
     space = u.space
     mesh = space.mesh

@@ -55,8 +55,14 @@ def _elements(kind):
 ALL_KINDS = list(PAIRS) + ["bubble"]
 
 
-def _project(metric, b, pattern, kind):
-    return _project_matrix(metric, pattern, kind), _project_load(b, pattern, kind)
+def _patterns(mesh):
+    """Each cell's Dirichlet pattern: bit i set when local edge i is Dirichlet."""
+    return (1 << np.arange(3)) @ (mesh.lane_tags == DIRICHLET)
+
+
+def _project(mesh, b, kind):
+    pattern = _patterns(mesh)
+    return _project_matrix(mesh.metric, pattern, kind), _project_load(b, pattern, kind)
 
 
 def _solve_projected(a_bw, b_bw, first=0):
@@ -179,12 +185,11 @@ def test_local_system_volume_term_single_cell():
     u = interpolate(lambda x, y: x - y, space)  # linear: zero Laplacian
     f = lambda x, y: x + 2.0 * y
     fine = el.lagrange(2)
-    metric, b, pattern = local_system(u, f, None, fine)
+    b = local_system(u, f, None, fine)
 
-    assert metric.shape == (1, 4)
     assert b.shape == (1, 6)
     # every edge is Dirichlet, so every fine DOF of the P2 space is fixed
-    assert list(pattern) == [7]
+    assert list(_patterns(mesh)) == [7]
     _, _, free, _, _ = _operators((2, 1))
     assert not free[7].any()
 
@@ -194,7 +199,7 @@ def test_local_system_volume_term_single_cell():
     oracle = np.einsum("q,qi,q->i", fx, tab, wts)
     assert np.abs(b[0] - oracle).max() < 1e-14
     # the reference cell's metric is the identity
-    assert np.abs(metric[0] - [1.0, 0.0, 0.0, 1.0]).max() < 1e-15
+    assert np.abs(mesh.metric[0] - [1.0, 0.0, 0.0, 1.0]).max() < 1e-15
 
 
 def test_interior_jump_sign_and_sharing():
@@ -209,7 +214,7 @@ def test_interior_jump_sign_and_sharing():
     u = FEFunction(space, np.array([0.0, 1.0, 3.0, 1.0]))
     zero = lambda x, y: np.zeros_like(x)
     fine = el.lagrange(2)
-    _, b, pattern = local_system(u, zero, None, fine)
+    b = local_system(u, zero, None, fine)
 
     jump = -1.0 / np.sqrt(2.0)
     length = np.sqrt(2.0)
@@ -222,7 +227,7 @@ def test_interior_jump_sign_and_sharing():
     # Lanes 1 and 2 are Dirichlet on both cells, and Dirichlet elimination
     # masks every fine DOF except the midpoint of the interior diagonal
     # (local fine DOF 3).
-    assert list(pattern) == [6, 6]
+    assert list(_patterns(mesh)) == [6, 6]
     _, _, free, _, _ = _operators((2, 1))
     assert list(np.flatnonzero(np.abs(free[6]).sum(axis=1))) == [3]
 
@@ -240,7 +245,7 @@ def test_neumann_facet_data():
     zero = lambda x, y: np.zeros_like(x)
     g = lambda x, y: 3.0 * np.ones_like(x)
     fine = el.lagrange(2)
-    _, b, _ = local_system(u, zero, g, fine)
+    b = local_system(u, zero, g, fine)
 
     # cell 0 = [1, 2, 0] owns the Neumann edge (1, 2) as lane 2; u is
     # continuous so the interior diagonal contributes nothing.
@@ -254,18 +259,19 @@ def test_neumann_facet_data():
 def test_local_system_matches_quadrature_oracle(degree, pair):
     """Reference-tensor metrics and lane-map facet data reproduce the
     quadrature stiffness and the mapped-point load on a mesh with
-    interior, Dirichlet and Neumann facets, with a nonzero source."""
-    problem = lshaped_mixed()
-    mesh = problem.mesh
+    interior, Dirichlet and Neumann facets, with a nonzero source and
+    nonzero Neumann data."""
+    mesh = lshaped_mixed().mesh
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
     f = lambda x, y: np.exp(x) - y * y
+    g = lambda x, y: 1.0 + x - 2.0 * y
     fine = el.lagrange(pair[0])
-    metric, b, _ = local_system(u, f, problem.g, fine)
+    b = local_system(u, f, g, fine)
 
     order = max(2 * fine.degree, degree + fine.degree + 2)
     a_oracle = quadrature_stiffness(fine, order, mesh)
-    a = (metric @ fem.reference_stiffness(fine)).reshape(a_oracle.shape)
+    a = (mesh.metric @ fem.reference_stiffness(fine)).reshape(a_oracle.shape)
     assert np.abs(a - a_oracle).max() <= 1e-13 * np.abs(a_oracle).max()
 
     pts, wts = quad.triangle_rule(order)
@@ -276,9 +282,9 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
         lap = np.einsum("csa,qist,cta->cqi", inv, space.element.tabulate_hess(pts), inv)
         r = r + np.einsum("ci,cqi->cq", u.cell_coeffs(), lap)
     b_oracle = np.einsum("cq,qi,q,c->ci", r, fine.tabulate(pts), wts, det)
-    length, dn, jump, gv = mapped_point_traces(u, problem.g, order)
-    tags = mesh.facet_tags[mesh.cell_facets].T
-    data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump)
+    length, dn, jump, gv = mapped_point_traces(u, g, order)
+    assert np.count_nonzero(gv) > 0
+    data = np.where((mesh.lane_tags == NEUMANN)[..., None], gv - dn, 0.5 * jump)
     t, wt = quad.edge_rule(order)
     for lane in range(3):
         tab = fine.tabulate(fem.lane_points(lane, t))
@@ -288,9 +294,7 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
 
 def test_random_taggings_cover_every_pattern():
     mesh = randomly_tagged_mesh(3, seed=0)
-    space = FunctionSpace(mesh, 1)
-    zero = FEFunction(space, np.zeros(space.num_dofs))
-    _, _, pattern = local_system(zero, lambda x, y: 0.0 * x, None, el.lagrange(2))
+    pattern = _patterns(mesh)
     assert set(pattern.tolist()) == set(range(8))
     assert list(pattern[-7:]) == list(range(1, 8))
 
@@ -312,7 +316,7 @@ def test_projected_systems_match_mask_and_project(kind, seed, divisions, degree)
     f = lambda x, y: np.exp(x) - y * y
     g = lambda x, y: np.cos(x + 2 * y)
     fine, nullbasis, _, _, _ = _operators(kind)
-    a_bw, b_bw = _project(*local_system(u, f, g, fine), kind)
+    a_bw, b_bw = _project(mesh, local_system(u, f, g, fine), kind)
     a_bw, b_bw = a_bw.transpose(2, 0, 1), b_bw.T
     a_oracle, b_oracle, lift_oracle, eta_oracle = mask_and_project(u, f, g, fine, nullbasis)
     assert _relative_error(a_bw, a_oracle) <= 1e-13
@@ -396,10 +400,8 @@ def test_projected_systems_positive_definite_on_real_mesh():
     problem = lshaped()
     mesh = problem.mesh
     u = solve_poisson(mesh, 1, f=problem.f, u_dirichlet=problem.u_dirichlet)
-    metric, b, pattern = local_system(u, problem.f, None, el.lagrange(2))
-    assert (pattern > 0).any()
-
-    a_bw, _ = _project(metric, b, pattern, (2, 1))
+    assert (_patterns(mesh) > 0).any()
+    a_bw, _ = _project(mesh, local_system(u, problem.f, None, el.lagrange(2)), (2, 1))
     a_bw = a_bw.transpose(2, 0, 1)
     assert np.abs(a_bw - a_bw.transpose(0, 2, 1)).max() < 1e-13
     eigs = np.linalg.eigvalsh(a_bw)

@@ -117,13 +117,13 @@ def test_residual_laplacian_term_quadratic():
 def test_residual_matches_mapped_point_oracle(degree):
     """The lane-map facet kernel reproduces the residual indicators built
     from mapped-point traces, on interior, Dirichlet and Neumann facets,
-    with a nonzero source."""
-    problem = lshaped_mixed()
-    mesh = problem.mesh
+    with a nonzero source and nonzero Neumann data."""
+    mesh = lshaped_mixed().mesh
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
     f = lambda x, y: np.exp(x) - y * y
-    got = residual_estimate(u, f, problem.g).values
+    g = lambda x, y: 1.0 + x - 2.0 * y
+    got = residual_estimate(u, f, g).values
 
     order = 2 * degree + 6
     pts, wts = quad.triangle_rule(order)
@@ -137,15 +137,15 @@ def test_residual_matches_mapped_point_oracle(degree):
     eta2 = mesh.cell_diameters() ** 2 * np.einsum(
         "cq,q,c->c", np.broadcast_to(resid, fv.shape) ** 2, wts, det
     )
-    length, dn, jump, gv = mapped_point_traces(u, problem.g, order)
+    length, dn, jump, gv = mapped_point_traces(u, g, order)
     _, wt = quad.edge_rule(order)
-    tags = mesh.facet_tags[mesh.cell_facets].T
+    tags = mesh.lane_tags
     interior = 0.5 * length**2 * np.einsum("lcq,q->lc", jump**2, wt)
     g_mean = np.einsum("lcq,q->lc", gv, wt)
     neumann = length**2 * np.einsum("lcq,q->lc", (g_mean[..., None] - dn) ** 2, wt)
     eta2 += np.where(tags == NEUMANN, neumann, interior).sum(axis=0)
     oracle = np.sqrt(eta2)
-    assert (tags == NEUMANN).any() and np.abs(jump).max() > 0.0
+    assert (tags == NEUMANN).any() and np.abs(jump).max() > 0.0 and np.abs(gv).max() > 0.0
     assert np.abs(got - oracle).max() <= 1e-12 * oracle.max()
 
 

@@ -139,8 +139,8 @@ def test_dirichlet_dof_count_p2_square():
 
 
 def test_neumann_facet_lanes():
-    """The Neumann data shared by the load and the facet traces lands on
-    exactly the local edge, of exactly the cell, that lies on the N facet."""
+    """The Neumann data of the load and the estimators lands on exactly
+    the local edge, of exactly the cell, that lies on the N facet."""
     tags = {(0, 1): NEUMANN, (1, 2): DIRICHLET,
             (2, 3): DIRICHLET, (3, 0): DIRICHLET}
     mesh = two_cell_square(boundary=tags)
@@ -160,8 +160,7 @@ def test_neumann_facet_lanes():
     start, end = mesh.vertices[verts[list(el.EDGE_VERTICES[lane])]]
     x = start[0] + t * (end[0] - start[0])
     assert np.abs(gv[lane, cell] - (1.0 + x)).max() < 1e-15
-    u = FEFunction(FunctionSpace(mesh, 1), np.zeros(mesh.num_vertices))
-    assert np.array_equal(facet_traces(u, g, order)[4], gv)
+    assert np.array_equal(np.argwhere(mesh.lane_tags == NEUMANN), hits)
 
 
 def test_facet_lanes_invert_cell_facets():
@@ -253,15 +252,14 @@ def test_facet_traces_match_mapped_points(random_tags, degree):
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
     g = lambda x, y: 1.0 + x - 2.0 * y
     order = 2 * degree + 4
-    tags, *traces = facet_traces(u, g, order)
+    traces = facet_traces(u, order)
     length, dn, jump, gv = mapped_point_traces(u, g, order)
-    assert (tags == mesh.facet_tags[mesh.cell_facets].T).all()
-    assert np.abs(traces[0] - length).max() <= 1e-15
+    assert np.abs(mesh.lane_lengths - length).max() <= 1e-15
     scale = np.abs(dn).max()
-    assert np.abs(traces[1] - dn).max() <= 1e-13 * scale
+    assert np.abs(traces[0] - dn).max() <= 1e-13 * scale
     assert np.abs(jump).max() > 1e-3 * scale  # the jumps are not trivially zero
-    assert np.abs(traces[2] - jump).max() <= 1e-12 * scale
-    assert np.abs(traces[3] - gv).max() <= 1e-14
+    assert np.abs(traces[1] - jump).max() <= 1e-12 * scale
+    assert np.abs(neumann_values(mesh, g, order) - gv).max() <= 1e-14
     assert np.count_nonzero(gv) > 0
 
 
@@ -287,15 +285,14 @@ def test_facet_traces_build_the_neighbour_index_once_per_mesh():
     built per call and match the traces mapped into the neighbours."""
     mesh = randomly_tagged_mesh(4, seed=5)
     assert "facing_rows" not in vars(mesh)
-    g = lambda x, y: 1.0 + x - 2.0 * y
     indices = []
     for degree in (1, 2):
         u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y,
                         FunctionSpace(mesh, degree))
-        _, _, dn, jump, _ = facet_traces(u, g, 2 * degree + 4)
+        dn, jump = facet_traces(u, 2 * degree + 4)
         indices.append(vars(mesh)["facing_rows"])
         assert np.array_equal(jump, per_call_jump(mesh, dn))
-        reference = mapped_point_traces(u, g, 2 * degree + 4)[2]
+        reference = mapped_point_traces(u, None, 2 * degree + 4)[2]
         assert np.abs(jump - reference).max() <= 1e-12 * np.abs(dn).max()
     assert indices[0] is indices[1]
     other, boundary = indices[0]
@@ -380,12 +377,12 @@ def test_load_blocks_match_one_block(monkeypatch):
     a nonzero source and Neumann data on the mixed boundary."""
     import afem2d.fem as fem
 
-    problem = lshaped_mixed()
-    space = FunctionSpace(uniform_refine(problem.mesh, 1), 3)
+    space = FunctionSpace(uniform_refine(lshaped_mixed().mesh, 1), 3)
     source = lambda x, y: np.exp(x) - y * y
+    g = lambda x, y: 1.0 + x - 2.0 * y
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
-    edge = neumann_values(space.mesh, problem.g, order) * space.mesh.lane_lengths[..., None]
+    edge = neumann_values(space.mesh, g, order) * space.mesh.lane_lengths[..., None]
     fvals = eval_data(source, physical_points(space.mesh, pts))
     local = cell_loads(space.element, order, space.mesh.det, fvals, edge)
     want = np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
@@ -397,33 +394,55 @@ def test_load_blocks_match_one_block(monkeypatch):
         cells_per_call.append(len(x))
         return source(x, y)
 
-    assert np.array_equal(assemble_load(space, f, problem.g), want)
+    assert np.array_equal(assemble_load(space, f, g), want)
     assert cells_per_call == [100, 100, 100, space.mesh.num_cells - 300]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_no_source_matches_zero_source(monkeypatch, degree):
-    """f = None gives bitwise the load, the hierarchical cell loads and the
-    residual indicators of a zero callable, and maps no point and evaluates
-    no data but the Neumann data g."""
+    """A source f = None, or Neumann data g = None, gives bitwise the load,
+    the hierarchical cell loads and the residual indicators of a zero
+    callable.  Without f no point is mapped and only g is evaluated;
+    without g no Neumann values are formed, only f is evaluated and the
+    load tabulates no lane of the element."""
     mesh = randomly_tagged_mesh(3, seed=4)
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    source = lambda x, y: np.exp(x) - y * y
     g = lambda x, y: np.cos(x + 2 * y)
+    zero = lambda x, y: 0.0 * x
     fine = el.lagrange(degree + 1)
 
-    def results(f):
-        return (assemble_load(space, f, g), local_system(u, f, g, fine)[1],
-                residual_estimate(u, f, g).values)
+    def estimates(f, g):
+        return local_system(u, f, g, fine), residual_estimate(u, f, g).values
 
-    want = results(lambda x, y: 0.0 * x)
-    evaluated, mapped = [], []
+    def assert_bitwise(got, want):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    want_no_f = (assemble_load(space, zero, g), *estimates(zero, g))
+    want_no_g = (assemble_load(space, source, zero), *estimates(source, zero))
+    evaluated, mapped, neumann, tabulated = [], [], [], []
     monkeypatch.setattr(fem, "eval_data", lambda fn, x: evaluated.append(fn) or eval_data(fn, x))
-    monkeypatch.setattr(fem, "physical_points", lambda *args: mapped.append(args))
-    got = results(None)
+    monkeypatch.setattr(fem, "physical_points",
+                        lambda *args: mapped.append(args) or physical_points(*args))
+    monkeypatch.setattr(fem, "neumann_values",
+                        lambda *args: neumann.append(args) or neumann_values(*args))
+    tabulate = el.ReferenceElement.tabulate
+    monkeypatch.setattr(el.ReferenceElement, "tabulate",
+                        lambda self, pts: tabulated.append(pts) or tabulate(self, pts))
+
+    assert_bitwise((assemble_load(space, None, g), *estimates(None, g)), want_no_f)
     assert mapped == [] and evaluated and all(fn is g for fn in evaluated)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(neumann) == 3
+
+    evaluated.clear(), neumann.clear(), tabulated.clear()
+    load = assemble_load(space, source, None)
+    # only the strictly interior points of a triangle rule
+    assert tabulated and all((pts > 0.0).all() and (pts.sum(axis=1) < 1.0).all()
+                             for pts in tabulated)
+    assert_bitwise((load, *estimates(source, None)), want_no_g)
+    assert neumann == [] and evaluated and all(fn is source for fn in evaluated)
 
 
 # ---------------------------------------------------------------------------

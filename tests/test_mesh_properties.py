@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afem2d.element import EDGE_VERTICES
-from afem2d.mesh import build_connectivity, mark_dorfler, refine
+from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, build_connectivity, mark_dorfler, refine
 from afem2d.problems import make_problem
-from helpers import jittered_square, unique_rows_connectivity
+from helpers import jittered_square, randomly_tagged_mesh, unique_rows_connectivity
 
 SEED_MESHES = {
     name: make_problem(name).mesh for name in ("lshaped", "lshaped-mixed", "boundary-sing")
@@ -160,16 +160,22 @@ def test_refinement_is_nested(mesh, data):
 
 @pytest.mark.parametrize(
     "name", ["jac", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals",
-             "facets", "facet_cells", "cell_facets", "facet_lanes", "facet_tags"]
+             "facets", "facet_cells", "cell_facets", "facet_lanes", "facet_tags", "lane_tags"]
 )
 def test_geometry_record_is_read_only(name):
     """The geometry, the connectivity and the boundary tags are frozen, on
-    a constructed mesh and on one made by refine."""
+    a constructed mesh and on one made by refine.  The lane tags are built
+    on first use and are each lane's facet tag, also on a refined mesh with
+    rotated cells and random tags."""
     mesh = jittered_square(3, seed=1)
-    for owner in (mesh, refine(mesh, [0, 5])):
+    tagged = refine(randomly_tagged_mesh(3, seed=2), [0, 4, 9, 20])
+    for owner in (mesh, refine(mesh, [0, 5]), tagged):
+        assert "lane_tags" not in vars(owner)
         array = getattr(owner, name)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+    assert set(np.unique(tagged.lane_tags)) == {INTERIOR, DIRICHLET, NEUMANN}
+    assert np.array_equal(tagged.lane_tags, tagged.facet_tags[tagged.cell_facets].T)
 
 
 # Few distinct values make ties and zeros common; free floats fill the rest.

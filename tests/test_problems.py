@@ -70,6 +70,16 @@ def test_audit_catches_inconsistent_neumann_data():
         audit(bad)
 
 
+def test_audit_checks_the_flux_against_zero_without_neumann_data():
+    """g None is zero data, so an exact flux that does not vanish on the
+    Neumann leg fails the audit."""
+    problem = dataclasses.replace(lshaped_mixed(), g=None)
+    assert audit(problem) is problem
+    bad = dataclasses.replace(problem, grad_exact=lambda x, y: (np.ones_like(x), np.ones_like(y)))
+    with pytest.raises(ValueError, match="Neumann data"):
+        audit(bad)
+
+
 def linear_flux_problem(g):
     """u = x on the unit square with Neumann data ``g`` on x = 1, where
     the outward normal derivative of u is 1."""
@@ -218,7 +228,7 @@ def test_mixed_problem_neumann_side():
     problem = lshaped_mixed()
     assert problem.u_exact(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
     # homogeneous flux data on the Neumann leg
-    assert problem.g(-0.5, 0.0) == 0.0
+    assert problem.g is None
     gx, gy = problem.grad_exact(-0.5, 0.0)
     assert abs(gy) < 1e-14  # normal derivative vanishes on y = 0, x < 0
     # Neumann tags appear exactly on that leg
