@@ -352,6 +352,23 @@ def assemble_poisson(space, f, g=None, u_dirichlet=None):
     return SparseSystem(matrix, rhs, dofs)
 
 
+def _factor_spd(matrix):
+    """Sparse LU factors of an SPD matrix, such as an eliminated stiffness.
+
+    SuperLU runs in symmetric mode: a minimum-degree ordering of A + A^T
+    applied to rows and columns alike, and no pivoting (a zero threshold
+    takes every nonzero diagonal entry as its pivot).  LU without pivoting is backward stable on
+    SPD matrices, and the symmetric ordering fills far less than SuperLU's
+    default COLAMD ordering of A^T A.  An exactly singular factor raises
+    :class:`SolverError`.
+    """
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as error:
+        raise SolverError(f"sparse LU failed: {error}") from None
+
+
 def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
     """Solve an eliminated system for each column of ``system.rhs``.
 
@@ -359,11 +376,17 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
     preconditioner ``M`` (an operator applying an approximate inverse, such
     as the one :meth:`MeshHierarchy.add` returns), or by default with a Jacobi
     preconditioner built once; ``lu`` factors the matrix once and solves
-    all columns with the factors, and takes no ``M``.  A load with a NaN or
-    infinite entry raises :class:`SolverError` before any factorization or
-    iteration.  Every column must reach a relative residual of 1e-10 (a
-    NaN residual fails).  Both are deterministic for fixed inputs, and a
-    column's solution does not depend on the others.
+    all columns with the factors, and takes no ``M``.  The matrix must be
+    SPD, as every eliminated stiffness is: ``lu`` factors it by
+    :func:`_factor_spd` (a minimum-degree ordering of A + A^T and no
+    pivoting, backward stable on SPD matrices).  :class:`SolverError` is
+    raised before any factorization or iteration for a load with a NaN or
+    infinite entry, before Jacobi CG iterates for a diagonal entry that is
+    not finite and positive, and for an exactly singular ``lu`` factor.
+    Every column must reach a relative residual of 1e-10 (a NaN residual
+    fails), which also guards the unpivoted factors.  Both are
+    deterministic for fixed inputs, and a column's solution does not depend
+    on the others.
     """
     if method not in ("cg", "lu"):
         raise ValueError(f"unknown solver method: {method!r}")
@@ -374,13 +397,17 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
         raise SolverError("the load has a NaN or infinite entry")
     loads = rhs.reshape(len(rhs), -1)
     if method == "lu":
-        x = spla.splu(matrix.tocsc()).solve(rhs).reshape(loads.shape)
+        x = _factor_spd(matrix).solve(rhs).reshape(loads.shape)
     else:
-        precond = sparse.diags(1.0 / matrix.diagonal()) if M is None else M
+        if M is None:
+            diagonal = matrix.diagonal()
+            if not (np.isfinite(diagonal) & (diagonal > 0)).all():
+                raise SolverError("the Jacobi preconditioner needs a finite positive diagonal")
+            M = sparse.diags(1.0 / diagonal)
         x = np.empty(loads.shape, order="F")
         for j, load in enumerate(loads.T):
             x[:, j], info = spla.cg(matrix, np.ascontiguousarray(load), rtol=rtol,
-                                    atol=0.0, maxiter=maxiter, M=precond)
+                                    atol=0.0, maxiter=maxiter, M=M)
             if info != 0:
                 raise SolverError(f"conjugate gradients stopped with status {info}")
     for load, column in zip(loads.T, x.T):
@@ -447,7 +474,11 @@ class MeshHierarchy:
 
     :meth:`add` takes each new mesh's space and eliminated Poisson system.
     Its P1 levels: the coarsest is the last mesh with at most
-    ``COARSE_DOFS`` P1 DOFs (or the first mesh), solved exactly by ``splu``.
+    ``COARSE_DOFS`` P1 DOFs (or the first mesh), solved exactly by the
+    sparse LU factors of :func:`_factor_spd` (SuperLU's symmetric mode: a
+    minimum-degree ordering of A + A^T and no pivoting, safe because the
+    eliminated P1 stiffness is SPD; a singular one raises
+    :class:`SolverError`).
     Above it a mesh stays a level only if it has ``LEVEL_GROWTH`` times the
     DOFs of the level below; the prolongation of a skipped mesh is
     multiplied into the next level's.  The newest mesh is always the top P1
@@ -503,7 +534,7 @@ class MeshHierarchy:
         self._mesh, self.p_level = mesh, p_level
         if prolong is None or mesh.num_vertices <= COARSE_DOFS:
             self.levels = []
-            self._coarse_lu = spla.splu(p1_matrix.tocsc())
+            self._coarse_lu = _factor_spd(p1_matrix)
         else:
             sizes = [level[0].shape[0] for level in self.levels] + [self._coarse_lu.shape[0]]
             if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:

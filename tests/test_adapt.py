@@ -368,7 +368,8 @@ def test_adapt_loop_follows_the_goal():
 def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
     """One stiffness assembly per mesh; ``lu`` factors each mesh's matrix
     once, and ``cg`` factors only its coarsest level, of at most
-    ``COARSE_DOFS`` rows."""
+    ``COARSE_DOFS`` rows.  Every factorization runs SuperLU in symmetric
+    mode, with the minimum-degree ordering of A + A^T and no pivoting."""
     import afem2d.fem as fem
 
     calls = {"assemble_stiffness": [], "splu": []}
@@ -377,7 +378,7 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
         original = getattr(owner, name)
 
         def recording(*args, **kwargs):
-            calls[name].append(args[0])
+            calls[name].append((args[0], kwargs))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, recording)
@@ -389,11 +390,14 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
     meshes = len(result.trace.rows)
     assert meshes == 3
     assert len(calls["assemble_stiffness"]) == meshes
-    factored = [matrix.shape[0] for matrix in calls["splu"]]
+    factored = [matrix.shape[0] for matrix, _ in calls["splu"]]
     if solver == "lu":
         assert factored == result.trace.column("num_dofs").tolist()
     else:
         assert factored and max(factored) <= fem.COARSE_DOFS
+    symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
+    assert all(kwargs == symmetric for _, kwargs in calls["splu"])
 
 
 @pytest.mark.parametrize("estimator,degree", [("bw:2,1", 1), ("bw:4,2", 2)])

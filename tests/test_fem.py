@@ -35,7 +35,7 @@ from afem2d.fem import (
 from afem2d.bank_weiser import local_system
 from afem2d.estimators import residual_estimate
 from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refine
-from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
+from afem2d.problems import lshaped, lshaped_mesh, lshaped_mixed, unit_square_mesh
 
 from helpers import (
     eliminate_by_diagonal_products,
@@ -517,10 +517,10 @@ def test_solve_small_system_both_methods():
         assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
 
-def two_load_system():
-    """Mixed-boundary P2 system with a second, Dirichlet-eliminated load."""
+def two_load_system(degree=2):
+    """Mixed-boundary system with a second, Dirichlet-eliminated load."""
     problem = lshaped_mixed()
-    space = FunctionSpace(problem.mesh, 2)
+    space = FunctionSpace(problem.mesh, degree)
     system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
     second = dirichlet_rhs(
         assemble_load(space, lambda x, y: np.cos(x) + y), system.dirichlet_dofs, 0.0
@@ -615,6 +615,62 @@ def test_solve_rejects_non_finite_load_before_solving(monkeypatch, method, bad):
     system.rhs[space.num_dofs // 2] = bad
     with pytest.raises(SolverError, match="NaN or infinite"):
         solve(system, method=method)
+
+
+def diagonal_system(diagonal):
+    """An eliminated-looking system whose matrix is ``diag(diagonal)``,
+    every entry stored."""
+    from scipy.sparse import csr_matrix
+
+    from afem2d.fem import SparseSystem
+
+    n = len(diagonal)
+    matrix = csr_matrix((np.asarray(diagonal, dtype=float), np.arange(n), np.arange(n + 1)))
+    return SparseSystem(matrix, np.ones(n), np.array([], dtype=int))
+
+
+def test_lu_on_a_singular_matrix_raises_solver_error():
+    with pytest.raises(SolverError, match="singular"):
+        solve(diagonal_system([1.0, 0.0, 2.0]), method="lu")
+
+
+def test_hierarchy_coarse_level_on_a_singular_matrix_raises_solver_error():
+    space = FunctionSpace(lshaped_mixed().mesh, 1)
+    system = diagonal_system(np.arange(space.num_dofs) != 5)
+    with pytest.raises(SolverError, match="singular"):
+        MeshHierarchy().add(space, system)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_jacobi_cg_rejects_a_bad_diagonal_before_iterating(monkeypatch, bad):
+    """A zero, negative or non-finite diagonal entry would make the Jacobi
+    preconditioner divide by zero or lose definiteness, and CG would then
+    run to maxiter on NaNs."""
+    def never(*args, **kwargs):
+        raise AssertionError("CG ran with a bad Jacobi diagonal")
+
+    monkeypatch.setattr(fem.spla, "cg", never)
+    with pytest.raises(SolverError, match="diagonal"):
+        solve(diagonal_system([1.0, bad, 2.0]), method="cg")
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_lu_matches_the_dense_solve_with_two_loads(degree):
+    """The unpivoted symmetric-mode factors solve a mixed Dirichlet and
+    Neumann system as accurately as a dense pivoted LU."""
+    system, second = two_load_system(degree)
+    loads = np.column_stack([system.rhs, second])
+    want = np.linalg.solve(system.matrix.toarray(), loads)
+    got = solve(dataclasses.replace(system, rhs=loads), method="lu")
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_symmetric_mode_fills_less_than_the_default_splu():
+    matrix = eliminated_p1_matrix(uniform_refine(lshaped_mesh(), 3))
+    symmetric = fem._factor_spd(matrix)
+    default = fem.spla.splu(matrix.tocsc())
+    assert symmetric.L.nnz + symmetric.U.nnz < default.L.nnz + default.U.nnz
 
 
 def test_solve_passes_the_given_preconditioner_to_cg_only(monkeypatch):
