@@ -20,6 +20,12 @@ VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EDGE_VERTICES = ((1, 2), (2, 0), (0, 1))
 MAX_DEGREE = 4
 
+# The tabulate methods keep the TABLE_CACHE tables asked for last; a table
+# at more than TABLE_POINTS points is built afresh and not kept, so the
+# cache's memory has a fixed bound.
+TABLE_CACHE = 128
+TABLE_POINTS = 256
+
 
 def _exponents(degree):
     return [(t - j, j) for t in range(degree + 1) for j in range(t + 1)]
@@ -37,6 +43,38 @@ def _mono_derivatives(exps, pts, dx, dy):
         if scale:
             out[:, m] = scale * x ** (a - dx) * y ** (b - dy)
     return out
+
+
+def _build_table(element, kind, pts):
+    """The read-only table ``kind`` ("values", "grad" or "hess") of
+    ``element``'s basis at pts (n, 2)."""
+    exps, coeffs = element.exponents, element.coeffs
+    if kind == "values":
+        table = _mono_derivatives(exps, pts, 0, 0) @ coeffs
+    elif kind == "grad":
+        g = np.stack([_mono_derivatives(exps, pts, *d) for d in ((1, 0), (0, 1))], axis=-1)
+        table = np.einsum("nmd,mi->nid", g, coeffs)
+    else:
+        h = np.stack([_mono_derivatives(exps, pts, *d)
+                      for d in ((2, 0), (1, 1), (1, 1), (0, 2))], axis=-1)
+        h = h.reshape(h.shape[:2] + (2, 2))
+        table = np.einsum("nmde,mi->nide", h, coeffs)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _cached_table(element, kind, shape, data):
+    return _build_table(element, kind, np.frombuffer(data).reshape(shape))
+
+
+def _table(element, kind, pts):
+    """:func:`_build_table` at pts, from the cache when pts has at most
+    ``TABLE_POINTS`` points; the key is pts's shape and bytes."""
+    pts = np.ascontiguousarray(pts, dtype=float)
+    if len(pts) > TABLE_POINTS:
+        return _build_table(element, kind, pts)
+    return _cached_table(element, kind, pts.shape, pts.tobytes())
 
 
 def lagrange_nodes(degree):
@@ -68,6 +106,12 @@ class ReferenceElement:
     edge_dofs : tuple of 3 tuples
         Local indices of all basis functions associated with the closed
         local edge, endpoints included.
+
+    ``tabulate``, ``tabulate_grad`` and ``tabulate_hess`` return read-only
+    tables.  The last ``TABLE_CACHE`` tables asked for at up to
+    ``TABLE_POINTS`` points are kept, keyed by the point array's shape and
+    bytes, so a fixed quadrature rule is tabulated once however often it
+    is asked for; the methods themselves run on every call.
     """
 
     def __init__(self, name, degree, nodes, exponents, coeffs, edge_dofs):
@@ -84,22 +128,15 @@ class ReferenceElement:
 
     def tabulate(self, pts):
         """Basis values at pts (n, 2) as an (n, dim) array."""
-        return _mono_derivatives(self.exponents, np.asarray(pts, dtype=float), 0, 0) @ self.coeffs
+        return _table(self, "values", pts)
 
     def tabulate_grad(self, pts):
         """Reference gradients at pts as an (n, dim, 2) array."""
-        pts = np.asarray(pts, dtype=float)
-        g = np.stack([_mono_derivatives(self.exponents, pts, *d) for d in ((1, 0), (0, 1))],
-                     axis=-1)
-        return np.einsum("nmd,mi->nid", g, self.coeffs)
+        return _table(self, "grad", pts)
 
     def tabulate_hess(self, pts):
         """Reference Hessians at pts as an (n, dim, 2, 2) array."""
-        pts = np.asarray(pts, dtype=float)
-        h = np.stack([_mono_derivatives(self.exponents, pts, *d)
-                      for d in ((2, 0), (1, 1), (1, 1), (0, 2))], axis=-1)
-        h = h.reshape(h.shape[:2] + (2, 2))
-        return np.einsum("nmde,mi->nide", h, self.coeffs)
+        return _table(self, "hess", pts)
 
     def interpolate(self, fn):
         """Coefficients of the element interpolant of ``fn``.

@@ -143,37 +143,44 @@ def facet_traces(u, order):
     ``quad.edge_rule(order)`` along the cell's own traversal of the edge:
     grad u_h . n (n the outward unit normal), and (grad u_h|neighbour -
     grad u_h) . n on interior facets, zero elsewhere.  Nothing is
-    tabulated at points mapped across facets.
+    tabulated at points mapped across facets.  At degree 1 the gradient
+    is constant on each cell, so both are formed at one point per lane
+    and returned as read-only ``np.broadcast_to`` views of shape
+    (3, nc, nt).
     """
     space, mesh = u.space, u.space.mesh
     t, _ = quad.edge_rule(order)
     nc, nt = mesh.num_cells, len(t)
+    m = 1 if space.degree == 1 else nt
     # grad u_h . n = (J^-T grad_ref u_h) . n = grad_ref u_h . (J^-1 n); each
     # lane is formed with the cell index last.
     inv, (nx, ny) = mesh.inv, mesh.lane_normals.transpose(2, 0, 1)
     mapped_x = inv[:, 0, 0] * nx + inv[:, 0, 1] * ny
     mapped_y = inv[:, 1, 0] * nx + inv[:, 1, 1] * ny
     coeffs = u.cell_coeffs().T
-    dn = np.empty((3, nc, nt))
+    dn = np.empty((3, nc, m))
     for lane in range(3):
-        ref_grads = space.element.tabulate_grad(lane_points(lane, t))
-        ref = ref_grads.transpose(2, 0, 1).reshape(2 * nt, -1) @ coeffs
-        ref[:nt] *= mapped_x[lane]
-        ref[nt:] *= mapped_y[lane]
-        ref[:nt] += ref[nt:]
-        dn[lane] = ref[:nt].T
+        ref_grads = space.element.tabulate_grad(lane_points(lane, t[:m]))
+        ref = ref_grads.transpose(2, 0, 1).reshape(2 * m, -1) @ coeffs
+        ref[:m] *= mapped_x[lane]
+        ref[m:] *= mapped_y[lane]
+        ref[:m] += ref[m:]
+        dn[lane] = ref[:m].T
 
     # Row lane * nc + cell of the flattened traces faces row ``other`` of the
     # neighbour.  Outward normals of the two sides are exactly opposite, so
     # the jump seen from either side is minus the sum of both outward
     # fluxes, the neighbour's read backwards.
     other, boundary = mesh.facing_rows
-    flat = dn.reshape(-1, nt)
+    flat = dn.reshape(-1, m)
     jump = np.take(flat[:, ::-1], other, axis=0)
     jump += flat
     np.negative(jump, out=jump)
     jump[boundary] = 0.0
-    return dn, jump.reshape(dn.shape)
+    jump = jump.reshape(dn.shape)
+    if space.degree == 1:
+        return np.broadcast_to(dn, (3, nc, nt)), np.broadcast_to(jump, (3, nc, nt))
+    return dn, jump
 
 
 class FunctionSpace:

@@ -241,6 +241,39 @@ def mapped_point_traces(u, g, order):
     return length, dn, jump, gv
 
 
+def facet_traces_at_all_points(u, order):
+    """``fem.facet_traces`` with the normal derivatives formed at every
+    point of the edge rule, at any degree: writable (3, nc, nt) arrays."""
+    space, mesh = u.space, u.space.mesh
+    t, _ = quad.edge_rule(order)
+    nc, nt = mesh.num_cells, len(t)
+    inv, (nx, ny) = mesh.inv, mesh.lane_normals.transpose(2, 0, 1)
+    mapped_x = inv[:, 0, 0] * nx + inv[:, 0, 1] * ny
+    mapped_y = inv[:, 1, 0] * nx + inv[:, 1, 1] * ny
+    coeffs = u.cell_coeffs().T
+    dn = np.empty((3, nc, nt))
+    for lane in range(3):
+        ref_grads = space.element.tabulate_grad(fem.lane_points(lane, t))
+        ref = ref_grads.transpose(2, 0, 1).reshape(2 * nt, -1) @ coeffs
+        ref[:nt] *= mapped_x[lane]
+        ref[nt:] *= mapped_y[lane]
+        ref[:nt] += ref[nt:]
+        dn[lane] = ref[:nt].T
+    other, boundary = mesh.facing_rows
+    flat = dn.reshape(-1, nt)
+    jump = np.take(flat[:, ::-1], other, axis=0)
+    jump += flat
+    np.negative(jump, out=jump)
+    jump[boundary] = 0.0
+    return dn, jump.reshape(dn.shape)
+
+
+def assert_bitwise(got, want):
+    """The two arrays have one shape and the same bits in every entry."""
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def unique_rows_connectivity(cells):
     """Reference for ``mesh.build_connectivity``: facets by
     ``np.unique(axis=0)`` on sorted vertex pairs, and each facet's lanes

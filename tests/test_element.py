@@ -157,3 +157,71 @@ def test_bubble_reproduces_its_span():
 
     coeffs = bub.interpolate(f)
     assert np.abs(bub.tabulate(pts) @ coeffs - f(pts)).max() < 1e-12
+
+
+def fresh_tables(elem, pts):
+    """Values, gradients and Hessians at pts by the monomial formulas,
+    built anew on every call."""
+    mono = [el._mono_derivatives(elem.exponents, pts, *d)
+            for d in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    grad = np.einsum("nmd,mi->nid", np.stack(mono[1:3], axis=-1), elem.coeffs)
+    hess = np.stack([mono[3], mono[4], mono[4], mono[5]], axis=-1)
+    hess = np.einsum("nmde,mi->nide", hess.reshape(hess.shape[:2] + (2, 2)), elem.coeffs)
+    return mono[0] @ elem.coeffs, grad, hess
+
+
+@pytest.mark.parametrize("elem", [el.lagrange(k) for k in range(5)] + [el.p2_bubble()],
+                         ids=lambda e: e.name)
+def test_cached_tables_are_bitwise_fresh_and_read_only(elem):
+    """A table comes from the cache on a second call with equal points (a
+    copy, or a list), is bitwise the table built anew, and cannot be
+    written.  A point array above ``TABLE_POINTS`` gives the same table
+    and is not kept."""
+    pts = interior_points(9)
+    methods = (elem.tabulate, elem.tabulate_grad, elem.tabulate_hess)
+    for method, want in zip(methods, fresh_tables(elem, pts)):
+        got = method(pts)
+        assert method(pts.copy()) is got and method(pts.tolist()) is got
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    large = interior_points(el.TABLE_POINTS + 1)
+    before = el._cached_table.cache_info().currsize
+    for method, want in zip(methods, fresh_tables(elem, large)):
+        got = method(large)
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert el._cached_table.cache_info().currsize == before
+
+
+def test_table_cache_stays_within_its_bound():
+    """Ten thousand calls at random point arrays keep at most
+    ``TABLE_CACHE`` tables."""
+    elem = el.lagrange(2)
+    assert el._cached_table.cache_info().maxsize == el.TABLE_CACHE
+    for n in range(10_000):
+        elem.tabulate_grad(interior_points(1 + n % 5))
+    assert el._cached_table.cache_info().currsize <= el.TABLE_CACHE
+
+
+@pytest.mark.parametrize("degree,pair", [(1, (4, 2)), (2, (3, 1))])
+def test_second_estimate_builds_no_table(monkeypatch, degree, pair):
+    """A second hierarchical estimate on one mesh gets every reference
+    table from the cache: the monomials are never evaluated, while the
+    tabulate methods, which a tracer may wrap and count, still run.  Its
+    indicators are bitwise those of the first."""
+    from afem2d.bank_weiser import estimate
+    from afem2d.fem import FunctionSpace, interpolate
+    from afem2d.problems import lshaped_mixed
+
+    space = FunctionSpace(lshaped_mixed().mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    f, g = (lambda x, y: 1.0 + x * y), (lambda x, y: 0.5 - y)
+    first = estimate(u, f, g, pair=pair)[0].values
+    mono, calls = [], []
+    original_mono, original_tabulate = el._mono_derivatives, el.ReferenceElement.tabulate
+    monkeypatch.setattr(el, "_mono_derivatives", lambda *a: mono.append(a) or original_mono(*a))
+    monkeypatch.setattr(el.ReferenceElement, "tabulate",
+                        lambda self, pts: calls.append(len(pts)) or original_tabulate(self, pts))
+    second = estimate(u, f, g, pair=pair)[0].values
+    assert mono == [] and calls
+    assert second.tobytes() == first.tobytes()

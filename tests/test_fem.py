@@ -38,7 +38,9 @@ from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, refine, uniform_refi
 from afem2d.problems import lshaped, lshaped_mesh, lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    assert_bitwise,
     eliminate_by_diagonal_products,
+    facet_traces_at_all_points,
     h1_error_at_all_points,
     jittered_square,
     mapped_point_traces,
@@ -261,6 +263,41 @@ def test_facet_traces_match_mapped_points(random_tags, degree):
     assert np.abs(traces[1] - jump).max() <= 1e-12 * scale
     assert np.abs(neumann_values(mesh, g, order) - gv).max() <= 1e-14
     assert np.count_nonzero(gv) > 0
+
+
+def spy_on_tabulate_grad(monkeypatch):
+    """Record the number of points of every ``tabulate_grad`` call."""
+    sizes, original = [], el.ReferenceElement.tabulate_grad
+
+    def recording(self, pts):
+        sizes.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(el.ReferenceElement, "tabulate_grad", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_facet_traces_match_all_points_bitwise(monkeypatch, degree):
+    """On a randomly refined mixed L-shape (Dirichlet, Neumann and interior
+    lanes) the traces are bitwise those formed at every edge-rule point,
+    at every order.  At degree 1 the gradient is tabulated at one point
+    per lane and both traces are read-only (3, nc, nt) views; at higher
+    degrees at every point of the rule."""
+    mesh = randomly_refined(lshaped_mixed().mesh, 3, seed=12)[-1]
+    assert set(mesh.lane_tags.ravel().tolist()) == {INTERIOR, DIRICHLET, NEUMANN}
+    space = FunctionSpace(mesh, degree)
+    u = FEFunction(space, RNG.standard_normal(space.num_dofs))
+    sizes = spy_on_tabulate_grad(monkeypatch)
+    for order in range(quad.MAX_ORDER + 1) if degree == 1 else (2 * degree, 2 * degree + 6):
+        nt = len(quad.edge_rule(order)[0])
+        sizes.clear()
+        traces = facet_traces(u, order)
+        assert sizes == [1 if degree == 1 else nt] * 3
+        for got, want in zip(traces, facet_traces_at_all_points(u, order)):
+            assert got.shape == (3, mesh.num_cells, nt)
+            assert got.flags.writeable == (degree > 1)
+            assert_bitwise(got, want)
 
 
 def per_call_jump(mesh, dn):
