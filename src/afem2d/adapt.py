@@ -179,8 +179,15 @@ def adapt_loop(problem, config, reference=None):
     goal error |reference - J(u_h)|.  The dual shares the primal's matrix
     and Dirichlet DOFs, so its load is a second right-hand-side column: a
     goal iteration assembles and factors one matrix, and its two
-    estimates share one factorization of the local systems.  ``reference``
-    defaults to :func:`reference_goal_value` and is used only with a goal.
+    estimates share one factorization of the local systems.  J(u_h) is
+    the raw dual load (the goal density c by ``assemble_load``'s rule of
+    order 2k + 1) applied to u_h's coefficients, so it costs one dot
+    product; :func:`evaluate_goal` (order 2k + 3) serves the ``fe``
+    reference and acceptance criterion 08.  The goal spec itself is the
+    dual's data, so c is evaluated only on the cells its support can reach
+    (:meth:`~afem2d.problems.GoalSpec.support_cells`).
+    ``reference`` defaults to :func:`reference_goal_value` and is used only
+    with a goal.
 
     Under ``cg`` each mesh's space and system join one
     :class:`~afem2d.fem.MeshHierarchy`, and each solve is preconditioned
@@ -203,15 +210,16 @@ def adapt_loop(problem, config, reference=None):
         precond = None if hierarchy is None else hierarchy.add(space, system)
         z = None
         if goal is not None:
-            dual = dirichlet_rhs(assemble_load(space, goal.c), system.dirichlet_dofs, 0.0)
+            load = assemble_load(space, goal)
+            dual = dirichlet_rhs(load, system.dirichlet_dofs, 0.0)
             system.rhs = np.column_stack([system.rhs, dual])
             u, z = (FEFunction(space, x)
                     for x in solve(system, method=config.solver, M=precond).T)
             factors = {}
             indicator, eta = wgo_indicators(
-                estimator(u, problem.f, problem.g, factors), estimator(z, goal.c, None, factors)
+                estimator(u, problem.f, problem.g, factors), estimator(z, goal, None, factors)
             )
-            err = abs(reference - evaluate_goal(u, goal.c))
+            err = abs(reference - float(load @ u.coeffs))
         else:
             u = FEFunction(space, solve(system, method=config.solver, M=precond))
             indicator = estimator(u, problem.f, problem.g)

@@ -117,9 +117,12 @@ def _operators(kind):
 def local_system(u, f, g, fine):
     """The (nc, d) residual loads against the fine basis, before any
     elimination; the cell stiffness is ``mesh.metric @ K_ref``.  ``f`` or
-    ``g`` None is zero and never evaluated.  The facet traces are taken
-    once for all cells, since the jumps need the neighbours; the interior
-    residual and the loads go by blocks of ``fem.ERROR_BLOCK`` cells.
+    ``g`` None is zero and never evaluated, and an ``f`` with a
+    ``support_cells(mesh)`` method is evaluated only on those cells (see
+    :func:`~afem2d.fem.block_values`), with the same bits.  The facet
+    traces are taken once for all cells, since the jumps need the
+    neighbours; the interior residual and the loads go by blocks of
+    ``fem.ERROR_BLOCK`` cells.
     """
     space = u.space
     mesh = space.mesh
@@ -134,10 +137,11 @@ def local_system(u, f, g, fine):
     if g is not None:
         flux += fem.neumann_values(mesh, g, order)[neumann]
     data[neumann] = flux * length[neumann][:, None]
+    support = fem.data_support(f, mesh)
     b = np.empty((mesh.num_cells, fine.dim))
     for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
         cells = slice(start, start + fem.ERROR_BLOCK)
-        r = None if f is None else fem.eval_data(f, fem.physical_points(mesh, pts, cells))
+        r = fem.block_values(f, mesh, pts, cells, support)
         if hess is not None:
             lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
             r = lap if r is None else r + lap

@@ -124,6 +124,42 @@ def eval_data(fn, x):
     return np.broadcast_to(np.asarray(fn(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
 
 
+def block_values(f, mesh, pts, cells, support):
+    """Data ``f`` at the reference points ``pts`` of the block ``cells`` (a
+    slice): (n, nq), or None when ``f`` is None.
+
+    ``support`` is None or the sorted indices of the cells on which ``f``
+    can be nonzero (see :func:`data_support`).  With it only the block's
+    cells in ``support`` are mapped and evaluated, the other rows are zero,
+    and the block's values are bitwise those of evaluating every cell,
+    which :func:`cell_loads` then integrates by the same matrix product.
+    A block that meets no support cell gives None.
+    """
+    if f is None:
+        return None
+    if support is None:
+        return eval_data(f, physical_points(mesh, pts, cells))
+    start, stop, _ = cells.indices(mesh.num_cells)
+    rows = support[slice(*np.searchsorted(support, (start, stop)))] - start
+    if rows.size == 0:
+        return None
+    if rows.size == 1 < stop - start:
+        # NumPy maps one row by a matrix-vector product, whose bits differ
+        # from those of the block's matrix product: map a second row too.
+        rows = np.array([0, rows[0]] if rows[0] else [0, 1])
+    vol = np.zeros((stop - start, len(pts)))
+    vol[rows] = eval_data(f, physical_points(mesh, pts, rows + start))
+    return vol
+
+
+def data_support(f, mesh):
+    """The cells on which the data callable ``f`` can be nonzero, from its
+    ``support_cells(mesh)`` method (sorted indices), or None for every cell
+    when it has none."""
+    support_cells = getattr(f, "support_cells", None)
+    return None if support_cells is None else support_cells(mesh)
+
+
 def neumann_values(mesh, g, order):
     """Data ``g`` at the ``quad.edge_rule(order)`` points of every Neumann
     local edge, zero on other lanes: (3, nc, nt) by [lane, cell]."""
@@ -196,6 +232,10 @@ class FunctionSpace:
         epf = degree - 1
         ipc = (degree - 1) * (degree - 2) // 2
         self.num_dofs = nv + nf * epf + nc * ipc
+        self._dof_coords = None
+        if degree == 1:
+            self.dofmap = mesh.cells  # already int64 and read-only
+            return
         dofmap = np.empty((nc, self.element.dim), dtype=np.int64)
         dofmap[:, :3] = mesh.cells
         for lane, (a, b) in enumerate(el.EDGE_VERTICES):
@@ -207,7 +247,6 @@ class FunctionSpace:
         for j in range(ipc):
             dofmap[:, 3 + 3 * epf + j] = nv + nf * epf + np.arange(nc) * ipc + j
         self.dofmap = dofmap
-        self._dof_coords = None
 
     def dof_coordinates(self):
         if self._dof_coords is None:
@@ -294,15 +333,18 @@ def assemble_load(space, f, g=None):
     evaluated and the cell loads formed over blocks of ``ERROR_BLOCK``
     cells; one ``bincount`` then adds the cell loads of all cells.  ``f``
     (or ``g``) None is a zero source: no points are mapped for it, it is
-    never evaluated and its term is not formed."""
+    never evaluated and its term is not formed.  An ``f`` with a
+    ``support_cells(mesh)`` method is mapped and evaluated only on those
+    cells (see :func:`block_values`), with the same bits."""
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
     edge = None if g is None else neumann_values(mesh, g, order) * mesh.lane_lengths[..., None]
+    support = data_support(f, mesh)
     local = np.empty((mesh.num_cells, space.element.dim))
     for start in range(0, mesh.num_cells, ERROR_BLOCK):
         cells = slice(start, start + ERROR_BLOCK)
-        fvals = None if f is None else eval_data(f, physical_points(mesh, pts, cells))
+        fvals = block_values(f, mesh, pts, cells, support)
         gvals = None if edge is None else edge[:, cells]
         local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, gvals)
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)

@@ -20,6 +20,10 @@ from .mesh import DIRICHLET, NEUMANN, Mesh, orient_longest_edge, uniform_refine
 GOAL_RULE_POINTS = 200
 GOAL_RULE_TOL = 1e-12
 
+# Slack of GoalSpec.support_cells, relative to the sizes of eps and of the
+# coordinates: far above the rounding of mapped points and of rbar^2.
+SUPPORT_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class GoalSpec:
@@ -30,11 +34,38 @@ class GoalSpec:
     standard mollifier, smooth everywhere including across rbar = 1, with
     peak eps^-2 e^-1 at the center.  ``c`` evaluates the exponential on the
     support only.
+
+    The spec is itself the data callable ``c``, which the goal loop passes
+    as the dual's data: ``spec(x, y)`` calls ``spec.c(x, y)``, and
+    ``support_cells(mesh)`` tells the assembly and the estimators which
+    cells the support can reach (see :meth:`support_cells`).
     """
 
     eps: float = 0.35
     xbar: float = 0.2
     ybar: float = 0.2
+
+    def __call__(self, x, y):
+        return self.c(x, y)
+
+    def support_cells(self, mesh):
+        """Sorted indices of the cells on which ``c`` can be nonzero.
+
+        A cell lies in the disk about its centroid whose radius is the
+        largest centroid-vertex distance, so it is dropped only when that
+        disk misses the support disk by more than ``SUPPORT_MARGIN`` times
+        (eps + the largest coordinate of the centroid and the center).
+        The margin is far above the rounding of the mapped quadrature
+        points and of rbar^2, so ``c`` is exactly 0.0 at every point of a
+        dropped cell, such as the points of every ``triangle_rule``.
+        """
+        # (3, nc) vertex coordinates, C-ordered so that each corner is a row
+        x, y = (np.take(mesh.vertices[:, i], mesh.cells.T) for i in (0, 1))
+        cx, cy = x.sum(axis=0) / 3.0, y.sum(axis=0) / 3.0
+        radius = np.sqrt(((x - cx) ** 2 + (y - cy) ** 2).max(axis=0))
+        dist = np.hypot(cx - self.xbar, cy - self.ybar)
+        scale = self.eps + np.maximum(np.abs(cx), np.abs(cy)) + max(abs(self.xbar), abs(self.ybar))
+        return np.flatnonzero(dist - radius < self.eps + SUPPORT_MARGIN * scale)
 
     def c(self, x, y):
         x = np.asarray(x, dtype=float)

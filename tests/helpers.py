@@ -346,9 +346,13 @@ def two_solve_goal_trace(problem, config, reference):
     """The goal loop with a separate primal and dual assembly and solve
     on every mesh (Dörfler marking, ``max_dofs`` stop): the oracle for
     ``adapt_loop``'s one two-column solve.  Under ``cg`` both solves take
-    the V-cycle over the same mesh hierarchy."""
+    the V-cycle over the same mesh hierarchy.  J(u_h) is the raw dual load
+    applied to u_h, as in the loop, and every load and estimate takes the
+    plain ``goal.c``, which has no ``support_cells``: the byte-identical
+    trace then also shows that the loop's support-restricted dual load and
+    dual estimate keep their bits."""
     from afem2d.adapt import (
-        AdaptTrace, TraceRow, assemble_dual, evaluate_goal, resolve_estimator, wgo_indicators,
+        AdaptTrace, TraceRow, assemble_dual, resolve_estimator, wgo_indicators,
     )
     from afem2d.mesh import mark_dorfler, refine
 
@@ -363,7 +367,7 @@ def two_solve_goal_trace(problem, config, reference):
         z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver,
                                         M=precond))
         indicator, eta = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
-        err = abs(reference - evaluate_goal(u, c))
+        err = abs(reference - fem.assemble_load(space, c) @ u.coeffs)
         marked = mark_dorfler(indicator, config.theta)
         trace.append(TraceRow(iteration, space.num_dofs, eta, err, eta / err, len(marked)))
         if space.num_dofs >= config.max_dofs:

@@ -23,6 +23,7 @@ from afem2d.fem import (
     FEFunction,
     FunctionSpace,
     MeshHierarchy,
+    assemble_load,
     assemble_poisson,
     assemble_stiffness,
     interpolate,
@@ -333,11 +334,35 @@ def test_goal_loop_short_run():
     assert result.reference == FROZEN_GOAL_REFERENCE
     assert len(result.trace.rows) == 3
     assert (np.diff(result.trace.column("num_dofs")) > 0).all()
-    # final recorded error is |reference - J(u_k)| for the stored primal
-    jk = evaluate_goal(result.solution, problem.goal.c)
+    # final recorded error is |reference - J(u_k)| for the stored primal,
+    # J(u_k) being the raw dual load applied to u_k
+    jk = assemble_load(result.solution.space, problem.goal.c) @ result.solution.coeffs
     assert abs(result.trace.rows[-1].err - abs(FROZEN_GOAL_REFERENCE - jk)) < 1e-14
     assert len(result.indicator) == result.mesh.num_cells
     assert result.dual.space is result.solution.space
+
+
+class QuadraticGoal:
+    """A goal density of degree 2, nonzero on the whole L-shape, with no
+    ``support_cells``: the loop then evaluates it on every cell."""
+
+    def c(self, x, y):
+        return 1.0 + x - 0.5 * x * y + y * y
+
+    __call__ = c
+
+
+def test_goal_loop_reports_the_goal_functional():
+    """With c of degree 2 at P1, c u_h has degree 3: the load's order-3
+    rule and evaluate_goal's order-5 rule are both exact, so the loop's
+    J(u_h) (the dual load applied to u_h) is the functional <c, u_h>."""
+    goal = QuadraticGoal()
+    problem = dataclasses.replace(lshaped_goal(), goal=goal)
+    config = AdaptConfig(estimator="bw:2,1", solver="lu", max_iterations=2)
+    result = adapt_loop(problem, config, reference=0.0)  # err is then |J(u_h)|
+    want = evaluate_goal(result.solution, goal.c)
+    assert want > 0.1
+    assert abs(result.trace.rows[-1].err - want) < 1e-14
 
 
 def test_adapt_loop_follows_the_goal():
@@ -358,7 +383,7 @@ def test_adapt_loop_follows_the_goal():
     _, eta_w = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
     row = merged.trace.rows[0]
     assert row.eta == eta_w
-    assert row.err == abs(FROZEN_GOAL_REFERENCE - evaluate_goal(u, c))
+    assert row.err == abs(FROZEN_GOAL_REFERENCE - assemble_load(space, c) @ u.coeffs)
     # the standard loop carries no dual and no reference
     plain = adapt_loop(lshaped(), config)
     assert plain.dual is None and plain.reference is None

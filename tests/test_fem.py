@@ -105,6 +105,18 @@ def test_shared_edge_dofs_agree(degree):
     assert len(on_diag[0]) == degree + 1
 
 
+def test_p1_dofmap_is_the_cell_array():
+    """At degree 1 the dofmap is ``mesh.cells`` itself (int64, read-only),
+    not a copy; higher degrees start with the same vertex columns."""
+    mesh = unit_square_mesh(3)
+    space = FunctionSpace(mesh, 1)
+    assert space.dofmap is mesh.cells
+    assert space.dofmap.dtype == np.int64 and not space.dofmap.flags.writeable
+    for degree in (2, 3, 4):
+        dofmap = FunctionSpace(mesh, degree).dofmap
+        assert dofmap.dtype == np.int64 and np.array_equal(dofmap[:, :3], mesh.cells)
+
+
 def test_dof_coordinates_interpolate_linear():
     """interpolate() evaluated through dof_coordinates reproduces the input."""
     mesh = unit_square_mesh(3)
