@@ -58,8 +58,9 @@ class AdaptConfig:
     """Settings for one adaptive run.
 
     At least one stopping rule (max_dofs, tol, max_iterations) must be
-    set; they are checked in that order after each solve.  ``max_dofs`` is
-    an integer >= 1 and ``max_iterations`` an integer >= 0.  Settings that
+    set; they are checked in that order after each solve.  ``degree`` is
+    an integer from 1 to ``MAX_DEGREE``, ``max_dofs`` an integer >= 1 and
+    ``max_iterations`` an integer >= 0 (a bool is none of them).  Settings that
     no run could complete with are rejected here, before any assembly.
     """
 
@@ -88,7 +89,8 @@ class AdaptConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.solver not in ("cg", "lu"):
             raise ValueError(f"unknown solver method: {self.solver!r}")
-        if self.degree not in range(1, MAX_DEGREE + 1):
+        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
+                or self.degree not in range(1, MAX_DEGREE + 1)):
             raise ValueError(f"unsupported space degree: {self.degree!r}")
         self.estimator = self.estimator.strip()
         resolve_estimator(self.estimator)
@@ -173,6 +175,11 @@ def _stop(config, num_dofs, eta, iteration):
 def adapt_loop(problem, config, reference=None):
     """Drive solve/estimate/mark/refine on a benchmark problem.
 
+    The trace's err is :func:`h1_seminorm_error`: by Green's identity on
+    the boundary when the problem has no source (``f`` None, so
+    ``u_exact`` is harmonic), else by the volume rule.  Nothing the loop
+    decides reads err.
+
     A problem with a goal functional adds a dual solve on every mesh and
     marks by the WGO weighting of the primal and dual indicators; the
     trace's eta/err columns then carry the weighted estimator and the
@@ -225,7 +232,8 @@ def adapt_loop(problem, config, reference=None):
             indicator = estimator(u, problem.f, problem.g)
             eta = indicator.global_value
             if problem.grad_exact is not None:
-                err = h1_seminorm_error(u, problem.grad_exact)
+                harmonic = problem.u_exact if problem.f is None else None
+                err = h1_seminorm_error(u, problem.grad_exact, u_exact=harmonic)
             else:
                 err = float("nan")
         marked = mark(indicator, config.theta)

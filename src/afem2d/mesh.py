@@ -306,16 +306,16 @@ def mark_dorfler(field, theta):
         return np.empty(0, dtype=np.int64)
     if theta == 1.0:
         return np.flatnonzero(squares > 0.0).astype(np.int64)
-    order = np.argsort(-squares, kind="stable")
-    sorted_squares = squares[order]
+    # The sorted values, their running sum, the cut and the tie-closed set
+    # below do not depend on how the sort orders ties, so it need not be stable.
+    sorted_squares = squares[np.argsort(-squares)]
     cumsum = np.cumsum(sorted_squares)
     # The target is measured against the running sum itself, not the
     # differently rounded ``total``, so that theta near 1 cuts inside it.
     target = theta * cumsum[-1] * (1.0 - 1e-12)
     cut = int(np.searchsorted(cumsum, target))
-    # Include the whole tied block at the cutoff value.
-    end = int(np.searchsorted(-sorted_squares, -sorted_squares[cut], side="right"))
-    return np.sort(order[:end]).astype(np.int64)
+    # Keep the whole tied block at the cutoff value.
+    return np.flatnonzero(squares >= sorted_squares[cut]).astype(np.int64)
 
 
 def orient_longest_edge(vertices, cells):

@@ -83,7 +83,10 @@ class Problem:
 
     The data ``f``, ``g`` and ``u_dirichlet`` are vectorized callables of
     (x, y); None means zero, and the assembly and the estimators then
-    evaluate nothing for it.
+    evaluate nothing for it.  ``f=None`` thus says that ``u_exact`` is
+    harmonic, and :func:`~afem2d.adapt.adapt_loop` then measures the H1
+    error by Green's identity on the boundary (see
+    :func:`~afem2d.fem.h1_seminorm_error`).
     """
 
     name: str

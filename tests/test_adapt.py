@@ -30,7 +30,9 @@ from afem2d.fem import (
     solve,
 )
 from afem2d.mesh import IndicatorField, uniform_refine
-from afem2d.problems import GoalSpec, lshaped, lshaped_goal, lshaped_mixed, unit_square_mesh
+from afem2d.problems import (
+    GoalSpec, boundary_singularity, lshaped, lshaped_goal, lshaped_mixed, unit_square_mesh,
+)
 
 from helpers import two_solve_goal_trace
 
@@ -90,6 +92,8 @@ def test_adapt_config_validation():
         {"degree": 0},
         {"degree": 5},
         {"estimator": "res", "degree": 1.5},
+        {"degree": 2.0},
+        {"degree": True},
     ],
 )
 def test_adapt_config_rejects_unrunnable_settings_before_assembly(monkeypatch, settings):
@@ -143,6 +147,61 @@ def test_adapt_config_keeps_the_smallest_stopping_rules():
     assert AdaptConfig(max_iterations=0).max_iterations == 0
     assert AdaptConfig(max_dofs=1).max_dofs == 1
     assert AdaptConfig(max_dofs=np.int64(30000)).max_dofs == 30000
+    assert AdaptConfig(degree=np.int64(2), max_dofs=200).degree == 2
+
+
+def on_lshape_boundary(x, y, tol=1e-12):
+    """Whether the points lie on the boundary of (-1, 1)^2 minus the third quadrant."""
+    outer = (np.abs(np.abs(x) - 1.0) <= tol) | (np.abs(np.abs(y) - 1.0) <= tol)
+    inner = ((np.abs(x) <= tol) & (y <= tol)) | ((np.abs(y) <= tol) & (x <= tol))
+    return outer | inner
+
+
+@pytest.mark.parametrize("make", [lshaped, lshaped_mixed])
+def test_source_free_loop_evaluates_the_exact_gradient_on_the_boundary_only(make):
+    """Without a source the loop's H1 error is Green's boundary identity:
+    grad_exact is called at boundary points only, and the trace is that
+    of the unspied problem."""
+    problem, points = make(), []
+
+    def spy(x, y):
+        points.append((np.ravel(x), np.ravel(y)))
+        return problem.grad_exact(x, y)
+
+    config = AdaptConfig(estimator="zz", max_dofs=2000)
+    trace = adapt_loop(dataclasses.replace(problem, grad_exact=spy), config).trace
+    assert len(points) == len(trace.rows)
+    x, y = (np.concatenate(axis) for axis in zip(*points))
+    assert x.size and on_lshape_boundary(x, y).all()
+    assert trace.to_csv() == adapt_loop(problem, config).trace.to_csv()
+
+
+def test_problems_with_a_source_keep_the_volume_rule(monkeypatch):
+    """boundary-sing (f ~ x^-1.3) passes no u_exact, so its trace is the
+    volume rule's bit for bit; the goal loop never evaluates the H1 error."""
+    import afem2d.adapt as adapt_module
+    from afem2d import fem
+
+    problem = boundary_singularity()
+    config = AdaptConfig(estimator="res", max_dofs=3000)
+    calls = []
+
+    def rule_only(u, grad_exact, u_exact=None):
+        calls.append(u_exact)
+        return fem.h1_seminorm_error(u, grad_exact)
+
+    monkeypatch.setattr(adapt_module, "h1_seminorm_error", rule_only)
+    want = adapt_loop(problem, config).trace.to_csv()
+    assert calls and all(u_exact is None for u_exact in calls)
+    monkeypatch.undo()
+    assert adapt_loop(problem, config).trace.to_csv() == want
+
+    def no_error(*args, **kwargs):
+        raise AssertionError("the goal loop evaluated the H1 error")
+
+    monkeypatch.setattr(adapt_module, "h1_seminorm_error", no_error)
+    goal = AdaptConfig(estimator="bw:2,1", solver="lu", max_iterations=2)
+    assert len(adapt_loop(lshaped_goal(), goal, FROZEN_GOAL_REFERENCE).trace.rows) == 3
 
 
 # ---------------------------------------------------------------------------

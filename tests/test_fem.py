@@ -1065,6 +1065,73 @@ def test_h1_convergence_rate(degree, min_rate):
     assert rate > min_rate
 
 
+HARMONIC_SOLUTIONS = {
+    "exp-sin": (lambda x, y: np.exp(x) * np.sin(y),
+                lambda x, y: (np.exp(x) * np.sin(y), np.exp(x) * np.cos(y))),
+    "cubic": (lambda x, y: x**3 - 3.0 * x * y**2,
+              lambda x, y: (3.0 * x**2 - 3.0 * y**2, -6.0 * x * y)),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(HARMONIC_SOLUTIONS))
+def test_green_identity_matches_a_high_order_rule(monkeypatch, name, degree):
+    """For a harmonic u the boundary identity gives the H1 error of any u_h
+    (here a perturbed interpolant) that the order-20 volume rule gives, on
+    a jittered unit square with random D/N tags, over several blocks.
+
+    The edge rule of order 2k + 3 is exact on the cubic; on exp-sin its
+    error falls like h^(2k + 4) and is largest at P1: with a perturbation
+    of 0.01 it reads 1.6e-8 relative on 6 divisions and 1.4e-10 on 12.
+    """
+    u_exact, grad_exact = HARMONIC_SOLUTIONS[name]
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 50)
+    base = jittered_square(12, seed=degree)
+    pairs = base.facets[base.boundary_facets()]
+    tags = np.random.default_rng(degree).choice([DIRICHLET, NEUMANN], size=len(pairs))
+    space = FunctionSpace(Mesh(base.vertices, base.cells, boundary=(pairs, tags)), degree)
+    u = interpolate(u_exact, space)
+    u.coeffs += 0.1 * RNG.standard_normal(space.num_dofs)
+    want = h1_error_at_all_points(u, grad_exact, order=20)
+    got = h1_seminorm_error(u, grad_exact, u_exact=u_exact)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.fixture(scope="module")
+def final_solutions():
+    """The final P1 solutions of an lshaped and an lshaped-mixed loop."""
+    from afem2d.adapt import AdaptConfig, adapt_loop
+
+    runs = ((lshaped(), "bw:2,1", 30000), (lshaped_mixed(), "zz", 20000))
+    return [(problem, adapt_loop(problem, AdaptConfig(estimator=estimator,
+                                                      max_dofs=budget)).solution)
+            for problem, estimator, budget in runs]
+
+
+def test_volume_rules_rise_towards_the_green_identity(final_solutions):
+    """On the corner singularities the volume rules of order 5, 9, 15 and
+    20 under-read the error less and less, and all stay below the identity."""
+    for problem, u in final_solutions:
+        identity = h1_seminorm_error(u, problem.grad_exact, u_exact=problem.u_exact)
+        rules = [h1_error_at_all_points(u, problem.grad_exact, order=order)
+                 for order in (5, 9, 15, 20)]
+        assert rules[0] == h1_seminorm_error(u, problem.grad_exact)
+        assert np.all(np.diff(rules + [identity]) > 0), (problem.name, rules, identity)
+
+
+def test_green_identity_is_resolved_by_the_edge_rule(monkeypatch, final_solutions):
+    """At P1 the boundary integral by the order-5 edge rule agrees with the
+    order-11 one: the integrand vanishes on the edges at the corner."""
+    edge_rule = quad.edge_rule
+    for problem, u in final_solutions:
+        args = (u, problem.grad_exact)
+        want = h1_seminorm_error(*args, u_exact=problem.u_exact)
+        monkeypatch.setattr(quad, "edge_rule", lambda order: edge_rule(order + 6))
+        got = h1_seminorm_error(*args, u_exact=problem.u_exact)
+        monkeypatch.undo()
+        assert abs(got - want) <= 1e-9 * want
+
+
 # ---------------------------------------------------------------------------
 # FEFunction plumbing
 # ---------------------------------------------------------------------------

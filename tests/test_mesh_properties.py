@@ -210,6 +210,44 @@ def test_dorfler_marking_properties(values, theta):
     assert above < Fraction(theta) * Fraction(total) * (1 + Fraction(1e-11))
 
 
+def stable_dorfler(values, theta):
+    """Dörfler marking by a stable argsort and the sorted prefix through
+    the tied block at the cut: the formula ``mark_dorfler`` replaced."""
+    squares = np.asarray(values, dtype=float) ** 2
+    if squares.sum() <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if theta == 1.0:
+        return np.flatnonzero(squares > 0.0)
+    order = np.argsort(-squares, kind="stable")
+    sorted_squares = squares[order]
+    cumsum = np.cumsum(sorted_squares)
+    cut = int(np.searchsorted(cumsum, theta * cumsum[-1] * (1.0 - 1e-12)))
+    end = int(np.searchsorted(-sorted_squares, -sorted_squares[cut], side="right"))
+    return np.sort(order[:end])
+
+
+@st.composite
+def tied_fields(draw):
+    """Fields drawn from a few distinct values, so most values are tied,
+    with a free tail; long enough for NumPy's unstable argsort to reorder ties."""
+    levels = draw(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                           min_size=1, max_size=4))
+    n = draw(st.integers(1, 400))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+    tail = draw(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                         max_size=20))
+    return np.array([levels[i] for i in picks] + tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=tied_fields(), theta=st.floats(min_value=1e-9, max_value=1.0))
+@example(values=np.tile([2.0, 1.0, 0.0], 300), theta=0.3)
+def test_dorfler_marking_matches_the_stable_sort_formula(values, theta):
+    marked = mark_dorfler(values, theta)
+    assert marked.dtype == np.int64
+    assert np.array_equal(marked, stable_dorfler(values, theta))
+
+
 @pytest.mark.parametrize("n", [1, 7])
 def test_dorfler_zero_field_marks_nothing(n):
     for theta in (1e-3, 0.5, 1.0):
