@@ -17,10 +17,9 @@ from .fem import (
     MeshHierarchy,
     assemble_load,
     assemble_poisson,
+    cell_blocks,
     dirichlet_rhs,
-    eval_data,
     h1_seminorm_error,
-    physical_points,
     solve,
 )
 from .mesh import (
@@ -53,6 +52,10 @@ def resolve_estimator(selector):
     raise ValueError(f"unknown estimator selector: {selector!r}")
 
 
+def _is_real(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 @dataclass
 class AdaptConfig:
     """Settings for one adaptive run.
@@ -60,8 +63,9 @@ class AdaptConfig:
     At least one stopping rule (max_dofs, tol, max_iterations) must be
     set; they are checked in that order after each solve.  ``degree`` is
     an integer from 1 to ``MAX_DEGREE``, ``max_dofs`` an integer >= 1 and
-    ``max_iterations`` an integer >= 0 (a bool is none of them).  Settings that
-    no run could complete with are rejected here, before any assembly.
+    ``max_iterations`` an integer >= 0, ``theta`` a real in (0, 1] and
+    ``tol`` a finite real > 0 (a bool is none of them).  Settings that no
+    run could complete with are rejected here, before any assembly.
     """
 
     estimator: str = "bw:2,1"
@@ -76,7 +80,7 @@ class AdaptConfig:
     def __post_init__(self):
         if self.marking not in ("dorfler", "maximum"):
             raise ValueError(f"unknown marking strategy: {self.marking!r}")
-        if not 0.0 < self.theta <= 1.0:
+        if not (_is_real(self.theta) and 0.0 < self.theta <= 1.0):
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta!r}")
         if self.max_dofs is None and self.tol is None and self.max_iterations is None:
             raise ValueError("need at least one stopping rule")
@@ -85,13 +89,16 @@ class AdaptConfig:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Integral) or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+        if self.tol is not None and not (_is_real(self.tol) and math.isfinite(self.tol)
+                                         and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.solver not in ("cg", "lu"):
             raise ValueError(f"unknown solver method: {self.solver!r}")
         if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
                 or self.degree not in range(1, MAX_DEGREE + 1)):
             raise ValueError(f"unsupported space degree: {self.degree!r}")
+        if not isinstance(self.estimator, str):
+            raise ValueError(f"estimator selector must be a string, got {self.estimator!r}")
         self.estimator = self.estimator.strip()
         resolve_estimator(self.estimator)
         if self.estimator == "zz" and self.degree != 1:
@@ -248,10 +255,13 @@ def adapt_loop(problem, config, reference=None):
 
 
 def evaluate_goal(u, c):
-    """Goal functional <c, u_h> by quadrature."""
+    """Goal functional <c, u_h> by quadrature; c is evaluated by
+    :func:`~afem2d.fem.cell_blocks` (a GoalSpec on its support only)."""
     space = u.space
     pts, wts = quad.triangle_rule(2 * space.degree + 3)
-    cv = eval_data(c, physical_points(space.mesh, pts))
+    cv = np.empty((space.mesh.num_cells, len(pts)))
+    for cells, values in cell_blocks(space.mesh, c, pts):
+        cv[cells] = 0.0 if values is None else values
     uv = np.einsum("ci,qi->cq", u.cell_coeffs(), space.element.tabulate(pts))
     return float(np.einsum("cq,cq,q,c->", cv, uv, wts, space.mesh.det))
 
@@ -329,7 +339,7 @@ def reference_goal_value(
         space = FunctionSpace(mesh, min(degree + 2, 4))
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
         u = FEFunction(space, solve(system, "cg", M=MeshHierarchy().add(space, system)))
-        value = evaluate_goal(u, problem.goal.c)
+        value = evaluate_goal(u, problem.goal)
     elif method == "quadrature":
         from .problems import goal_reference_quadrature
 

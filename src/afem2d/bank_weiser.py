@@ -117,12 +117,9 @@ def _operators(kind):
 def local_system(u, f, g, fine):
     """The (nc, d) residual loads against the fine basis, before any
     elimination; the cell stiffness is ``mesh.metric @ K_ref``.  ``f`` or
-    ``g`` None is zero and never evaluated, and an ``f`` with a
-    ``support_cells(mesh)`` method is evaluated only on those cells (see
-    :func:`~afem2d.fem.block_values`), with the same bits.  The facet
-    traces are taken once for all cells, since the jumps need the
-    neighbours; the interior residual and the loads go by blocks of
-    ``fem.ERROR_BLOCK`` cells.
+    ``g`` None is zero and never evaluated.  The facet traces are taken
+    once for all cells, since the jumps need the neighbours; the interior
+    residual and the loads go by :func:`~afem2d.fem.cell_blocks`.
     """
     space = u.space
     mesh = space.mesh
@@ -137,11 +134,8 @@ def local_system(u, f, g, fine):
     if g is not None:
         flux += fem.neumann_values(mesh, g, order)[neumann]
     data[neumann] = flux * length[neumann][:, None]
-    support = fem.data_support(f, mesh)
     b = np.empty((mesh.num_cells, fine.dim))
-    for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
-        cells = slice(start, start + fem.ERROR_BLOCK)
-        r = fem.block_values(f, mesh, pts, cells, support)
+    for cells, r in fem.cell_blocks(mesh, f, pts):
         if hess is not None:
             lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
             r = lap if r is None else r + lap
@@ -247,15 +241,14 @@ def _estimate(u, f, g, kind, factors):
     forms = stiff[0].transpose(0, 2, 1).reshape(4 * k, k)
     eta2 = np.empty(len(b))
     lift = np.empty(b.shape)
-    for start in range(0, len(b), fem.ERROR_BLOCK):
-        cells = slice(start, start + fem.ERROR_BLOCK)
-        factor = blocks.get(start)
+    for cells, _ in fem.cell_blocks(mesh):
+        factor = blocks.get(cells.start)
         if factor is None:
-            factor = _factor(_project_matrix(metric[cells], pattern[cells], kind), first=start)
+            factor = _factor(_project_matrix(metric[cells], pattern[cells], kind), cells.start)
             if factors is not None:
                 for array in factor:
                     array.setflags(write=False)
-                blocks[start] = factor
+                blocks[cells.start] = factor
         x = _substitute(factor, _project_load(b[cells], pattern[cells], kind))
         quad_forms = ((forms @ x).reshape(4, k, -1) * x).sum(axis=1)
         eta2[cells] = (quad_forms * metric[cells].T).sum(axis=0)

@@ -31,8 +31,8 @@ from . import element as el
 from . import quadrature as quad
 from .mesh import DIRICHLET, NEUMANN
 
-# Cells per block of the load and H1 error quadratures; bounds their memory,
-# not their results.
+# Cells per block of every whole-mesh cell pass (see cell_blocks); bounds
+# their memory, not their results.
 ERROR_BLOCK = 8192
 
 # Damped Jacobi smoothing of MeshHierarchy's p-level (degree > 1): weight,
@@ -124,40 +124,36 @@ def eval_data(fn, x):
     return np.broadcast_to(np.asarray(fn(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
 
 
-def block_values(f, mesh, pts, cells, support):
-    """Data ``f`` at the reference points ``pts`` of the block ``cells`` (a
-    slice): (n, nq), or None when ``f`` is None.
-
-    ``support`` is None or the sorted indices of the cells on which ``f``
-    can be nonzero (see :func:`data_support`).  With it only the block's
-    cells in ``support`` are mapped and evaluated, the other rows are zero,
-    and the block's values are bitwise those of evaluating every cell,
-    which :func:`cell_loads` then integrates by the same matrix product.
-    A block that meets no support cell gives None.
+def cell_blocks(mesh, f=None, pts=None):
+    """Consecutive slices of ``ERROR_BLOCK`` cells, the one partition of
+    every whole-mesh cell pass, each yielded as ``(cells, values)``:
+    ``values`` is ``f`` at the reference points ``pts`` of the block's
+    cells (n, nq), or None when ``f`` is None.  An ``f`` with a
+    ``support_cells(mesh)`` method (sorted indices of the cells where it
+    can be nonzero) is evaluated only on those, the other rows are zero,
+    and a block that meets none gives None.  NumPy maps a single row by
+    matrix-vector products, whose bits differ from those of a matrix
+    product; so a last block of one cell joins the one before, a block's
+    one support cell is mapped along with a second row, and the values
+    are bitwise those of one block over all cells.
     """
-    if f is None:
-        return None
-    if support is None:
-        return eval_data(f, physical_points(mesh, pts, cells))
-    start, stop, _ = cells.indices(mesh.num_cells)
-    rows = support[slice(*np.searchsorted(support, (start, stop)))] - start
-    if rows.size == 0:
-        return None
-    if rows.size == 1 < stop - start:
-        # NumPy maps one row by a matrix-vector product, whose bits differ
-        # from those of the block's matrix product: map a second row too.
-        rows = np.array([0, rows[0]] if rows[0] else [0, 1])
-    vol = np.zeros((stop - start, len(pts)))
-    vol[rows] = eval_data(f, physical_points(mesh, pts, rows + start))
-    return vol
-
-
-def data_support(f, mesh):
-    """The cells on which the data callable ``f`` can be nonzero, from its
-    ``support_cells(mesh)`` method (sorted indices), or None for every cell
-    when it has none."""
-    support_cells = getattr(f, "support_cells", None)
-    return None if support_cells is None else support_cells(mesh)
+    support = f.support_cells(mesh) if hasattr(f, "support_cells") else None
+    starts = list(range(0, mesh.num_cells, ERROR_BLOCK))
+    if len(starts) > 1 and starts[-1] == mesh.num_cells - 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [mesh.num_cells]):
+        cells = slice(start, stop)
+        if support is None:
+            yield cells, None if f is None else eval_data(f, physical_points(mesh, pts, cells))
+            continue
+        rows = support[slice(*np.searchsorted(support, (start, stop)))] - start
+        if rows.size == 1 < stop - start:
+            rows = np.array([0, rows[0]] if rows[0] else [0, 1])
+        values = None
+        if rows.size:
+            values = np.zeros((stop - start, len(pts)))
+            values[rows] = eval_data(f, physical_points(mesh, pts, rows + start))
+        yield cells, values
 
 
 def lane_physical_points(mesh, lanes, cells, t):
@@ -335,22 +331,16 @@ def assemble_stiffness(space):
 
 
 def assemble_load(space, f, g=None):
-    """Raw load vector: volume term plus Neumann flux term.  ``f`` is
-    evaluated and the cell loads formed over blocks of ``ERROR_BLOCK``
-    cells; one ``bincount`` then adds the cell loads of all cells.  ``f``
-    (or ``g``) None is a zero source: no points are mapped for it, it is
-    never evaluated and its term is not formed.  An ``f`` with a
-    ``support_cells(mesh)`` method is mapped and evaluated only on those
-    cells (see :func:`block_values`), with the same bits."""
+    """Raw load vector: volume term plus Neumann flux term, the cell loads
+    formed by the blocks of :func:`cell_blocks` and added by one
+    ``bincount``.  ``f`` (or ``g``) None is a zero source: no points are
+    mapped for it, it is never evaluated and its term is not formed."""
     mesh = space.mesh
     order = 2 * space.degree + 1
     pts, _ = quad.triangle_rule(order)
     edge = None if g is None else neumann_values(mesh, g, order) * mesh.lane_lengths[..., None]
-    support = data_support(f, mesh)
     local = np.empty((mesh.num_cells, space.element.dim))
-    for start in range(0, mesh.num_cells, ERROR_BLOCK):
-        cells = slice(start, start + ERROR_BLOCK)
-        fvals = block_values(f, mesh, pts, cells, support)
+    for cells, fvals in cell_blocks(mesh, f, pts):
         gvals = None if edge is None else edge[:, cells]
         local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, gvals)
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
@@ -634,8 +624,7 @@ def h1_seminorm_error(u, grad_exact, u_exact=None):
     pts, wts = quad.triangle_rule(2 * space.degree + 3)
     ref_grads = space.element.tabulate_grad(pts[:1] if space.degree == 1 else pts)
     cell_sums = np.empty(mesh.num_cells)
-    for start in range(0, mesh.num_cells, ERROR_BLOCK):
-        cells = slice(start, start + ERROR_BLOCK)
+    for cells, _ in cell_blocks(mesh):
         gh = cell_gradients(u.coeffs[space.dofmap[cells]], ref_grads, mesh.inv[cells])
         x = physical_points(mesh, pts, cells)
         gx, gy = grad_exact(x[..., 0], x[..., 1])
@@ -651,8 +640,7 @@ def _green_h1_error(u, grad_exact, u_exact):
     # gives the four quadratic forms u_T^T K_ref[s] u_T of a cell.
     kref = reference_stiffness(element).reshape(4, d, d).transpose(1, 0, 2).reshape(d, 4 * d)
     energy = 0.0
-    for start in range(0, mesh.num_cells, ERROR_BLOCK):
-        cells = slice(start, start + ERROR_BLOCK)
+    for cells, _ in cell_blocks(mesh):
         coeffs = u.coeffs[space.dofmap[cells]]
         forms = np.einsum("csj,cj->cs", (coeffs @ kref).reshape(-1, 4, d), coeffs)
         energy += float(np.vdot(mesh.metric[cells], forms))

@@ -25,7 +25,8 @@ _LANE_ENDS = np.array(EDGE_VERTICES)
 
 
 class NonManifoldError(ValueError):
-    """Some facet is shared by more than two cells."""
+    """Some facet is shared by more than two cells, or by two that traverse
+    it in the same direction."""
 
 
 def build_connectivity(cells):
@@ -70,6 +71,13 @@ def build_connectivity(cells):
     last = first + counts - 1
     e0, e1 = order[first], order[last]
     entries = np.column_stack([np.minimum(e0, e1), np.where(last > first, np.maximum(e0, e1), -1)])
+    # Cells of one orientation traverse a shared facet in opposite directions.
+    forward = a < b
+    same = (forward[e0] == forward[e1]) & (last > first)
+    if same.any():
+        bad = facets[np.argmax(same)]
+        raise NonManifoldError(f"facet {tuple(bad.tolist())} is traversed twice in one direction")
+    del forward, same  # not held through the peak below
     facet_lanes = np.where(entries < 0, -1, entries % 3)
     return facets, entries // 3, inverse.reshape(-1, 3), facet_lanes
 

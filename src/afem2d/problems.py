@@ -5,7 +5,7 @@ All exact solutions here are of corner-singularity type r^a sin(a (theta
 limited and adaptivity pays off.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,12 +38,17 @@ class GoalSpec:
     The spec is itself the data callable ``c``, which the goal loop passes
     as the dual's data: ``spec(x, y)`` calls ``spec.c(x, y)``, and
     ``support_cells(mesh)`` tells the assembly and the estimators which
-    cells the support can reach (see :meth:`support_cells`).
+    cells the support can reach (see :meth:`support_cells`).  A centre or
+    eps that is not finite, or eps <= 0 (whose support is empty), raises.
     """
 
     eps: float = 0.35
     xbar: float = 0.2
     ybar: float = 0.2
+
+    def __post_init__(self):
+        if not (np.isfinite([self.eps, self.xbar, self.ybar]).all() and self.eps > 0):
+            raise ValueError(f"goal density needs a finite eps > 0 and a finite centre: {self!r}")
 
     def __call__(self, x, y):
         return self.c(x, y)
@@ -230,17 +235,7 @@ def boundary_singularity(alpha=0.7, divisions=4):
 
 def lshaped_goal(refinements=2):
     """The L-shaped problem, observed through the bump goal functional."""
-    base = lshaped(refinements)
-    return Problem(
-        name="lshaped-goal",
-        mesh=base.mesh,
-        f=base.f,
-        u_dirichlet=base.u_dirichlet,
-        u_exact=base.u_exact,
-        grad_exact=base.grad_exact,
-        goal=GoalSpec(),
-        params=base.params,
-    )
+    return replace(lshaped(refinements), name="lshaped-goal", goal=GoalSpec())
 
 
 PROBLEMS = {

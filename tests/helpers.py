@@ -100,8 +100,7 @@ def h1_error_at_all_points(u, grad_exact, order=None):
     pts, wts = quad.triangle_rule(2 * space.degree + 3 if order is None else order)
     ref_grads = space.element.tabulate_grad(pts)
     cell_sums = np.empty(mesh.num_cells)
-    for start in range(0, mesh.num_cells, fem.ERROR_BLOCK):
-        cells = slice(start, start + fem.ERROR_BLOCK)
+    for cells, _ in fem.cell_blocks(mesh):
         gh = fem.cell_gradients(u.coeffs[space.dofmap[cells]], ref_grads, mesh.inv[cells])
         x = mapped_points(mesh, pts, cells)
         gx, gy = grad_exact(x[..., 0], x[..., 1])

@@ -115,10 +115,20 @@ def test_adapt_config_rejects_unrunnable_settings_before_assembly(monkeypatch, s
         ({"tol": float("inf")}, "tolerance"),
         ({"tol": 0.0}, "tolerance"),
         ({"tol": -1e-3, "max_iterations": 1}, "tolerance"),
+        ({"tol": True}, "tolerance"),
+        ({"tol": "1e-3"}, "tolerance"),
+        ({"theta": True, "max_iterations": 1}, "marking fraction"),
+        ({"theta": "0.5", "max_iterations": 1}, "marking fraction"),
+        ({"theta": 0.5j, "max_iterations": 1}, "marking fraction"),
+        ({"estimator": 5, "max_iterations": 1}, "selector must be a string"),
+        ({"estimator": None, "max_iterations": 1}, "selector must be a string"),
     ],
-    ids=["solver-qr", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+    ids=["solver-qr", "tol-nan", "tol-inf", "tol-zero", "tol-negative", "tol-bool", "tol-str",
+         "theta-bool", "theta-str", "theta-complex", "estimator-int", "estimator-none"],
 )
 def test_adapt_config_rejects_unknown_solver_and_bad_tolerance(settings, message):
+    """A bool is no real number here: theta=True used to run as theta = 1
+    and tol=True as 1.0, and estimator=5 raised AttributeError."""
     with pytest.raises(ValueError, match=message):
         AdaptConfig(**settings)
 

@@ -149,6 +149,37 @@ def test_residual_matches_mapped_point_oracle(degree):
     assert np.abs(got - oracle).max() <= 1e-12 * oracle.max()
 
 
+@pytest.mark.parametrize("block, calls", [(16, [16, 16, 16, 9]), (8, [8] * 6 + [9])])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_residual_blocks_match_one_block(monkeypatch, degree, block, calls):
+    """Blocking the residual's volume term over cells changes no bit, with
+    a block size that does not divide the cell count: the source is
+    evaluated once per block, on that block's cells.  The cell means and
+    the squared residual's integrals are matrix-vector products, and
+    BLAS forms those a few rows at a time (OpenBLAS's dgemv kernels take
+    4), with other last bits for the rows left over; so the blocks are a
+    multiple of 8 cells, as ``ERROR_BLOCK`` = 8192 is.  With 8 the last
+    block would hold one cell, and it is joined to the one before."""
+    mesh = randomly_tagged_mesh(5, seed=1)
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    g = lambda x, y: np.cos(x + 2 * y)
+    calls_seen = []
+
+    def f(x, y):
+        calls_seen.append(len(x))
+        return np.exp(x) - y * y
+
+    assert fem.ERROR_BLOCK >= mesh.num_cells
+    want = residual_estimate(u, f, g)
+    monkeypatch.setattr(fem, "ERROR_BLOCK", block)
+    assert mesh.num_cells % block != 0
+    calls_seen.clear()
+    eta = residual_estimate(u, f, g)
+    assert calls_seen == calls
+    assert np.array_equal(eta.values, want.values)
+
+
 def test_zz_requires_degree_one():
     mesh = unit_square_mesh(2)
     space = FunctionSpace(mesh, 2)

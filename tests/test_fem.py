@@ -420,6 +420,45 @@ def test_load_vector_neumann_contribution():
     assert abs(b.sum() - 2.5) < 1e-12
 
 
+def test_cell_blocks_partition_the_mesh_and_keep_every_bit(monkeypatch):
+    """The blocks run over every cell once, in order; a last block of one
+    cell is joined to the one before, so the mapped data of every block
+    are bitwise those of one block over all cells.  Without data each
+    block's values are None, and a support that misses a block gives None
+    for it without evaluating anything there."""
+    mesh = randomly_tagged_mesh(5, seed=1)
+    pts, _ = quad.triangle_rule(5)
+    f = lambda x, y: np.exp(x) - y * y
+    want = eval_data(f, physical_points(mesh, pts))
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 8)
+    assert mesh.num_cells % fem.ERROR_BLOCK == 1
+    blocks = list(fem.cell_blocks(mesh, f, pts))
+    bounds = [(cells.start, cells.stop) for cells, _ in blocks]
+    assert bounds == [(s, s + 8) for s in range(0, 48, 8)] + [(48, mesh.num_cells)]
+    assert_bitwise(np.vstack([values for _, values in blocks]), want)
+    assert all(values is None for _, values in fem.cell_blocks(mesh))
+
+    evaluated = []
+
+    class Supported:
+        def __call__(self, x, y):
+            evaluated.append(len(x))
+            return f(x, y)
+
+        def support_cells(self, mesh):
+            return np.array([3, 9, 10])
+
+    got = [values for _, values in fem.cell_blocks(mesh, Supported(), pts)]
+    # a block's one support cell is mapped with a second row (row 0), so
+    # that it goes by a matrix product too
+    assert evaluated == [2, 2]
+    assert all(values is None for values in got[2:])
+    for block, rows in ((0, [0, 3]), (1, [1, 2])):
+        assert_bitwise(got[block][rows], want[8 * block:][rows])
+        others = np.setdiff1d(np.arange(8), rows)
+        assert (got[block][others] == 0.0).all()
+
+
 def test_load_blocks_match_one_block(monkeypatch):
     """Blocking the load over cells changes no bit: the one-pass formula
     is the oracle, with a block size that does not divide the cell count,

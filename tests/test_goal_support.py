@@ -1,8 +1,8 @@
 """Property tests of ``GoalSpec.support_cells`` on jittered, adaptively
 refined L-shape meshes: the goal density is exactly zero at every
-quadrature point of every cell it leaves out, and the load and the
-Bank-Weiser local loads formed on the support only are bitwise those
-formed on every cell."""
+quadrature point of every cell it leaves out, and the load, the
+Bank-Weiser local loads, the residual indicators and the goal value
+formed on the support only are bitwise those formed on every cell."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from afem2d import bank_weiser as bw
 from afem2d import element as el
 from afem2d import fem
 from afem2d import quadrature as quad
+from afem2d.adapt import evaluate_goal
+from afem2d.estimators import residual_estimate
 from afem2d.mesh import Mesh, refine
 from afem2d.problems import GoalSpec, lshaped_mesh
 from helpers import assert_bitwise
@@ -75,6 +77,9 @@ def test_support_cells_drop_only_zeros_and_keep_every_bit(
         patch.setattr(fem, "ERROR_BLOCK", block)
         assert_bitwise(fem.assemble_load(space, spec), fem.assemble_load(space, spec.c))
         assert_bitwise(bw.local_system(u, spec, None, fine), bw.local_system(u, spec.c, None, fine))
+        assert_bitwise(residual_estimate(u, spec, None).values,
+                       residual_estimate(u, spec.c, None).values)
+        assert_bitwise(np.float64(evaluate_goal(u, spec)), np.float64(evaluate_goal(u, spec.c)))
 
 
 def test_support_cells_of_the_default_goal_on_a_fine_mesh():

@@ -40,6 +40,20 @@ def test_non_manifold_edge_rejected():
         m.Mesh(vertices, cells)
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [[[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [0, 1, 3]], [[2, 0, 1], [0, 1, 2]]],
+    ids=["duplicated-cell", "same-side", "duplicated-rotated"],
+)
+def test_facet_traversed_twice_in_one_direction_rejected(cells):
+    """Two counterclockwise cells on one side of a shared facet traverse
+    it in the same direction; the facet traces would read the neighbour's
+    lane backwards, so the mesh is refused."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    with pytest.raises(m.NonManifoldError, match="traversed twice in one direction"):
+        m.Mesh(vertices, np.array(cells))
+
+
 def test_vertex_index_out_of_range_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

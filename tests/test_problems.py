@@ -304,6 +304,20 @@ def test_goal_density_vectorized_and_nonnegative():
     assert ((values > 0.0) == inside).all()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"eps": -0.35}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": float("inf")},
+     {"xbar": float("nan")}, {"ybar": float("-inf")}],
+    ids=["eps-negative", "eps-zero", "eps-nan", "eps-inf", "xbar-nan", "ybar-inf"],
+)
+def test_goal_spec_rejects_a_density_without_support(params):
+    """eps enters c squared, so eps = -0.35 would define the density of
+    0.35 while its support_cells came out empty and the dual load zero;
+    eps = 0 or a non-finite centre defines no density at all."""
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        GoalSpec(**params)
+
+
 def _full_support_density(spec, x, y):
     """GoalSpec.c as first written: exp and both masks at every point."""
     x = np.asarray(x, dtype=float)
