@@ -12,6 +12,7 @@ from . import estimators
 from . import quadrature as quad
 from .element import MAX_DEGREE
 from .fem import (
+    COARSE_DOFS,
     FEFunction,
     FunctionSpace,
     MeshHierarchy,
@@ -207,7 +208,16 @@ def adapt_loop(problem, config, reference=None):
     :class:`~afem2d.fem.MeshHierarchy`, and each solve is preconditioned
     by the V-cycle over its levels that :meth:`~afem2d.fem.MeshHierarchy.add`
     returns; only the coarsest P1 level's matrix, of at most ``COARSE_DOFS``
-    rows once the meshes pass that size, is factored.
+    rows once the meshes pass that size, is factored.  At degree 1 under
+    ``cg`` each solve on a mesh above ``COARSE_DOFS`` starts from the
+    previous mesh's solution (nested iteration), each column from its own:
+    old vertices keep their values, each new vertex takes the mean of its
+    ``Mesh.parents`` pair, and the Dirichlet DOFs take the new system's
+    values.  :func:`~afem2d.fem.prolongation` is not used for it: it zeroes
+    the Dirichlet columns, so its start is far from the solution on the
+    boundary.  Below ``COARSE_DOFS`` the V-cycle is the exact solve and CG
+    needs one step from any start; starting there from zero keeps the
+    bits that decide the L-shape's mirror-symmetric Dörfler ties.
     """
     goal = problem.goal
     if goal is not None and reference is None:
@@ -216,26 +226,33 @@ def adapt_loop(problem, config, reference=None):
     mark = _marker(config)
     mesh = problem.mesh
     hierarchy = MeshHierarchy() if config.solver == "cg" else None
+    nested = hierarchy is not None and config.degree == 1
     trace = AdaptTrace()
-    iteration = 0
+    iteration, previous = 0, None
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
         precond = None if hierarchy is None else hierarchy.add(space, system)
-        z = None
         if goal is not None:
             load = assemble_load(space, goal)
             dual = dirichlet_rhs(load, system.dirichlet_dofs, 0.0)
             system.rhs = np.column_stack([system.rhs, dual])
-            u, z = (FEFunction(space, x)
-                    for x in solve(system, method=config.solver, M=precond).T)
+        start = None
+        if nested and previous is not None and mesh.num_vertices > COARSE_DOFS:
+            # Old vertices keep their values, new ones take their parents' mean.
+            start = np.concatenate([previous, previous[mesh.parents].mean(axis=1)])
+            start[system.dirichlet_dofs] = system.rhs[system.dirichlet_dofs]
+        x = solve(system, method=config.solver, M=precond, x0=start)
+        previous, z = x, None
+        if goal is not None:
+            u, z = (FEFunction(space, column) for column in x.T)
             factors = {}
             indicator, eta = wgo_indicators(
                 estimator(u, problem.f, problem.g, factors), estimator(z, goal, None, factors)
             )
             err = abs(reference - float(load @ u.coeffs))
         else:
-            u = FEFunction(space, solve(system, method=config.solver, M=precond))
+            u = FEFunction(space, x)
             indicator = estimator(u, problem.f, problem.g)
             eta = indicator.global_value
             if problem.grad_exact is not None:

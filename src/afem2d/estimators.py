@@ -66,7 +66,7 @@ def zz_estimate(u):
     mesh = space.mesh
     ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
     grads = fem.cell_gradients(u.cell_coeffs(), ref_grad, mesh.inv)[:, 0]
-    areas = mesh.areas
+    areas = 0.5 * mesh.det
 
     vertices, nv = mesh.cells.ravel(), mesh.num_vertices
     weighted = np.repeat(areas[:, None] * grads, 3, axis=0)

@@ -377,6 +377,65 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     return eliminated, dirichlet_rhs(rhs, dofs, values, matrix)
 
 
+def assemble_p1_system(mesh, load, dofs, values):
+    """The eliminated P1 system of ``mesh``, read off its facet graph:
+    ``apply_dirichlet(assemble_stiffness(FunctionSpace(mesh, 1)), load,
+    dofs, values)`` without the COO sort and the second pass.
+
+    The cell matrices are ``mesh.metric @ K_ref``.  Each off-diagonal
+    entry of a P1 cell matrix is the rounded sum of two exact terms (the
+    reference gradients are 0 and +-1), so the cell matrix is symmetric to
+    the bit and a facet (lo, hi) has one coupling, summed over its cells in
+    cell order by one ``bincount`` over ``mesh.cell_facets``; the diagonal
+    is one ``bincount`` over ``mesh.cells``.  The couplings between free
+    vertices, taken in the order of ``mesh.facets`` (sorted by (lo, hi)),
+    are already the upper triangle in CSR order; its transpose (a linear
+    counting pass) and the diagonal complete the rows.  The rows and
+    columns of ``dofs`` are dropped with a unit diagonal, and a coupling
+    that sums to exactly 0.0 (cot 90 deg on right angles) is not stored,
+    as ``eliminate_zeros`` drops it.  Indices are int32 while they fit.
+
+    The load is lifted as :func:`dirichlet_rhs` lifts it: a free row's raw
+    couplings to Dirichlet columns are summed in column order, as the CSR
+    product sums them, so its bits are those of ``matrix @ lift``.  The
+    matrix has the COO route's pattern and off-diagonal entries (a sum of
+    two terms does not depend on their order), and its diagonal to a few
+    ulp: the COO route's row sort does not always keep a vertex's cell
+    terms in cell order.  Returns ``(matrix, rhs)`` as
+    :func:`apply_dirichlet` does.
+    """
+    nv, (lo, hi) = mesh.num_vertices, mesh.facets.T
+    local = mesh.metric @ reference_stiffness(el.lagrange(1))  # (nc, 9) by (i, j)
+    a, b = np.asarray(el.EDGE_VERTICES).T
+    coupling = np.bincount(mesh.cell_facets.ravel(), local[:, 3 * a + b].ravel(),
+                           minlength=len(lo))
+    diagonal = np.bincount(mesh.cells.ravel(), local[:, ::4].ravel(), minlength=nv)
+    free = np.ones(nv, dtype=bool)
+    free[dofs] = False
+    diagonal[~free] = 1.0
+    keep = np.flatnonzero(free[lo] & free[hi] & (coupling != 0.0))
+    index = np.int32 if nv + 2 * len(lo) < 2**31 else np.int64
+    indptr = np.zeros(nv + 1, dtype=index)
+    np.cumsum(np.bincount(lo[keep], minlength=nv), out=indptr[1:])
+    upper = sparse.csr_matrix((coupling[keep], hi[keep].astype(index), indptr), shape=(nv, nv))
+    # Sparse sums merge sorted rows and store no zero, as eliminate_zeros.
+    matrix = upper + upper.T + sparse.diags(diagonal, format="csr")
+
+    rhs = np.array(load, dtype=float)
+    if np.any(values):
+        lift = np.zeros(nv)
+        lift[dofs] = values
+        # A free row's couplings to lower columns, then to higher ones, each
+        # in facet order, is column order; bincount adds in that order.
+        to_lo = np.flatnonzero(free[hi] & ~free[lo])
+        to_hi = np.flatnonzero(free[lo] & ~free[hi])
+        terms = np.concatenate([coupling[to_lo] * lift[lo[to_lo]],
+                                coupling[to_hi] * lift[hi[to_hi]]])
+        rhs -= np.bincount(np.concatenate([hi[to_lo], lo[to_hi]]), terms, minlength=nv)
+    rhs[dofs] = values
+    return matrix, rhs
+
+
 def assemble_poisson(space, f, g=None, u_dirichlet=None):
     """Poisson system -div(grad u) = f with the mesh's boundary tags.
 
@@ -384,16 +443,21 @@ def assemble_poisson(space, f, g=None, u_dirichlet=None):
     (n, nq) coordinate planes (None means zero, and nothing is evaluated).
     ``u_dirichlet`` is a vectorized callable for the Dirichlet trace
     (None means homogeneous).  Neumann data ``g`` is applied on facets
-    tagged N (None means zero).
+    tagged N (None means zero).  At degree 1 the eliminated system is built
+    from the facet graph by :func:`assemble_p1_system`; at degree > 1 the
+    raw stiffness of :func:`assemble_stiffness` is eliminated by
+    :func:`apply_dirichlet`.
     """
-    matrix = assemble_stiffness(space)
     rhs = assemble_load(space, f, g)
     dofs = space.dirichlet_dofs()
     if u_dirichlet is None:
         values = np.zeros(len(dofs))
     else:
         values = eval_data(u_dirichlet, space.dof_coordinates()[dofs]).copy()
-    matrix, rhs = apply_dirichlet(matrix, rhs, dofs, values)
+    if space.degree == 1:
+        matrix, rhs = assemble_p1_system(space.mesh, rhs, dofs, values)
+    else:
+        matrix, rhs = apply_dirichlet(assemble_stiffness(space), rhs, dofs, values)
     return SparseSystem(matrix, rhs, dofs)
 
 
@@ -414,15 +478,19 @@ def _factor_spd(matrix):
         raise SolverError(f"sparse LU failed: {error}") from None
 
 
-def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
+def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None, x0=None):
     """Solve an eliminated system for each column of ``system.rhs``.
 
     ``cg`` runs conjugate gradients column by column with the
     preconditioner ``M`` (an operator applying an approximate inverse, such
     as the one :meth:`MeshHierarchy.add` returns), or by default with a Jacobi
     preconditioner built once; ``lu`` factors the matrix once and solves
-    all columns with the factors, and takes no ``M``.  The matrix must be
-    SPD, as every eliminated stiffness is: ``lu`` factors it by
+    all columns with the factors, and takes no ``M``.  ``x0``, of the shape
+    of ``system.rhs``, is the start of ``cg`` (one column per load; None
+    starts from zero); ``lu`` takes none.  The stopping rule is relative to
+    the load, not to the start's residual, so a start changes how many
+    iterations ``cg`` takes and not the accuracy it stops at.  The matrix
+    must be SPD, as every eliminated stiffness is: ``lu`` factors it by
     :func:`_factor_spd` (a minimum-degree ordering of A + A^T and no
     pivoting, backward stable on SPD matrices).  :class:`SolverError` is
     raised before any factorization or iteration for a load with a NaN or
@@ -437,6 +505,8 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
         raise ValueError(f"unknown solver method: {method!r}")
     if method == "lu" and M is not None:
         raise ValueError("a preconditioner applies to cg only")
+    if method == "lu" and x0 is not None:
+        raise ValueError("a start vector applies to cg only")
     matrix, rhs = system.matrix, system.rhs
     if not np.isfinite(rhs).all():
         raise SolverError("the load has a NaN or infinite entry")
@@ -449,9 +519,10 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None):
             if not (np.isfinite(diagonal) & (diagonal > 0)).all():
                 raise SolverError("the Jacobi preconditioner needs a finite positive diagonal")
             M = sparse.diags(1.0 / diagonal)
+        starts = [None] * loads.shape[1] if x0 is None else np.reshape(x0, loads.shape).T
         x = np.empty(loads.shape, order="F")
-        for j, load in enumerate(loads.T):
-            x[:, j], info = spla.cg(matrix, np.ascontiguousarray(load), rtol=rtol,
+        for j, (load, start) in enumerate(zip(loads.T, starts)):
+            x[:, j], info = spla.cg(matrix, np.ascontiguousarray(load), x0=start, rtol=rtol,
                                     atol=0.0, maxiter=maxiter, M=M)
             if info != 0:
                 raise SolverError(f"conjugate gradients stopped with status {info}")
@@ -530,8 +601,16 @@ class MeshHierarchy:
     level, smoothed like every P1 level by ``MG_SWEEPS`` damped Jacobi
     sweeps of weight ``MG_WEIGHT``.
 
-    At degree k > 1 the newest space's Pk matrix is one more level on top
-    (the p-level), a two-level p-multigrid in the manner of Helenbrook,
+    Up to ``COARSE_DOFS`` the P1 operator is the exact solve, so
+    :func:`~afem2d.adapt.adapt_loop` gives CG its nested start (the
+    previous solution interpolated, not through :func:`prolongation`) only
+    above that size.
+
+    Each level's P1 matrix is the eliminated P1 stiffness: at degree 1
+    ``system.matrix`` itself, at degree k > 1 one built for the mesh by
+    :func:`assemble_p1_system`.  At degree k > 1 the newest space's Pk
+    matrix is one more level on top (the p-level), a two-level
+    p-multigrid in the manner of Helenbrook,
     Mavriplis & Atkins (AIAA 2003-3989): ``SMOOTHING_SWEEPS`` damped Jacobi
     sweeps of weight ``SMOOTHING_WEIGHT`` around the P1 correction, reached
     through the P1 -> Pk embedding P.  P is the element's interpolant of
@@ -559,8 +638,8 @@ class MeshHierarchy:
         p1_matrix, p_level = matrix, []
         if space.degree > 1:
             free = free_vertices(mesh)
-            p1_matrix, _ = apply_dirichlet(assemble_stiffness(FunctionSpace(mesh, 1)),
-                                           np.zeros(mesh.num_vertices), np.flatnonzero(~free), 0.0)
+            p1_matrix, _ = assemble_p1_system(mesh, np.zeros(mesh.num_vertices),
+                                              np.flatnonzero(~free), 0.0)
             # One cell and local slot per DOF: every cell sharing a DOF gives
             # it the same P1 weights, so any one of them does.
             dim = space.element.dim

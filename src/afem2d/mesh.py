@@ -100,10 +100,10 @@ class Mesh:
     The connectivity of :func:`build_connectivity` and ``facet_tags`` are
     read-only arrays, so no facet's tag can change under data derived from
     it.  The affine geometry is computed once, as read-only arrays: ``jac``
-    (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, ``areas``
-    = det / 2, the stiffness ``metric`` G_c = det J^-1 J^-T flattened to
-    (nc, 4), and per lane (local edge i) ``lane_lengths`` (3, nc) and
-    outward unit ``lane_normals`` (3, nc, 2).
+    (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, the
+    stiffness ``metric`` G_c = det J^-1 J^-T flattened to (nc, 4), and per
+    lane (local edge i) ``lane_lengths`` (3, nc) and outward unit
+    ``lane_normals`` (3, nc, 2).  The cell areas are ``0.5 * det``.
 
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
@@ -148,14 +148,13 @@ class Mesh:
         metric = np.matmul(inv, inv.transpose(0, 2, 1).copy())
         self.metric = (det[:, None, None] * metric).reshape(-1, 4)
         self.lane_lengths, self.lane_normals = lengths, normals
-        self.areas = 0.5 * det
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
         for array in (self.vertices, self.cells, jac, det, inv, self.metric, lengths, normals,
-                      self.areas, self.facets, self.facet_cells, self.cell_facets,
-                      self.facet_lanes, self.facet_tags):
+                      self.facets, self.facet_cells, self.cell_facets, self.facet_lanes,
+                      self.facet_tags):
             array.setflags(write=False)
 
     def _assign_tags(self, boundary):
@@ -224,6 +223,15 @@ class Mesh:
         other.setflags(write=False)
         boundary.setflags(write=False)
         return other, boundary
+
+    @property
+    def areas(self):
+        """Cell areas, ``0.5 * det``, formed on each access and not stored;
+        kept for the benchmark harness, which reads it.  The library uses
+        ``det`` itself."""
+        areas = 0.5 * self.det
+        areas.setflags(write=False)
+        return areas
 
     @property
     def num_vertices(self):

@@ -118,8 +118,9 @@ def zz_recovery(u, grads=None):
         grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), mesh.inv, ref_grad)
     weighted = np.zeros((mesh.num_vertices, 2))
     measure = np.zeros(mesh.num_vertices)
-    np.add.at(weighted, mesh.cells.ravel(), np.repeat(mesh.areas[:, None] * grads, 3, axis=0))
-    np.add.at(measure, mesh.cells.ravel(), np.repeat(mesh.areas, 3))
+    areas = 0.5 * mesh.det
+    np.add.at(weighted, mesh.cells.ravel(), np.repeat(areas[:, None] * grads, 3, axis=0))
+    np.add.at(measure, mesh.cells.ravel(), np.repeat(areas, 3))
     return grads, weighted / measure[:, None]
 
 
@@ -128,7 +129,7 @@ def zz_mass_form(mesh, grads, recovered):
     as a 3x3 matrix."""
     mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
     diff = recovered[mesh.cells] - grads[:, None, :]
-    return np.sqrt(mesh.areas * np.einsum("cjt,jk,ckt->c", diff, mass, diff))
+    return np.sqrt(0.5 * mesh.det * np.einsum("cjt,jk,ckt->c", diff, mass, diff))
 
 
 def eliminate_by_diagonal_products(matrix, dofs):
@@ -342,11 +343,26 @@ def row_reduction_kernel(g, tol=1e-9):
     return basis
 
 
+def nested_start(previous, mesh, load):
+    """A P1 start on ``mesh`` from the solution ``previous`` on the mesh it
+    refines: ``previous`` at the old vertices, the mean of the two parents
+    at each new one, and ``load``'s values (the eliminated system's
+    Dirichlet values) at the Dirichlet DOFs."""
+    parents = mesh.parents
+    start = np.concatenate([previous, 0.5 * (previous[parents[:, 0]] + previous[parents[:, 1]])])
+    dofs = FunctionSpace(mesh, 1).dirichlet_dofs()
+    start[dofs] = load[dofs]
+    return start
+
+
 def two_solve_goal_trace(problem, config, reference):
     """The goal loop with a separate primal and dual assembly and solve
     on every mesh (Dörfler marking, ``max_dofs`` stop): the oracle for
     ``adapt_loop``'s one two-column solve.  Under ``cg`` both solves take
-    the V-cycle over the same mesh hierarchy.  J(u_h) is the raw dual load
+    the V-cycle over the same mesh hierarchy, and at degree 1 each starts
+    on a mesh above ``COARSE_DOFS`` from its own previous solution, the
+    new vertices at their parents' mean and the Dirichlet DOFs at its
+    system's values.  J(u_h) is the raw dual load
     applied to u_h, as in the loop, and every load and estimate takes the
     plain ``goal.c``, which has no ``support_cells``: the byte-identical
     trace then also shows that the loop's support-restricted dual load and
@@ -359,13 +375,20 @@ def two_solve_goal_trace(problem, config, reference):
     estimator, c = resolve_estimator(config.estimator), problem.goal.c
     mesh, trace, iteration = problem.mesh, AdaptTrace(), 0
     hierarchy = fem.MeshHierarchy()
+    previous = None
     while True:
         space = FunctionSpace(mesh, config.degree)
         system = fem.assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+        dual = assemble_dual(space, c)
         precond = hierarchy.add(space, system) if config.solver == "cg" else None
-        u = FEFunction(space, fem.solve(system, method=config.solver, M=precond))
-        z = FEFunction(space, fem.solve(assemble_dual(space, c), method=config.solver,
-                                        M=precond))
+        starts = [None, None]
+        if (config.solver == "cg" and config.degree == 1 and previous is not None
+                and mesh.num_vertices > fem.COARSE_DOFS):
+            starts = [nested_start(old, mesh, each.rhs)
+                      for old, each in zip(previous, (system, dual))]
+        u, z = (FEFunction(space, fem.solve(each, method=config.solver, M=precond, x0=start))
+                for each, start in zip((system, dual), starts))
+        previous = (u.coeffs, z.coeffs)
         indicator, eta = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))
         err = abs(reference - fem.assemble_load(space, c) @ u.coeffs)
         marked = mark_dorfler(indicator, config.theta)

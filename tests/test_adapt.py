@@ -34,7 +34,7 @@ from afem2d.problems import (
     GoalSpec, boundary_singularity, lshaped, lshaped_goal, lshaped_mixed, unit_square_mesh,
 )
 
-from helpers import two_solve_goal_trace
+from helpers import nested_start, two_solve_goal_trace
 
 RNG = np.random.default_rng(20240820)
 
@@ -460,13 +460,14 @@ def test_adapt_loop_follows_the_goal():
 
 @pytest.mark.parametrize("solver", ["lu", "cg"])
 def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
-    """One stiffness assembly per mesh; ``lu`` factors each mesh's matrix
-    once, and ``cg`` factors only its coarsest level, of at most
-    ``COARSE_DOFS`` rows.  Every factorization runs SuperLU in symmetric
-    mode, with the minimum-degree ordering of A + A^T and no pivoting."""
+    """One P1 system built per mesh (by the facet-graph builder, the only
+    P1 assembly); ``lu`` factors each mesh's matrix once, and ``cg``
+    factors only its coarsest level, of at most ``COARSE_DOFS`` rows.
+    Every factorization runs SuperLU in symmetric mode, with the
+    minimum-degree ordering of A + A^T and no pivoting."""
     import afem2d.fem as fem
 
-    calls = {"assemble_stiffness": [], "splu": []}
+    calls = {"assemble_p1_system": [], "assemble_stiffness": [], "splu": []}
 
     def spy(owner, name):
         original = getattr(owner, name)
@@ -477,13 +478,15 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
 
         monkeypatch.setattr(owner, name, recording)
 
+    spy(fem, "assemble_p1_system")
     spy(fem, "assemble_stiffness")
     spy(fem.spla, "splu")
     config = AdaptConfig(estimator="bw:2,1", solver=solver, max_iterations=2)
     result = adapt_loop(lshaped_goal(), config, FROZEN_GOAL_REFERENCE)
     meshes = len(result.trace.rows)
     assert meshes == 3
-    assert len(calls["assemble_stiffness"]) == meshes
+    assert len(calls["assemble_p1_system"]) == meshes
+    assert calls["assemble_stiffness"] == []
     factored = [matrix.shape[0] for matrix, _ in calls["splu"]]
     if solver == "lu":
         assert factored == result.trace.column("num_dofs").tolist()
@@ -540,9 +543,10 @@ def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
     problem = dataclasses.replace(lshaped_mixed(), goal=GoalSpec())
     seen = []
 
-    def recording(system, method, M=None):
+    def recording(system, method, M=None, x0=None):
+        assert x0 is None  # lu takes no start
         seen.append(system)
-        return solve(system, method, M=M)
+        return solve(system, method, M=M, x0=x0)
 
     monkeypatch.setattr(adapt_module, "solve", recording)
     result = adapt_loop(problem, AdaptConfig(degree=2, solver="lu", max_iterations=0), 0.0)
@@ -718,6 +722,102 @@ def test_loop_cg_iterations_stay_flat_over_the_hierarchy(monkeypatch):
     assert runs[-1][0] >= 20000
     assert all(n == 1 for size, n in runs if size <= fem.COARSE_DOFS), runs
     assert all(n <= 25 for size, n in runs if size > fem.COARSE_DOFS), runs
+
+
+def recorded_cg_loop(monkeypatch, problem, config, reference=None, drop_start=False):
+    """``adapt_loop`` with every ``fem.spla.cg`` call recorded as a dict of
+    its load, start (``x0``), solution and iteration count, and the mesh of
+    every assembly; ``drop_start`` runs each solve from zero instead.
+    Returns (result, calls, meshes)."""
+    import afem2d.adapt as adapt
+    import afem2d.fem as fem
+
+    calls, meshes = [], []
+    original_cg, original_assemble = fem.spla.cg, adapt.assemble_poisson
+
+    def recording(matrix, load, *args, **kwargs):
+        start = kwargs.get("x0")
+        if drop_start:
+            kwargs["x0"] = None
+        call = {"load": load.copy(), "x0": None if start is None else start.copy(), "iters": 0}
+
+        def step(xk):
+            call["iters"] += 1
+
+        x, info = original_cg(matrix, load, *args, callback=step, **kwargs)
+        calls.append(dict(call, x=x.copy()))
+        return x, info
+
+    def assembling(space, *args):
+        meshes.append(space.mesh)
+        return original_assemble(space, *args)
+
+    monkeypatch.setattr(fem.spla, "cg", recording)
+    monkeypatch.setattr(adapt, "assemble_poisson", assembling)
+    return adapt_loop(problem, config, reference), calls, meshes
+
+
+def test_nested_iteration_starts_cg_from_the_previous_solution(monkeypatch):
+    """At degree 1 under ``cg`` each mesh above ``COARSE_DOFS`` starts from
+    the previous mesh's solution interpolated onto it, with the new
+    Dirichlet values; the meshes at or below it, whose V-cycle is the exact
+    solve, start from zero.  The meshes and markings are those of the runs
+    from zero, in fewer iterations."""
+    import afem2d.fem as fem
+
+    problem = lshaped()
+    config = AdaptConfig(estimator="bw:2,1", solver="cg", max_dofs=5000)
+    result, calls, meshes = recorded_cg_loop(monkeypatch, problem, config)
+    assert len(calls) == len(meshes) == len(result.trace.rows)
+    sizes = [mesh.num_vertices for mesh in meshes]
+    assert sizes[-1] >= 5000 and 1 < sum(n <= fem.COARSE_DOFS for n in sizes) < len(sizes)
+    for k, (mesh, call) in enumerate(zip(meshes, calls)):
+        if k == 0 or mesh.num_vertices <= fem.COARSE_DOFS:
+            assert call["x0"] is None
+            continue
+        want = nested_start(calls[k - 1]["x"], mesh, call["load"])
+        assert np.array_equal(call["x0"], want)
+        dofs = FunctionSpace(mesh, 1).dirichlet_dofs()
+        assert np.array_equal(want[dofs], problem.u_dirichlet(*mesh.vertices[dofs].T))
+
+    monkeypatch.undo()
+    from_zero, zero_calls, _ = recorded_cg_loop(monkeypatch, problem, config, drop_start=True)
+    for name in ("num_dofs", "num_marked"):
+        assert np.array_equal(result.trace.column(name), from_zero.trace.column(name))
+    nested = sum(call["iters"] for call in calls)
+    assert nested < sum(call["iters"] for call in zero_calls)
+
+
+def test_nested_iteration_starts_both_goal_columns(monkeypatch):
+    """The goal loop under ``cg`` starts the primal and the dual solve each
+    from its own previous solution, with its own Dirichlet values."""
+    import afem2d.fem as fem
+
+    config = AdaptConfig(estimator="bw:2,1", solver="cg", max_dofs=3000)
+    result, calls, meshes = recorded_cg_loop(monkeypatch, lshaped_goal(), config,
+                                             FROZEN_GOAL_REFERENCE)
+    assert len(calls) == 2 * len(meshes)
+    assert meshes[-1].num_vertices > fem.COARSE_DOFS
+    for k, mesh in enumerate(meshes):
+        for column in range(2):
+            call = calls[2 * k + column]
+            if k == 0 or mesh.num_vertices <= fem.COARSE_DOFS:
+                assert call["x0"] is None
+            else:
+                previous = calls[2 * (k - 1) + column]["x"]
+                assert np.array_equal(call["x0"], nested_start(previous, mesh, call["load"]))
+    assert np.array_equal(calls[-1]["x"], result.dual.coeffs)
+
+
+def test_nested_iteration_is_degree_one_only(monkeypatch):
+    """Above P1 the previous solution is no start: every solve of a
+    degree-2 run begins at zero, also on meshes above ``COARSE_DOFS``."""
+    import afem2d.fem as fem
+
+    config = AdaptConfig(estimator="bw:3,1", degree=2, solver="cg", max_dofs=5000)
+    _, calls, meshes = recorded_cg_loop(monkeypatch, lshaped(), config)
+    assert meshes[-1].num_vertices > fem.COARSE_DOFS
+    assert len(calls) == len(meshes) and all(call["x0"] is None for call in calls)
 
 
 def test_loop_cg_trace_matches_the_jacobi_path(monkeypatch):

@@ -83,7 +83,7 @@ def test_run_emit_mesh_roundtrip(tmp_path):
     assert code == 0
     mesh = read_mesh(str(mesh_path))
     assert mesh.num_cells > lshaped().mesh.num_cells
-    assert abs(mesh.areas.sum() - 3.0) < 1e-12
+    assert abs(0.5 * mesh.det.sum() - 3.0) < 1e-12
     # vertex values are appended after the boundary facet block
     lines = mesh_path.read_text().strip().split("\n")
     nbf = len(mesh.boundary_facets())
@@ -202,7 +202,7 @@ def test_goal_run_emits_primal_mesh(tmp_path):
     assert code == 0
     mesh = read_mesh(str(mesh_path))
     assert mesh.num_cells > lshaped_goal().mesh.num_cells
-    assert abs(mesh.areas.sum() - 3.0) < 1e-12
+    assert abs(0.5 * mesh.det.sum() - 3.0) < 1e-12
     lines = mesh_path.read_text().strip().split("\n")
     nbf = len(mesh.boundary_facets())
     values = np.array(lines[1 + mesh.num_vertices + mesh.num_cells + nbf:], dtype=float)

@@ -209,7 +209,7 @@ def test_zz_patch_average_oracle():
     ref_grad = space.element.tabulate_grad(np.array([[1 / 3, 1 / 3]]))[0]
     grads = np.einsum("ci,cst,is->ct", u.cell_coeffs(), inv, ref_grad)
 
-    areas = mesh.areas
+    areas = 0.5 * mesh.det
     recovered = np.zeros((mesh.num_vertices, 2))
     for v in range(mesh.num_vertices):
         patch = [c for c in range(mesh.num_cells) if v in mesh.cells[c]]
@@ -269,7 +269,7 @@ def test_zz_bincount_recovery_matches_add_at(name):
     grads, recovered = zz_recovery(u, grads)
     diff = recovered[mesh.cells] - grads[:, None, :]
     total = diff.sum(axis=1)
-    eta2 = mesh.areas * (np.einsum("ct,ct->c", total, total)
+    eta2 = 0.5 * mesh.det * (np.einsum("ct,ct->c", total, total)
                          + np.einsum("cjt,cjt->c", diff, diff)) / 12.0
     assert np.array_equal(zz_estimate(u).values, np.sqrt(eta2))
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
 from afem2d import element as el
@@ -587,6 +589,101 @@ def test_apply_dirichlet_matches_diagonal_products(degree):
             assert np.array_equal(have, was)
 
 
+def coo_p1_system(mesh, load, dofs, values):
+    """The eliminated P1 system by the COO route: the raw stiffness of
+    ``assemble_stiffness``, eliminated by ``apply_dirichlet``."""
+    return apply_dirichlet(assemble_stiffness(FunctionSpace(mesh, 1)), load, dofs, values)
+
+
+def assert_same_p1_matrix(got, want, mesh, bitwise=False):
+    """One pattern and index width, and no stored zero.  Each off-diagonal
+    entry sums one or two cell terms, which commute, so it keeps its bits.
+    A diagonal entry sums the k positive terms of the cells at its vertex;
+    each summation order is within (k - 1) u |sum| of the exact sum (u =
+    eps / 2, at most one ulp of |sum|), so two orders differ by at most
+    2 (k - 1) ulp; with ``bitwise``, by none."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.indices.dtype == got.indptr.dtype == want.indices.dtype == np.int32
+    assert np.all(got.data != 0.0)
+    rows = np.repeat(np.arange(want.shape[0]), np.diff(want.indptr))
+    diagonal = rows == want.indices
+    assert np.array_equal(got.data[~diagonal], want.data[~diagonal])
+    cells_at = np.bincount(mesh.cells.ravel(), minlength=mesh.num_vertices)[rows[diagonal]]
+    ulps = 0 if bitwise else 2 * np.maximum(cells_at - 1, 0)
+    gap = np.abs(got.data[diagonal] - want.data[diagonal])
+    assert np.all(gap <= ulps * np.spacing(want.data[diagonal]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisions=st.integers(1, 9), seed=st.integers(0, 2**16), tagged=st.booleans(),
+       lifted=st.booleans())
+def test_p1_system_matches_the_coo_route(divisions, seed, tagged, lifted):
+    """The facet-graph builder gives the COO route's system: its pattern,
+    its off-diagonal entries and its lifted load bitwise, and its diagonal
+    to within the reordering bound (at most 3 ulp over 2,400 such meshes),
+    on jittered meshes and on meshes with random Dirichlet and Neumann
+    edges, for zero and nonzero Dirichlet values."""
+    mesh = randomly_tagged_mesh(divisions, seed) if tagged else jittered_square(divisions, seed)
+    dofs = FunctionSpace(mesh, 1).dirichlet_dofs()
+    rng = np.random.default_rng(seed)
+    load = rng.standard_normal(mesh.num_vertices)
+    values = rng.standard_normal(len(dofs)) if lifted else np.zeros(len(dofs))
+    got, got_rhs = fem.assemble_p1_system(mesh, load, dofs, values)
+    want, want_rhs = coo_p1_system(mesh, load, dofs, values)
+    assert_same_p1_matrix(got, want, mesh)
+    assert_bitwise(got_rhs, want_rhs)
+
+
+@pytest.mark.parametrize("refinements", [0, 1, 2, 3])
+def test_p1_system_is_the_coo_route_bitwise_on_the_lshape(refinements):
+    """On the L-shape's right triangles the builder keeps every bit of the
+    COO route, and like ``eliminate_zeros`` it stores none of the exactly
+    zero couplings (cot 90 deg) that the raw stiffness holds."""
+    problem = lshaped()
+    mesh = uniform_refine(lshaped_mesh(2), refinements)
+    space = FunctionSpace(mesh, 1)
+    dofs = space.dirichlet_dofs()
+    values = eval_data(problem.u_dirichlet, mesh.vertices[dofs]).copy()
+    load = assemble_load(space, lambda x, y: np.cos(x) + y)
+    got, got_rhs = fem.assemble_p1_system(mesh, load, dofs, values)
+    want, want_rhs = coo_p1_system(mesh, load, dofs, values)
+    assert_same_p1_matrix(got, want, mesh, bitwise=True)
+    assert_bitwise(got_rhs, want_rhs)
+    assert np.any(assemble_stiffness(space).data == 0.0)
+    system = assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet)
+    assert_same_p1_matrix(system.matrix, want, mesh, bitwise=True)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_hierarchy_p1_operator_comes_from_the_p1_builder(monkeypatch, degree):
+    """At degree > 1, ``MeshHierarchy.add`` builds its P1 operator with the
+    facet-graph builder, with zero Dirichlet values, and assembles no raw
+    stiffness; the operator is the COO route's on a mesh with Dirichlet and
+    Neumann edges and rotated cells."""
+    mesh = refine(randomly_tagged_mesh(4, seed=degree), [0, 3, 7, 11])
+    space = FunctionSpace(mesh, degree)
+    system = assemble_poisson(space, lambda x, y: np.sin(x) * y)
+    calls = {"assemble_p1_system": [], "assemble_stiffness": []}
+    for name in calls:
+        original = getattr(fem, name)
+
+        def recording(*args, original=original, name=name):
+            result = original(*args)
+            calls[name].append((args, result))
+            return result
+
+        monkeypatch.setattr(fem, name, recording)
+    MeshHierarchy().add(space, system)
+    assert calls["assemble_stiffness"] == []
+    [((built_mesh, load, dofs, values), (matrix, _))] = calls["assemble_p1_system"]
+    assert built_mesh is mesh and not np.any(load) and not np.any(values)
+    fixed = FunctionSpace(mesh, 1).dirichlet_dofs()
+    assert np.array_equal(dofs, fixed)
+    want, _ = coo_p1_system(mesh, np.zeros(mesh.num_vertices), fixed, 0.0)
+    assert_same_p1_matrix(matrix, want, mesh)
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -778,6 +875,31 @@ def test_solve_passes_the_given_preconditioner_to_cg_only(monkeypatch):
     assert seen == [identity]
     with pytest.raises(ValueError, match="cg only"):
         solve(system, method="lu", M=identity)
+
+
+def test_solve_passes_one_start_per_column_to_cg_only(monkeypatch):
+    """``x0`` reaches CG column by column; from the solution itself CG
+    stops at once with that solution.  ``lu`` rejects a start."""
+    import afem2d.fem as fem
+
+    system, second = two_load_system()
+    system.rhs = np.column_stack([system.rhs, second])
+    solution = solve(system, method="cg")
+    seen = []
+    original = fem.spla.cg
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["x0"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "cg", recording)
+    assert np.array_equal(solve(system, method="cg", x0=solution), solution)
+    assert len(seen) == 2 and all(np.array_equal(s, c) for s, c in zip(seen, solution.T))
+    seen.clear()
+    solve(system, method="cg")
+    assert seen == [None, None]
+    with pytest.raises(ValueError, match="cg only"):
+        solve(system, method="lu", x0=solution)
 
 
 def p1_embedding(space):

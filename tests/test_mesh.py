@@ -17,7 +17,7 @@ def test_criss_cross_counts_and_tags():
     assert len(mm.facets) == 8
     assert int(np.sum(mm.facet_tags == m.INTERIOR)) == 4
     assert int(np.sum(mm.facet_tags == m.DIRICHLET)) == 4
-    assert np.allclose(mm.areas, 0.25)
+    assert np.allclose(0.5 * mm.det, 0.25)
     assert np.allclose(mm.min_angle(), np.pi / 4)
 
 
@@ -256,7 +256,7 @@ def test_refine_all_two_cell_square():
     mm = two_cell_square()
     fine = m.refine(mm, np.arange(2))
     assert fine.num_cells == 8
-    assert abs(fine.areas.sum() - 1.0) < 1e-12
+    assert abs(0.5 * fine.det.sum() - 1.0) < 1e-12
     assert_conforming(fine)
     assert np.all(fine.facet_tags[fine.boundary_facets()] == m.DIRICHLET)
 
@@ -266,7 +266,7 @@ def test_refine_single_cell_triggers_closure():
     fine = m.refine(mm, np.array([0]))
     # marked parent -> 4 children, neighbor splits its refinement edge -> 2
     assert fine.num_cells == 6
-    assert abs(fine.areas.sum() - 1.0) < 1e-12
+    assert abs(0.5 * fine.det.sum() - 1.0) < 1e-12
     assert_conforming(fine)
 
 
@@ -299,7 +299,7 @@ def test_uniform_refine_fixed_factor_and_angles():
     for k in (1, 2, 3):
         fine = m.uniform_refine(mm, k)
         assert fine.num_cells == 4 * 4**k
-        assert abs(fine.areas.sum() - 1.0) < 1e-12
+        assert abs(0.5 * fine.det.sum() - 1.0) < 1e-12
         assert fine.min_angle() >= angle0 - 1e-12
         assert_conforming(fine)
 
@@ -308,7 +308,7 @@ def test_refined_cells_nest_inside_parents():
     mm = two_cell_square()
     fine = m.refine(mm, np.array([0, 1]))
     # children centroids stay inside the union, area halves are exact
-    assert np.isclose(np.sort(fine.areas)[0] * 8, 1.0)
+    assert np.isclose(np.sort(fine.det)[0] * 4, 1.0)
 
 
 def test_tag_inheritance_through_refinement():
@@ -331,7 +331,7 @@ def test_repeated_adaptive_refinement_stays_shape_regular():
         marked = np.unique(rng.integers(0, mm.num_cells, size=max(1, mm.num_cells // 5)))
         mm = m.refine(mm, marked)
         assert_conforming(mm)
-    assert abs(mm.areas.sum() - 1.0) < 1e-12
+    assert abs(0.5 * mm.det.sum() - 1.0) < 1e-12
     assert mm.min_angle() > np.pi / 9  # bisection classes keep angles bounded
 
 

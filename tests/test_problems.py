@@ -139,7 +139,7 @@ def test_audit_catches_inconsistent_forcing():
 def test_lshaped_mesh_counts_and_domain():
     mesh = lshaped_mesh(2)
     assert mesh.num_cells == 6 * 4 * 4
-    assert abs(mesh.areas.sum() - 3.0) < 1e-12
+    assert abs(0.5 * mesh.det.sum() - 3.0) < 1e-12
     # no vertex inside the excluded third quadrant
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     assert not np.any((x < -1e-12) & (y < -1e-12))
@@ -149,7 +149,7 @@ def test_unit_square_mesh_counts():
     mesh = unit_square_mesh(4)
     assert mesh.num_vertices == 25
     assert mesh.num_cells == 32
-    assert abs(mesh.areas.sum() - 1.0) < 1e-12
+    assert abs(0.5 * mesh.det.sum() - 1.0) < 1e-12
     assert np.all(mesh.facet_tags[mesh.boundary_facets()] == DIRICHLET)
 
 
