@@ -15,18 +15,20 @@ f + lap(u_h) and the facet data
     Dirichlet facet: 0  (fine DOFs on the facet are eliminated instead)
 
 and N^T (P A+ P + I - P) N x = N^T P b+ is solved, P masking the fine
-DOFs on Dirichlet facets.  Its matrix G_c @ N^T P K_ref P N + N^T (I - P) N
-takes two reference tensors per Dirichlet pattern of the cell's edges,
-projected once per pair.  The projected systems are symmetric positive
-definite, and they are solved by one Cholesky factorization vectorized
-across cells (the cell index last), over blocks of ``fem.ERROR_BLOCK``
-cells.  The energy norm of the lift N x is the indicator.
+DOFs on Dirichlet facets.  Both sides come from tables per Dirichlet
+pattern of the cell's edges: the matrix is G_c @ N^T P K_ref P N +
+N^T (I - P) N, the load weighs the residuals by P N tabulated once per
+pair and rule.  The projected systems are symmetric positive definite,
+packed lower triangles factored by one Cholesky factorization across
+cells (the cell index last), over blocks of ``fem.ERROR_BLOCK`` cells.
+The indicator is the energy norm of the lift N x, whose square is
+x . N^T b+ where the matrix is N^T A+ N (no Dirichlet edge).
 
 The projected matrices depend only on the mesh and the pair, not on the
 function estimated: estimates of several functions on one mesh (the
 primal and dual of a goal-oriented run) can share the factors through
 the ``factors`` dict of :func:`estimate`, and each later one then only
-projects its load and substitutes, with the same bits as on its own.
+forms its load and substitutes, with the same bits as on its own.
 """
 
 import functools
@@ -96,8 +98,9 @@ def nullspace(fine, coarse, rtol=NULLSPACE_RTOL):
 
 @functools.lru_cache(maxsize=None)
 def _operators(kind):
-    """Fine element, kernel N (d, k) and per Dirichlet pattern m: free[m]
-    = P_m N, stiff[m] = N^T P_m K_ref P_m N (4, k, k), fixed[m] = N^T (I - P_m) N."""
+    """Fine element, kernel N (d, k), N^T K_ref N (4, k, k) and per
+    Dirichlet pattern m: free[m] = P_m N and, lower triangles packed by
+    columns, stiff[m] = N^T P_m K_ref P_m N and fixed[m] = N^T (I - P_m) N."""
     if kind == "bubble":
         fine, coarse = el.p2_bubble(), el.lagrange(1)
     else:
@@ -111,85 +114,118 @@ def _operators(kind):
     kref = fem.reference_stiffness(fine).reshape(4, fine.dim, fine.dim)
     stiff = np.einsum("mia,sij,mjb->msab", free, kref, free)
     fixed = np.einsum("ia,mi,ib->mab", null, 1.0 - mask, null)
-    return fine, null, free, stiff, fixed
+    cols, rows = np.triu_indices(null.shape[1])
+    return fine, null, stiff[0], free, stiff[..., rows, cols], fixed[:, rows, cols]
 
 
-def local_system(u, f, g, fine):
-    """The (nc, d) residual loads against the fine basis, before any
-    elimination; the cell stiffness is ``mesh.metric @ K_ref``.  ``f`` or
-    ``g`` None is zero and never evaluated.  The facet traces are taken
-    once for all cells, since the jumps need the neighbours; the interior
-    residual and the loads go by :func:`~afem2d.fem.cell_blocks`.
-    """
-    space = u.space
-    mesh = space.mesh
-    order = max(2 * fine.degree, space.degree + fine.degree + 2)
-    pts, _ = quad.triangle_rule(order)
-    hess = space.element.tabulate_hess(pts) if space.degree >= 2 else None
-    dn, jump = fem.facet_traces(u, order)
-    length = mesh.lane_lengths
-    data = jump * (0.5 * length)[..., None]
-    neumann = np.nonzero(mesh.lane_tags == NEUMANN)
-    flux = -dn[neumann]
-    if g is not None:
-        flux += fem.neumann_values(mesh, g, order)[neumann]
-    data[neumann] = flux * length[neumann][:, None]
-    b = np.empty((mesh.num_cells, fine.dim))
-    for cells, r in fem.cell_blocks(mesh, f, pts):
-        if hess is not None:
-            lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
-            r = lap if r is None else r + lap
-        b[cells] = fem.cell_loads(fine, order, mesh.det[cells], r, data[:, cells])
-    return b
+@functools.lru_cache(maxsize=None)
+def _load_tables(kind, order):
+    """Every pattern's P_m N weighted at ``triangle_rule(order)`` (8, nq, k)
+    and at each lane's ``edge_rule(order)`` (8, 3 nt, k), and the latter
+    summed over each lane's points (8, 3, k)."""
+    fine, _, _, free, _, _ = _operators(kind)
+    pts, wts = quad.triangle_rule(order)
+    t, wt = quad.edge_rule(order)
+    volume = (wts[:, None] * fine.tabulate(pts)) @ free
+    lanes = [wt[:, None] * fine.tabulate(fem.lane_points(lane, t)) for lane in range(3)]
+    edge = np.stack(lanes) @ free[:, None]  # (8, 3, nt, k)
+    tables = volume, edge.reshape(8, -1, free.shape[2]), edge.sum(axis=2)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _project_matrix(metric, pattern, kind):
-    """Every cell's N^T (P A P + I - P) N as (k, k, nc), cell index last:
-    one product for all cells as if none had a Dirichlet edge, then the
-    cells of each Dirichlet pattern overwritten."""
-    _, _, _, stiff, fixed = _operators(kind)
-    k = fixed.shape[1]
-    a_bw = (stiff[0].reshape(4, -1).T @ metric.T).reshape(k, k, -1)
+def _by_pattern(values, tables, pattern):
+    """Each cell's ``values`` (n, r) times its pattern's table (r, s) as
+    (s, n), the cell index last: one product for all cells as if none had
+    a Dirichlet edge, then the cells of each Dirichlet pattern overwritten."""
+    out = tables[0].T @ values.T
     dirichlet = np.flatnonzero(pattern)
     for m in np.unique(pattern[dirichlet]):
         # einsum, not a product that BLAS treats differently for one cell,
         # so that no cell's bits depend on how many share its pattern
         cells = dirichlet[pattern[dirichlet] == m]
-        a_bw[:, :, cells] = np.einsum("sab,cs->abc", stiff[m], metric[cells]) + fixed[m][..., None]
+        out[:, cells] = np.einsum("rs,cr->sc", tables[m], values[cells])
+    return out
+
+
+def local_system(u, f, g, kind):
+    """Every cell's projected load N^T P b+ (nc, k) for the pair (or
+    "bubble") ``kind``, by the tables of :func:`_load_tables`.  ``f`` or
+    ``g`` None is zero and never evaluated.  The facet traces are taken
+    for all cells at once, since the jumps need the neighbours; the
+    residual and the loads go by ``fem.cell_blocks``.
+    """
+    space = u.space
+    mesh = space.mesh
+    fine = _operators(kind)[0]
+    order = max(2 * fine.degree, space.degree + fine.degree + 2)
+    volume, edge, edge_sums = _load_tables(kind, order)
+    pts, _ = quad.triangle_rule(order)
+    hess = space.element.tabulate_hess(pts) if space.degree >= 2 else None
+    dn, jump = fem.facet_traces(u, order)
+    length = mesh.lane_lengths
+    gv = None if g is None else fem.neumann_values(mesh, g, order) * length[..., None]
+    terms = []  # (facet data (3, nc, m), its edge tables)
+    if space.degree == 1:
+        # traces constant along each edge: one value per lane against the
+        # summed edge tables, and g a term of its own
+        dn, jump = dn[..., :1], jump[..., :1]
+        if gv is not None:
+            terms.append((gv, edge))
+        edge, gv = edge_sums, None
+    data = jump * (0.5 * length)[..., None]
+    neumann = np.nonzero(mesh.lane_tags == NEUMANN)
+    data[neumann] = -dn[neumann] * length[neumann][:, None]
+    if gv is not None:
+        data[neumann] += gv[neumann]
+    terms.append((data, edge))
+    # bit i of a cell's Dirichlet pattern is set when its local edge i is Dirichlet
+    pattern = (1 << np.arange(3)) @ (mesh.lane_tags == DIRICHLET)
+    b = np.empty((mesh.num_cells, volume.shape[2]))
+    for cells, r in fem.cell_blocks(mesh, f, pts):
+        if hess is not None:
+            lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
+            r = lap if r is None else r + lap
+        n = cells.stop - cells.start  # the facet data of a block as rows (n, 3 m)
+        b_bw = sum(_by_pattern(lanes[:, cells].transpose(1, 0, 2).reshape(n, -1), tables,
+                               pattern[cells]) for lanes, tables in terms)
+        if r is not None:
+            b_bw += _by_pattern(r * mesh.det[cells, None], volume, pattern[cells])
+        b[cells] = b_bw.T
+    return b
+
+
+def _project_matrix(metric, pattern, kind):
+    """Every cell's N^T (P A P + I - P) N, its lower triangle packed by
+    columns as (k(k+1)/2, nc), the cell index last."""
+    stiff, fixed = _operators(kind)[4:]
+    a_bw = _by_pattern(metric, stiff, pattern)
+    dirichlet = np.flatnonzero(pattern)
+    a_bw[:, dirichlet] += fixed[pattern[dirichlet]].T
     return a_bw
 
 
-def _project_load(b, pattern, kind):
-    """Every cell's N^T P b as (k, nc), by the same pattern split as
-    :func:`_project_matrix`."""
-    free = _operators(kind)[2]
-    b_bw = free[0].T @ b.T
-    dirichlet = np.flatnonzero(pattern)
-    for m in np.unique(pattern[dirichlet]):
-        cells = dirichlet[pattern[dirichlet] == m]
-        b_bw[:, cells] = np.einsum("da,cd->ac", free[m], b[cells])
-    return b_bw
-
-
 def _factor(a_bw, first=0):
-    """Cholesky factors of the projected systems a_bw (k, k, nc) of all
-    cells; returns (a_bw, pivots), the factor in a_bw's lower triangle
-    (overwritten) and its (k, nc) diagonal.
+    """Cholesky factors of the projected systems of all cells, lower
+    triangles packed by columns in a_bw (k(k+1)/2, nc); returns (a_bw,
+    pivots), the factor in a_bw (overwritten) and its (k, nc) diagonal.
 
     The systems are symmetric positive definite, so one factorization runs
     over all cells at once, a column at a time.  A cell with a
     non-positive or non-finite pivot raises LocalSolveError naming the
     first such cell, numbered from ``first``.
     """
-    k = len(a_bw)
+    k = int(np.sqrt(2 * len(a_bw)))  # len(a_bw) = k (k + 1) / 2
+    starts = np.cumsum(np.r_[0, k:0:-1])  # where each column's diagonal is
     with np.errstate(all="ignore"):
         for j in range(k):
-            np.sqrt(a_bw[j, j], out=a_bw[j, j])
-            col = a_bw[j + 1 :, j]
-            col /= a_bw[j, j]
+            col = a_bw[starts[j] : starts[j + 1]]
+            np.sqrt(col[0], out=col[0])
+            col[1:] /= col[0]
             for i in range(j + 1, k):
-                a_bw[i, j + 1 : i + 1] -= col[i - j - 1] * col[: i - j]
-        pivots = a_bw[np.arange(k), np.arange(k)]
+                a_bw[starts[i] : starts[i + 1]] -= col[i - j] * col[i - j :]
+        pivots = a_bw[starts[:-1]]
         bad = ~(np.isfinite(pivots) & (pivots > 0.0)).all(axis=0)
     if bad.any():
         raise LocalSolveError(
@@ -203,14 +239,15 @@ def _substitute(factor, b_bw):
     forward and back substitution; returns x (k, nc).  ``factor`` is only
     read, so one factorization serves any number of loads."""
     lower, pivots = factor
-    x = np.array(b_bw, dtype=float)
+    x = np.array(b_bw, dtype=float, order="C")
+    starts = np.cumsum(np.r_[0, len(x):0:-1])
     with np.errstate(all="ignore"):
         for j in range(len(x)):
             x[j] /= pivots[j]
-            x[j + 1 :] -= lower[j + 1 :, j] * x[j]
+            x[j + 1 :] -= lower[starts[j] + 1 : starts[j + 1]] * x[j]
         for j in reversed(range(len(x))):
             x[j] /= pivots[j]
-            x[:j] -= lower[j, :j] * x[j]
+            x[:j] -= lower[starts[:j] + j - np.arange(j)] * x[j]
     return x
 
 
@@ -230,17 +267,13 @@ def _block_factors(factors, mesh, kind):
 
 
 def _estimate(u, f, g, kind, factors):
-    fine, null, _, stiff, _ = _operators(kind)
+    _, null, stiff, _, _, _ = _operators(kind)
     mesh = u.space.mesh
     blocks = {} if factors is None else _block_factors(factors, mesh, kind)
-    b = local_system(u, f, g, fine)
-    # bit i of a cell's Dirichlet pattern is set when its local edge i is Dirichlet
+    b = local_system(u, f, g, kind)
     metric, pattern = mesh.metric, (1 << np.arange(3)) @ (mesh.lane_tags == DIRICHLET)
-    k = null.shape[1]
-    # eta^2 = (N x)^T A+ (N x) = sum_s G_c[s] x^T stiff[0][s] x
-    forms = stiff[0].transpose(0, 2, 1).reshape(4 * k, k)
     eta2 = np.empty(len(b))
-    lift = np.empty(b.shape)
+    lift = np.empty((len(b), len(null)))
     for cells, _ in fem.cell_blocks(mesh):
         factor = blocks.get(cells.start)
         if factor is None:
@@ -249,9 +282,13 @@ def _estimate(u, f, g, kind, factors):
                 for array in factor:
                     array.setflags(write=False)
                 blocks[cells.start] = factor
-        x = _substitute(factor, _project_load(b[cells], pattern[cells], kind))
-        quad_forms = ((forms @ x).reshape(4, k, -1) * x).sum(axis=1)
-        eta2[cells] = (quad_forms * metric[cells].T).sum(axis=0)
+        b_bw = b[cells].T
+        x = _substitute(factor, b_bw)
+        # eta^2 = (N x)^T A+ (N x) is x . b_bw where the matrix is N^T A+ N
+        eta2[cells] = np.einsum("ac,ac->c", x, b_bw)
+        dirichlet = np.flatnonzero(pattern[cells])
+        xd, md = x[:, dirichlet], metric[cells][dirichlet]
+        eta2[cells.start + dirichlet] = np.einsum("cs,sab,ac,bc->c", md, stiff, xd, xd)
         lift[cells] = x.T @ null.T
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0))), lift
 

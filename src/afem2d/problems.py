@@ -5,6 +5,7 @@ All exact solutions here are of corner-singularity type r^a sin(a (theta
 limited and adaptivity pays off.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -23,6 +24,10 @@ GOAL_RULE_TOL = 1e-12
 # Slack of GoalSpec.support_cells, relative to the sizes of eps and of the
 # coordinates: far above the rounding of mapped points and of rbar^2.
 SUPPORT_MARGIN = 1e-9
+
+# GoalSpec.support_cells by mesh object, then by spec: a mesh is immutable,
+# so its supports are found once and dropped with it.
+_SUPPORTS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,9 @@ class GoalSpec:
         return self.c(x, y)
 
     def support_cells(self, mesh):
-        """Sorted indices of the cells on which ``c`` can be nonzero.
+        """Sorted indices of the cells on which ``c`` can be nonzero, as a
+        read-only array found once per mesh object (the assembly and the
+        estimators of one mesh all ask for it).
 
         A cell lies in the disk about its centroid whose radius is the
         largest centroid-vertex distance, so it is dropped only when that
@@ -64,6 +71,13 @@ class GoalSpec:
         points and of rbar^2, so ``c`` is exactly 0.0 at every point of a
         dropped cell, such as the points of every ``triangle_rule``.
         """
+        supports = _SUPPORTS.setdefault(mesh, {})
+        if self not in supports:
+            supports[self] = self._find_support(mesh)
+            supports[self].setflags(write=False)
+        return supports[self]
+
+    def _find_support(self, mesh):
         # (3, nc) vertex coordinates, C-ordered so that each corner is a row
         x, y = (np.take(mesh.vertices[:, i], mesh.cells.T) for i in (0, 1))
         cx, cy = x.sum(axis=0) / 3.0, y.sum(axis=0) / 3.0

@@ -155,7 +155,7 @@ def mask_and_project(u, f, g, fine, nullbasis):
     rows and columns of the fine DOFs on Dirichlet facets, puts ones on
     their diagonal and projects the result onto the kernel ``nullbasis``.
     Returns (a_bw, b_bw, lift, eta): projected systems and loads, lifted
-    local solutions and cell indicators.  ``g`` is a callable.
+    local solutions and cell indicators.  ``f`` or ``g`` None is zero.
     """
     space = u.space
     mesh = space.mesh
@@ -164,7 +164,9 @@ def mask_and_project(u, f, g, fine, nullbasis):
     pts, wts = quad.triangle_rule(order)
     a_raw = quadrature_stiffness(fine, order, mesh)
 
-    r = fem.eval_data(f, fem.physical_points(mesh, pts))
+    r = np.zeros((mesh.num_cells, len(wts)))
+    if f is not None:
+        r = r + fem.eval_data(f, fem.physical_points(mesh, pts))
     if space.degree >= 2:
         r = r + fem.cell_laplacians(u.cell_coeffs(), space.element.tabulate_hess(pts), inv)
     b = (r * det[:, None]) @ (wts[:, None] * fine.tabulate(pts))
@@ -172,7 +174,7 @@ def mask_and_project(u, f, g, fine, nullbasis):
     t, wt = quad.edge_rule(order)
     tags, length = mesh.lane_tags, mesh.lane_lengths
     dn, jump = fem.facet_traces(u, order)
-    gv = fem.neumann_values(mesh, g, order)
+    gv = 0.0 if g is None else fem.neumann_values(mesh, g, order)
     data = np.where((tags == NEUMANN)[..., None], gv - dn, 0.5 * jump) * length[..., None]
     constrained = np.zeros((mesh.num_cells, fine.dim), dtype=bool)
     for lane in range(3):

@@ -535,6 +535,41 @@ def test_goal_iteration_factors_each_block_once(monkeypatch, estimator, degree):
         assert dual[1:] == [("substitute",)] * len(blocks)
 
 
+@pytest.mark.parametrize("estimator", ["bw:2,1", "res"])
+def test_goal_iteration_finds_the_support_once_per_mesh(monkeypatch, estimator):
+    """The dual load and the dual estimate of a goal iteration share one
+    search for the goal's support cells per mesh, which they get
+    read-only; the trace is bitwise that of a search on every call."""
+    spec = GoalSpec()
+    problem = dataclasses.replace(lshaped_mixed(), goal=spec)
+    config = AdaptConfig(estimator=estimator, solver="lu", max_iterations=2)
+    find = GoalSpec._find_support
+    monkeypatch.setattr(GoalSpec, "support_cells", lambda self, mesh: find(self, mesh))
+    want = adapt_loop(problem, config, FROZEN_GOAL_REFERENCE).trace.to_csv()
+    monkeypatch.undo()
+    searched, handed = [], []
+
+    def counting(self, mesh):
+        searched.append(mesh)
+        return find(self, mesh)
+
+    def recording(self, mesh):
+        handed.append(support(self, mesh))
+        return handed[-1]
+
+    support = GoalSpec.support_cells
+    monkeypatch.setattr(GoalSpec, "_find_support", counting)
+    monkeypatch.setattr(GoalSpec, "support_cells", recording)
+    result = adapt_loop(problem, config, FROZEN_GOAL_REFERENCE)
+    assert len(searched) == len({id(mesh) for mesh in searched}) == len(result.trace.rows) == 3
+    assert len(handed) == 2 * len(searched)
+    assert not any(cells.flags.writeable for cells in handed)
+    assert result.trace.to_csv() == want
+    # a second spec with the same parameters shares the first one's search
+    assert GoalSpec().support_cells(searched[-1]) is handed[-1]
+    assert len(searched) == 3
+
+
 def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
     """On a mesh with Dirichlet and Neumann facets the loop solves one
     system whose columns are the primal load and assemble_dual's load."""

@@ -16,8 +16,8 @@ from afem2d.bank_weiser import (
     LocalSolveError,
     NullspaceError,
     _factor,
+    _load_tables,
     _operators,
-    _project_load,
     _project_matrix,
     _substitute,
     estimate,
@@ -60,13 +60,36 @@ def _patterns(mesh):
     return (1 << np.arange(3)) @ (mesh.lane_tags == DIRICHLET)
 
 
-def _project(mesh, b, kind):
-    pattern = _patterns(mesh)
-    return _project_matrix(mesh.metric, pattern, kind), _project_load(b, pattern, kind)
+def _pack(a):
+    """Lower triangles of the symmetric (nc, k, k) matrices packed by
+    columns, (k(k+1)/2, nc), as :func:`_factor` takes them."""
+    cols, rows = np.triu_indices(a.shape[-1])
+    return np.ascontiguousarray(a[:, rows, cols].T)
 
 
-def _solve_projected(a_bw, b_bw, first=0):
-    return _substitute(_factor(a_bw, first), b_bw)
+def _unpack(packed):
+    """The symmetric (nc, k, k) matrices of packed lower triangles."""
+    k = int(np.sqrt(2 * len(packed)))
+    cols, rows = np.triu_indices(k)
+    a = np.zeros((packed.shape[1], k, k))
+    a[:, rows, cols] = a[:, cols, rows] = packed.T
+    return a
+
+
+def _projected_matrices(mesh, kind):
+    return _unpack(_project_matrix(mesh.metric, _patterns(mesh), kind))
+
+
+def _project_fine_load(mesh, b, kind):
+    """The oracle's projection N^T P b of fine-basis loads b (nc, d)."""
+    free = _operators(kind)[3]
+    return np.einsum("cdk,cd->ck", free[_patterns(mesh)], b)
+
+
+def _solve_projected(a, b_bw, first=0):
+    """Solve the (nc, k, k) systems for the loads b_bw (k, nc) by the
+    packed factorization and substitution."""
+    return _substitute(_factor(_pack(a), first), b_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +201,26 @@ def test_kernel_is_cell_independent(kind):
 
 
 def test_local_system_volume_term_single_cell():
-    """On one all-Dirichlet cell the load reduces to the volume integral
-    of f against the fine basis; compare against direct quadrature."""
-    mesh = unit_triangle_mesh()
-    space = FunctionSpace(mesh, 1)
-    u = interpolate(lambda x, y: x - y, space)  # linear: zero Laplacian
+    """On one cell with a zero solution and no Neumann data the load is
+    the volume integral of f against the fine basis, projected onto P N;
+    compare against direct quadrature.  With every edge Dirichlet every
+    fine DOF of the P2 space is fixed, and the projected load is zero."""
     f = lambda x, y: x + 2.0 * y
-    fine = el.lagrange(2)
-    b = local_system(u, f, None, fine)
-
-    assert b.shape == (1, 6)
-    # every edge is Dirichlet, so every fine DOF of the P2 space is fixed
-    assert list(_patterns(mesh)) == [7]
-    _, _, free, _, _ = _operators((2, 1))
-    assert not free[7].any()
-
     pts, wts = quad.triangle_rule(6)
-    tab = fine.tabulate(pts)
+    tab = el.lagrange(2).tabulate(pts)
     fx = f(pts[:, 0], pts[:, 1])  # unit triangle: physical == reference
     oracle = np.einsum("q,qi,q->i", fx, tab, wts)
-    assert np.abs(b[0] - oracle).max() < 1e-14
-    # the reference cell's metric is the identity
-    assert np.abs(mesh.metric[0] - [1.0, 0.0, 0.0, 1.0]).max() < 1e-15
+    free = _operators((2, 1))[3]
+    assert not free[7].any() and free[0].any()
+    for tag, pattern in [(DIRICHLET, 7), (NEUMANN, 0)]:
+        mesh = unit_triangle_mesh(boundary=lambda x, y: np.full(x.shape, tag))
+        space = FunctionSpace(mesh, 1)
+        b = local_system(FEFunction(space, np.zeros(space.num_dofs)), f, None, (2, 1))
+        assert b.shape == (1, 3) and list(_patterns(mesh)) == [pattern]
+        assert np.abs(b[0] - _project_fine_load(mesh, oracle[None], (2, 1))[0]).max() < 1e-14
+        assert (b == 0.0).all() == (tag == DIRICHLET)
+        # the reference cell's metric is the identity
+        assert np.abs(mesh.metric[0] - [1.0, 0.0, 0.0, 1.0]).max() < 1e-15
 
 
 def test_interior_jump_sign_and_sharing():
@@ -213,23 +234,24 @@ def test_interior_jump_sign_and_sharing():
     # vertex values [0, 1, 3, 1] give grad (1,2) on cell 0, (2,1) on cell 1
     u = FEFunction(space, np.array([0.0, 1.0, 3.0, 1.0]))
     zero = lambda x, y: np.zeros_like(x)
-    fine = el.lagrange(2)
-    b = local_system(u, zero, None, fine)
+    b = local_system(u, zero, None, (2, 1))
 
     jump = -1.0 / np.sqrt(2.0)
     length = np.sqrt(2.0)
     expected_row = np.zeros(6)
     # the diagonal is lane 0 for both cells; its P2 edge DOFs are (1, 2, 3)
     expected_row[[1, 2, 3]] = jump * length * np.array([1 / 6, 1 / 6, 2 / 3])
-    for cell in range(2):
-        assert np.abs(b[cell] - expected_row).max() < 1e-12
+    expected = _project_fine_load(mesh, np.array([expected_row] * 2), (2, 1))
+    assert np.abs(b - expected).max() < 1e-12
 
     # Lanes 1 and 2 are Dirichlet on both cells, and Dirichlet elimination
     # masks every fine DOF except the midpoint of the interior diagonal
-    # (local fine DOF 3).
+    # (local fine DOF 3), so each load is the midpoint's share of the jump.
     assert list(_patterns(mesh)) == [6, 6]
-    _, _, free, _, _ = _operators((2, 1))
+    free = _operators((2, 1))[3]
     assert list(np.flatnonzero(np.abs(free[6]).sum(axis=1))) == [3]
+    nullbasis = _operators((2, 1))[1]
+    assert np.abs(b - jump * length * 2 / 3 * nullbasis[3]).max() < 1e-12
 
 
 def test_neumann_facet_data():
@@ -244,30 +266,29 @@ def test_neumann_facet_data():
     u = interpolate(lambda x, y: x, space)
     zero = lambda x, y: np.zeros_like(x)
     g = lambda x, y: 3.0 * np.ones_like(x)
-    fine = el.lagrange(2)
-    b = local_system(u, zero, g, fine)
+    b = local_system(u, zero, g, (2, 1))
 
     # cell 0 = [1, 2, 0] owns the Neumann edge (1, 2) as lane 2; u is
     # continuous so the interior diagonal contributes nothing.
-    expected = np.zeros(6)
-    expected[list(el.lagrange(2).edge_dofs[2])] = 2.0 * np.array([1 / 6, 1 / 6, 2 / 3])
-    assert np.abs(b[0] - expected).max() < 1e-12
-    assert np.abs(b[1]).max() < 1e-12
+    expected = np.zeros((2, 6))
+    expected[0, list(el.lagrange(2).edge_dofs[2])] = 2.0 * np.array([1 / 6, 1 / 6, 2 / 3])
+    assert np.abs(b - _project_fine_load(mesh, expected, (2, 1))).max() < 1e-12
+    assert np.abs(b[0]).max() > 0.1
 
 
 @pytest.mark.parametrize("degree,pair", [(1, (2, 1)), (2, (4, 2))])
 def test_local_system_matches_quadrature_oracle(degree, pair):
     """Reference-tensor metrics and lane-map facet data reproduce the
-    quadrature stiffness and the mapped-point load on a mesh with
-    interior, Dirichlet and Neumann facets, with a nonzero source and
-    nonzero Neumann data."""
+    quadrature stiffness and the mapped-point load, projected onto each
+    cell's P N, on a mesh with interior, Dirichlet and Neumann facets,
+    with a nonzero source and nonzero Neumann data."""
     mesh = lshaped_mixed().mesh
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
     f = lambda x, y: np.exp(x) - y * y
     g = lambda x, y: 1.0 + x - 2.0 * y
     fine = el.lagrange(pair[0])
-    b = local_system(u, f, g, fine)
+    b = local_system(u, f, g, pair)
 
     order = max(2 * fine.degree, degree + fine.degree + 2)
     a_oracle = quadrature_stiffness(fine, order, mesh)
@@ -289,6 +310,7 @@ def test_local_system_matches_quadrature_oracle(degree, pair):
     for lane in range(3):
         tab = fine.tabulate(fem.lane_points(lane, t))
         b_oracle += np.einsum("cq,qi,q,c->ci", data[lane], tab, wt, length[lane])
+    b_oracle = _project_fine_load(mesh, b_oracle, pair)
     assert np.abs(b - b_oracle).max() <= 1e-12 * np.abs(b_oracle).max()
 
 
@@ -303,42 +325,118 @@ def _relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _estimate_kind(kind, u, f, g, factors=None):
+    if kind == "bubble":
+        return estimate_bubble(u, f, g, factors=factors)
+    return estimate(u, f, g, pair=kind, factors=factors)
+
+
+SOURCE = lambda x, y: np.exp(x) - y * y
+NEUMANN_DATA = lambda x, y: np.cos(x + 2 * y)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**16), divisions=st.integers(2, 3), degree=st.integers(1, 3))
-def test_projected_systems_match_mask_and_project(kind, seed, divisions, degree):
-    """The per-pattern reference tensors give the same projected systems,
-    indicators and lifts as masking and projecting each cell's fine-space
-    matrix, for random D/N taggings, every space pair and P1-P3 solutions."""
+@given(seed=st.integers(0, 2**16), divisions=st.integers(2, 3), degree=st.integers(1, 3),
+       with_f=st.booleans(), with_g=st.booleans())
+def test_projected_systems_match_mask_and_project(kind, seed, divisions, degree, with_f, with_g):
+    """The per-pattern reference tensors and load tables give the same
+    projected systems, loads, indicators and lifts as masking and
+    projecting each cell's fine-space matrix and load, for random D/N
+    taggings, every space pair, P1-P3 solutions and f and g given or None."""
     mesh = randomly_tagged_mesh(divisions, seed)
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
-    f = lambda x, y: np.exp(x) - y * y
-    g = lambda x, y: np.cos(x + 2 * y)
-    fine, nullbasis, _, _, _ = _operators(kind)
-    a_bw, b_bw = _project(mesh, local_system(u, f, g, fine), kind)
-    a_bw, b_bw = a_bw.transpose(2, 0, 1), b_bw.T
+    f = SOURCE if with_f else None
+    g = NEUMANN_DATA if with_g else None
+    fine, nullbasis = _operators(kind)[:2]
+    a_bw, b_bw = _projected_matrices(mesh, kind), local_system(u, f, g, kind)
     a_oracle, b_oracle, lift_oracle, eta_oracle = mask_and_project(u, f, g, fine, nullbasis)
+    indicator, lift = _estimate_kind(kind, u, f, g)
     assert _relative_error(a_bw, a_oracle) <= 1e-13
+    if kind == (3, 2) and degree == 1 and f is None and g is None:
+        # P1 facet data is constant along each edge, and the odd cubic edge
+        # functions of (3, 2) integrate it to zero: the exact load is zero,
+        # and both sides are roundoff of the unit-sized data
+        for got, want in [(b_bw, b_oracle), (lift, lift_oracle), (indicator.values, eta_oracle)]:
+            assert np.abs(got).max() < 1e-12 and np.abs(want).max() < 1e-12
+        return
     assert _relative_error(b_bw, b_oracle) <= 1e-13
-    if kind == "bubble":
-        indicator, lift = estimate_bubble(u, f, g)
-    else:
-        indicator, lift = estimate(u, f, g, pair=kind)
     assert _relative_error(lift, lift_oracle) <= 1e-13
     assert _relative_error(indicator.values, eta_oracle) <= 1e-13
+
+
+def _pattern_zero_energy(kind, mesh, degree):
+    """x . b_bw and (N x)^T A+ (N x), A+ by quadrature, on every cell from
+    the estimator's own projected systems and loads, and the patterns."""
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
+    fine, nullbasis = _operators(kind)[:2]
+    b_bw = local_system(u, SOURCE, NEUMANN_DATA, kind)
+    pattern = _patterns(mesh)
+    x = _substitute(_factor(_project_matrix(mesh.metric, pattern, kind)), b_bw.T).T
+    a_fine = quadrature_stiffness(fine, 2 * fine.degree, mesh)
+    lift = x @ nullbasis.T
+    return np.einsum("ck,ck->c", x, b_bw), np.einsum("ci,cij,cj->c", lift, a_fine, lift), pattern
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_energy_is_the_load_on_cells_without_dirichlet_edges(kind, degree):
+    """Where a cell has no Dirichlet edge its projected matrix is
+    N^T A+ N, so x . b_bw is the energy (N x)^T A+ (N x) of the lift; the
+    estimator's indicators are its square root there."""
+    mesh = randomly_tagged_mesh(4, seed=2)
+    by_load, energy, pattern = _pattern_zero_energy(kind, mesh, degree)
+    free = pattern == 0
+    assert free.sum() > 10 and (~free).sum() > 5
+    assert _relative_error(by_load[free], energy[free]) <= 1e-13
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, FunctionSpace(mesh, degree))
+    indicator, _ = _estimate_kind(kind, u, SOURCE, NEUMANN_DATA)
+    assert _relative_error(indicator.values**2, energy) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_dirichlet_cells_keep_the_oracle_indicators(kind):
+    """Cells with a Dirichlet edge take the energy of the lift from the
+    quadratic form, and match the oracle's indicators there."""
+    mesh = randomly_tagged_mesh(4, seed=5)
+    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, FunctionSpace(mesh, 2))
+    fine, nullbasis = _operators(kind)[:2]
+    eta_oracle = mask_and_project(u, SOURCE, NEUMANN_DATA, fine, nullbasis)[3]
+    indicator, _ = _estimate_kind(kind, u, SOURCE, NEUMANN_DATA)
+    dirichlet = _patterns(mesh) > 0
+    assert dirichlet.sum() > 5
+    assert _relative_error(indicator.values[dirichlet], eta_oracle[dirichlet]) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [(2, 1), (4, 2), "bubble"], ids=str)
+def test_estimate_forms_no_fine_space_load(monkeypatch, kind):
+    """The loads are formed in the estimation space: the estimate never
+    calls ``fem.cell_loads``, and every array it tabulates against the
+    basis has k = dim+ - dim- columns."""
+    mesh = randomly_tagged_mesh(3, seed=4)
+    u = interpolate(lambda x, y: x * y + np.cos(x), FunctionSpace(mesh, 2))
+    monkeypatch.setattr(fem, "cell_loads", None)
+    fine, nullbasis = _operators(kind)[:2]
+    k = nullbasis.shape[1]
+    assert local_system(u, SOURCE, NEUMANN_DATA, kind).shape == (mesh.num_cells, k)
+    tables = _load_tables(kind, max(2 * fine.degree, 2 + fine.degree + 2))
+    assert [t.shape[0::2] for t in tables] == [(8, k)] * 3
+    assert not any(t.flags.writeable for t in tables)
+    _estimate_kind(kind, u, SOURCE, NEUMANN_DATA)
 
 
 def test_solve_projected_galerkin_residual():
     """The projected solve leaves a residual orthogonal to the kernel:
     N^T (A x - b) = 0 for every cell."""
-    _, nullbasis, _, _, _ = _operators((2, 1))
+    nullbasis = _operators((2, 1))[1]
     nc, dim = 17, 6
     m = RNG.normal(size=(nc, dim, dim))
     a = m @ m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
     b = RNG.normal(size=(nc, dim))
     a_bw = np.matmul(nullbasis.T, a) @ nullbasis
-    x = _solve_projected(a_bw.transpose(1, 2, 0), (b @ nullbasis).T).T
+    x = _solve_projected(a_bw, (b @ nullbasis).T).T
     lift = x @ nullbasis.T
     residual = np.einsum("cij,cj->ci", a, lift) - b
     assert np.abs(np.einsum("ij,ci->cj", nullbasis, residual)).max() < 1e-10
@@ -359,8 +457,12 @@ def test_solve_projected_matches_linalg_solve(k, seed, nc, log_cond):
     a = (q * eigs) @ q.transpose(0, 2, 1)
     b = rng.normal(size=(nc, k))
     want = np.linalg.solve(a, b[..., None])[..., 0]
-    got = _solve_projected(a.transpose(1, 2, 0).copy(), b.T).T
+    got = _solve_projected(a, b.T).T
     assert _relative_error(got, want) <= 1e-12
+    # the packed factor is the lower Cholesky factor, its diagonal the pivots
+    lower, pivots = _factor(_pack(a))
+    assert _relative_error(np.tril(_unpack(lower)), np.linalg.cholesky(a)) <= 1e-12
+    assert np.array_equal(pivots.T, _unpack(lower)[:, np.arange(k), np.arange(k)])
 
 
 @pytest.mark.parametrize("defect", ["singular", "indefinite", "nan"])
@@ -382,16 +484,16 @@ def test_solve_projected_names_the_first_failing_cell(defect):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LocalSolveError, match=r"cell 5\b"):
-            _solve_projected(a.transpose(1, 2, 0).copy(), b)
+            _solve_projected(a, b)
         with pytest.raises(LocalSolveError, match=r"cell 105\b"):
-            _solve_projected(a.transpose(1, 2, 0).copy(), b, first=100)
+            _solve_projected(a, b, first=100)
 
 
 def test_solve_projected_singular_system():
     a_bw = np.zeros((1, 3, 3))
     b_bw = np.ones((1, 3))
     with pytest.raises(LocalSolveError, match="cell 0"):
-        _solve_projected(a_bw.transpose(1, 2, 0), b_bw.T)
+        _solve_projected(a_bw, b_bw.T)
 
 
 def test_projected_systems_positive_definite_on_real_mesh():
@@ -401,8 +503,7 @@ def test_projected_systems_positive_definite_on_real_mesh():
     mesh = problem.mesh
     u = solve_poisson(mesh, 1, f=problem.f, u_dirichlet=problem.u_dirichlet)
     assert (_patterns(mesh) > 0).any()
-    a_bw, _ = _project(mesh, local_system(u, problem.f, None, el.lagrange(2)), (2, 1))
-    a_bw = a_bw.transpose(2, 0, 1)
+    a_bw = _projected_matrices(mesh, (2, 1))
     assert np.abs(a_bw - a_bw.transpose(0, 2, 1)).max() < 1e-13
     eigs = np.linalg.eigvalsh(a_bw)
     assert eigs.min() > 1e-12
@@ -438,37 +539,28 @@ def test_estimate_bubble_positive_on_singular_problem():
 def test_estimate_blocks_match_one_block(monkeypatch, kind):
     """Blocking the loads, projections and solves over cells changes no
     bit, with a block size that does not divide the cell count and cells
-    of every Dirichlet pattern."""
+    of every Dirichlet pattern: at degree 2, and at degree 1 (facet data
+    constant along each edge) with and without Neumann data."""
     mesh = randomly_tagged_mesh(5, seed=1)
-    space = FunctionSpace(mesh, 2)
-    u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
-    g = lambda x, y: np.cos(x + 2 * y)
     calls = []
 
     def f(x, y):
         calls.append(len(x))
         return np.exp(x) - y * y
 
-    def run():
-        if kind == "bubble":
-            return estimate_bubble(u, f, g)
-        return estimate(u, f, g, pair=kind)
-
-    assert fem.ERROR_BLOCK >= mesh.num_cells
-    want_eta, want_lift = run()
-    monkeypatch.setattr(fem, "ERROR_BLOCK", 10)
-    assert mesh.num_cells % fem.ERROR_BLOCK != 0
-    calls.clear()
-    eta, lift = run()
-    assert calls == [10] * (mesh.num_cells // 10) + [mesh.num_cells % 10]
-    assert np.array_equal(eta.values, want_eta.values)
-    assert np.array_equal(lift, want_lift)
-
-
-def _estimate_kind(kind, u, f, g, factors=None):
-    if kind == "bubble":
-        return estimate_bubble(u, f, g, factors=factors)
-    return estimate(u, f, g, pair=kind, factors=factors)
+    for degree, g in [(2, NEUMANN_DATA), (1, NEUMANN_DATA), (1, None)]:
+        u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y,
+                        FunctionSpace(mesh, degree))
+        assert fem.ERROR_BLOCK >= mesh.num_cells
+        want_eta, want_lift = _estimate_kind(kind, u, f, g)
+        monkeypatch.setattr(fem, "ERROR_BLOCK", 10)
+        assert mesh.num_cells % fem.ERROR_BLOCK != 0
+        calls.clear()
+        eta, lift = _estimate_kind(kind, u, f, g)
+        assert calls == [10] * (mesh.num_cells // 10) + [mesh.num_cells % 10]
+        assert np.array_equal(eta.values, want_eta.values)
+        assert np.array_equal(lift, want_lift)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -497,6 +589,24 @@ def test_shared_factors_change_no_bit(monkeypatch, kind, degree):
                    for array in factor)
     eta, lift = _estimate_kind(kind, u, f, g, factors)
     assert np.array_equal(eta.values, want[0][0].values) and np.array_equal(lift, want[0][1])
+
+
+def test_shared_factors_are_read_only():
+    """The packed factors and pivots stored in a shared ``factors`` dict
+    refuse writes, so no later estimate can change what the next one
+    substitutes into; substituting only reads them."""
+    mesh = randomly_tagged_mesh(3, seed=6)
+    u = interpolate(lambda x, y: np.sin(2 * x) + y, FunctionSpace(mesh, 1))
+    factors = {}
+    want = estimate(u, SOURCE, pair=(3, 1), factors=factors)[0].values
+    (lower, pivots), = factors["blocks"].values()
+    assert lower.shape == (7 * 8 // 2, mesh.num_cells) and pivots.shape == (7, mesh.num_cells)
+    for array in (lower, pivots):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    x = _substitute((lower, pivots), np.ones((7, mesh.num_cells)))
+    assert x.flags.writeable and np.isfinite(x).all()
+    assert np.array_equal(estimate(u, SOURCE, pair=(3, 1), factors=factors)[0].values, want)
 
 
 def test_shared_factors_reject_another_mesh_pair_or_block_size(monkeypatch):
