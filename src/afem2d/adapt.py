@@ -10,7 +10,7 @@ import numpy as np
 from . import bank_weiser as bw
 from . import estimators
 from . import quadrature as quad
-from .element import MAX_DEGREE
+from .element import MAX_DEGREE, _is_integer
 from .fem import (
     COARSE_DOFS,
     FEFunction,
@@ -87,16 +87,14 @@ class AdaptConfig:
             raise ValueError("need at least one stopping rule")
         for name, low in (("max_iterations", 0), ("max_dofs", 1)):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral) or value < low):
+            if value is not None and not (_is_integer(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.tol is not None and not (_is_real(self.tol) and math.isfinite(self.tol)
                                          and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.solver not in ("cg", "lu"):
             raise ValueError(f"unknown solver method: {self.solver!r}")
-        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
-                or self.degree not in range(1, MAX_DEGREE + 1)):
+        if not (_is_integer(self.degree) and 1 <= self.degree <= MAX_DEGREE):
             raise ValueError(f"unsupported space degree: {self.degree!r}")
         if not isinstance(self.estimator, str):
             raise ValueError(f"estimator selector must be a string, got {self.estimator!r}")
@@ -166,10 +164,6 @@ class AdaptResult:
     reference: float | None = None
 
 
-def _marker(config):
-    return mark_dorfler if config.marking == "dorfler" else mark_maximum
-
-
 def _stop(config, num_dofs, eta, iteration):
     if config.max_dofs is not None and num_dofs >= config.max_dofs:
         return True
@@ -192,38 +186,31 @@ def adapt_loop(problem, config, reference=None):
     marks by the WGO weighting of the primal and dual indicators; the
     trace's eta/err columns then carry the weighted estimator and the
     goal error |reference - J(u_h)|.  The dual shares the primal's matrix
-    and Dirichlet DOFs, so its load is a second right-hand-side column: a
-    goal iteration assembles and factors one matrix, and its two
-    estimates share one factorization of the local systems.  J(u_h) is
+    and Dirichlet DOFs, so it is a second right-hand-side column, and its
+    estimate shares the primal's factors of the local systems.  J(u_h) is
     the raw dual load (the goal density c by ``assemble_load``'s rule of
-    order 2k + 1) applied to u_h's coefficients, so it costs one dot
-    product; :func:`evaluate_goal` (order 2k + 3) serves the ``fe``
-    reference and acceptance criterion 08.  The goal spec itself is the
-    dual's data, so c is evaluated only on the cells its support can reach
-    (:meth:`~afem2d.problems.GoalSpec.support_cells`).
-    ``reference`` defaults to :func:`reference_goal_value` and is used only
-    with a goal.
+    order 2k + 1) applied to u_h's coefficients; :func:`evaluate_goal`
+    (order 2k + 3) serves the ``fe`` reference.  c is evaluated only on
+    the cells its support can reach
+    (:meth:`~afem2d.problems.GoalSpec.support_cells`).  ``reference``
+    defaults to :func:`reference_goal_value` and is used only with a goal.
 
     Under ``cg`` each mesh's space and system join one
-    :class:`~afem2d.fem.MeshHierarchy`, and each solve is preconditioned
-    by the V-cycle over its levels that :meth:`~afem2d.fem.MeshHierarchy.add`
-    returns; only the coarsest P1 level's matrix, of at most ``COARSE_DOFS``
-    rows once the meshes pass that size, is factored.  At degree 1 under
-    ``cg`` each solve on a mesh above ``COARSE_DOFS`` starts from the
-    previous mesh's solution (nested iteration), each column from its own:
-    old vertices keep their values, each new vertex takes the mean of its
+    :class:`~afem2d.fem.MeshHierarchy`, whose V-cycle preconditions the
+    solve.  At degree 1 each solve on a mesh above ``COARSE_DOFS`` starts
+    from the previous mesh's solution, each column from its own: old
+    vertices keep their values, each new vertex takes the mean of its
     ``Mesh.parents`` pair, and the Dirichlet DOFs take the new system's
-    values.  :func:`~afem2d.fem.prolongation` is not used for it: it zeroes
-    the Dirichlet columns, so its start is far from the solution on the
-    boundary.  Below ``COARSE_DOFS`` the V-cycle is the exact solve and CG
-    needs one step from any start; starting there from zero keeps the
-    bits that decide the L-shape's mirror-symmetric Dörfler ties.
+    values (:func:`~afem2d.fem.prolongation` would zero them).  Below
+    ``COARSE_DOFS`` the V-cycle is the exact solve and CG starts from
+    zero, which keeps the bits that decide the L-shape's mirror-symmetric
+    Dörfler ties.
     """
     goal = problem.goal
     if goal is not None and reference is None:
         reference = reference_goal_value(problem, config.degree)
     estimator = resolve_estimator(config.estimator)
-    mark = _marker(config)
+    mark = mark_dorfler if config.marking == "dorfler" else mark_maximum
     mesh = problem.mesh
     hierarchy = MeshHierarchy() if config.solver == "cg" else None
     nested = hierarchy is not None and config.degree == 1
@@ -324,14 +311,12 @@ def reference_goal_value(
     :class:`~afem2d.fem.MeshHierarchy` (the p-level over an exact P1
     solve): the only matrix factored is the P1 stiffness on that mesh, and
     the solve meets ``solve``'s 1e-10 residual check; on ``lshaped-goal``
-    it takes about 1 s and sits about 2e-5 below the exact J, the
-    discretization error of the corner singularity.  ``quadrature`` integrates
-    c * u_exact by :func:`~afem2d.problems.goal_reference_quadrature`'s
-    polar Gauss rule, in about 50 ms to about 1e-14, and needs the exact
-    solution.  ``fe`` stays the default for now: perfbench's goal-bw42
-    band was fitted to efficiencies measured against it, and the exact
-    reference moves that run's final efficiency from about 5 to about 1.9,
-    outside the band.  The cache file
+    it sits about 2e-5 below the exact J, the discretization error of the
+    corner singularity.  ``quadrature`` integrates c * u_exact by
+    :func:`~afem2d.problems.goal_reference_quadrature`'s polar Gauss rule
+    to about 1e-14, and needs the exact solution.  ``fe`` stays the
+    default because perfbench's goal-bw42 band was fitted to efficiencies
+    measured against it.  The cache file
     holds a key line (problem, method, degree, refinements and the goal
     density's parameters) and the value; a file with another key, or one
     that is truncated or unreadable, is recomputed and rewritten.

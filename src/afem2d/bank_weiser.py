@@ -56,8 +56,12 @@ class LocalSolveError(RuntimeError):
 
 
 def validate_pair(pair):
+    """(k+, k-) as ints from two integers or two ASCII digit strings; a
+    bool, a float or any other entry raises ValueError, not truncated."""
     try:
-        kp, km = (int(v) for v in pair)
+        # Any other entry is left out, so that the unpacking fails.
+        kp, km = (int(v) for v in pair
+                  if el._is_integer(v) or isinstance(v, str) and v.isascii() and v.isdigit())
     except (TypeError, ValueError):
         raise ValueError(f"invalid space pair: {pair!r}") from None
     if not (1 <= kp <= el.MAX_DEGREE and 0 <= km < kp):

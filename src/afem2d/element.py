@@ -13,6 +13,7 @@ values, gradients and Hessians all come from one evaluation path.
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -154,11 +155,22 @@ class ReferenceElement:
         return np.concatenate([vals[:6], bubble[None]])
 
 
-@functools.lru_cache(maxsize=None)
+def _is_integer(value):
+    """An integral number, a NumPy integer too, but not a bool: the one rule
+    for degrees and counts, so that True is not taken for 1 nor 2.0 for 2."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def lagrange(degree):
-    """Lagrange element of the given degree (0 gives the constant)."""
-    if not 0 <= degree <= MAX_DEGREE:
+    """Lagrange element of the given degree, an integer from 0 (the
+    constant) to ``MAX_DEGREE``; a bool or a float raises ValueError."""
+    if not (_is_integer(degree) and 0 <= degree <= MAX_DEGREE):
         raise ValueError(f"unsupported element degree: {degree!r}")
+    return _lagrange(int(degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange(degree):
     nodes = lagrange_nodes(degree)
     exps = _exponents(degree)
     vander = _mono_derivatives(exps, nodes, 0, 0)

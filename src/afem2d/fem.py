@@ -95,22 +95,6 @@ def reference_stiffness(element):
     return kref
 
 
-def cell_loads(element, order, det, vol, edge):
-    """Cell loads (nc, dim) of ``vol`` (nc, nq) at ``quad.triangle_rule(order)``
-    and of length-scaled ``edge`` (3, nc, nt) at each lane's
-    ``quad.edge_rule(order)``; None is zero, and no term is formed for it."""
-    if vol is None:
-        b = np.zeros((len(det), element.dim))
-    else:
-        pts, wts = quad.triangle_rule(order)
-        b = (vol * det[:, None]) @ (wts[:, None] * element.tabulate(pts))
-    if edge is not None:
-        t, wt = quad.edge_rule(order)
-        for lane in range(3):
-            b += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
-    return b
-
-
 def lane_points(lane, n_or_pts):
     """Reference coordinates along local edge ``lane`` at parameters t."""
     t = np.asarray(n_or_pts, dtype=float)
@@ -225,7 +209,7 @@ class FunctionSpace:
     """Continuous Lagrange space of degree 1..4 on a mesh."""
 
     def __init__(self, mesh, degree):
-        if not 1 <= degree <= el.MAX_DEGREE:
+        if not (el._is_integer(degree) and 1 <= degree <= el.MAX_DEGREE):
             raise ValueError(f"unsupported space degree: {degree!r}")
         self.mesh = mesh
         self.degree = degree
@@ -234,7 +218,6 @@ class FunctionSpace:
         epf = degree - 1
         ipc = (degree - 1) * (degree - 2) // 2
         self.num_dofs = nv + nf * epf + nc * ipc
-        self._dof_coords = None
         if degree == 1:
             self.dofmap = mesh.cells  # already int64 and read-only
             return
@@ -251,21 +234,17 @@ class FunctionSpace:
         self.dofmap = dofmap
 
     def dof_coordinates(self):
-        if self._dof_coords is None:
-            mesh, k = self.mesh, self.degree
-            coords = [mesh.vertices]
-            if k > 1:
-                lo = mesh.vertices[mesh.facets[:, 0]]
-                hi = mesh.vertices[mesh.facets[:, 1]]
-                edge = np.stack(
-                    [lo + (hi - lo) * (j / k) for j in range(1, k)], axis=1
-                )
-                coords.append(edge.reshape(-1, 2))
-            if k > 2:
-                interior = el.lagrange_nodes(k)[3 + 3 * (k - 1) :]
-                coords.append(physical_points(mesh, interior).reshape(-1, 2))
-            self._dof_coords = np.vstack(coords)
-        return self._dof_coords
+        mesh, k = self.mesh, self.degree
+        coords = [mesh.vertices]
+        if k > 1:
+            lo = mesh.vertices[mesh.facets[:, 0]]
+            hi = mesh.vertices[mesh.facets[:, 1]]
+            edge = np.stack([lo + (hi - lo) * (j / k) for j in range(1, k)], axis=1)
+            coords.append(edge.reshape(-1, 2))
+        if k > 2:
+            interior = el.lagrange_nodes(k)[3 + 3 * (k - 1) :]
+            coords.append(physical_points(mesh, interior).reshape(-1, 2))
+        return np.vstack(coords)
 
     def dirichlet_dofs(self):
         """Sorted indices of all DOFs sitting on Dirichlet facets."""
@@ -331,18 +310,23 @@ def assemble_stiffness(space):
 
 
 def assemble_load(space, f, g=None):
-    """Raw load vector: volume term plus Neumann flux term, the cell loads
-    formed by the blocks of :func:`cell_blocks` and added by one
-    ``bincount``.  ``f`` (or ``g``) None is a zero source: no points are
-    mapped for it, it is never evaluated and its term is not formed."""
-    mesh = space.mesh
+    """Raw load vector: the volume term's cell loads over the blocks of
+    :func:`cell_blocks`, plus the Neumann flux term's lane by lane, added
+    by one ``bincount``.  ``f`` (or ``g``) None is a zero source: no points
+    are mapped for it, it is never evaluated and its term is not formed."""
+    mesh, element = space.mesh, space.element
     order = 2 * space.degree + 1
-    pts, _ = quad.triangle_rule(order)
-    edge = None if g is None else neumann_values(mesh, g, order) * mesh.lane_lengths[..., None]
-    local = np.empty((mesh.num_cells, space.element.dim))
+    pts, wts = quad.triangle_rule(order)
+    weighted = wts[:, None] * element.tabulate(pts)
+    local = np.zeros((mesh.num_cells, element.dim))
     for cells, fvals in cell_blocks(mesh, f, pts):
-        gvals = None if edge is None else edge[:, cells]
-        local[cells] = cell_loads(space.element, order, mesh.det[cells], fvals, gvals)
+        if fvals is not None:
+            local[cells] = (fvals * mesh.det[cells, None]) @ weighted
+    if g is not None:
+        edge = neumann_values(mesh, g, order) * mesh.lane_lengths[..., None]
+        t, wt = quad.edge_rule(order)
+        for lane in range(3):
+            local += edge[lane] @ (wt[:, None] * element.tabulate(lane_points(lane, t)))
     return np.bincount(space.dofmap.ravel(), local.ravel(), minlength=space.num_dofs)
 
 
@@ -378,31 +362,20 @@ def apply_dirichlet(matrix, rhs, dofs, values):
 
 
 def assemble_p1_system(mesh, load, dofs, values):
-    """The eliminated P1 system of ``mesh``, read off its facet graph:
-    ``apply_dirichlet(assemble_stiffness(FunctionSpace(mesh, 1)), load,
-    dofs, values)`` without the COO sort and the second pass.
+    """The eliminated P1 system ``(matrix, rhs)`` of ``mesh``, as
+    :func:`apply_dirichlet` returns it for the raw P1 stiffness, read off
+    the facet graph instead of a COO matrix.
 
-    The cell matrices are ``mesh.metric @ K_ref``.  Each off-diagonal
-    entry of a P1 cell matrix is the rounded sum of two exact terms (the
-    reference gradients are 0 and +-1), so the cell matrix is symmetric to
-    the bit and a facet (lo, hi) has one coupling, summed over its cells in
-    cell order by one ``bincount`` over ``mesh.cell_facets``; the diagonal
-    is one ``bincount`` over ``mesh.cells``.  The couplings between free
-    vertices, taken in the order of ``mesh.facets`` (sorted by (lo, hi)),
-    are already the upper triangle in CSR order; its transpose (a linear
-    counting pass) and the diagonal complete the rows.  The rows and
-    columns of ``dofs`` are dropped with a unit diagonal, and a coupling
-    that sums to exactly 0.0 (cot 90 deg on right angles) is not stored,
-    as ``eliminate_zeros`` drops it.  Indices are int32 while they fit.
-
-    The load is lifted as :func:`dirichlet_rhs` lifts it: a free row's raw
-    couplings to Dirichlet columns are summed in column order, as the CSR
-    product sums them, so its bits are those of ``matrix @ lift``.  The
-    matrix has the COO route's pattern and off-diagonal entries (a sum of
-    two terms does not depend on their order), and its diagonal to a few
-    ulp: the COO route's row sort does not always keep a vertex's cell
-    terms in cell order.  Returns ``(matrix, rhs)`` as
-    :func:`apply_dirichlet` does.
+    A P1 cell matrix (``mesh.metric @ K_ref``) is symmetric to the bit, so
+    a facet has one coupling, summed over its cells in cell order; the
+    couplings between free vertices in ``mesh.facets`` order are the upper
+    triangle in CSR order, and its transpose and the diagonal complete the
+    rows.  The rows and columns of ``dofs`` get a unit diagonal, a coupling
+    of exactly 0.0 (cot 90 deg on right angles) is not stored, and indices
+    are int32 while they fit.  The pattern and the off-diagonal entries are
+    those of the COO route and the diagonal agrees to a few ulp (its row
+    sort may reorder a vertex's cell terms); the load is lifted with the
+    bits of :func:`dirichlet_rhs`.
     """
     nv, (lo, hi) = mesh.num_vertices, mesh.facets.T
     local = mesh.metric @ reference_stiffness(el.lagrange(1))  # (nc, 9) by (i, j)
@@ -538,19 +511,19 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None, x0=None):
 def v_cycle(levels, coarse_solve, r):
     """One V-cycle for ``r`` from a zero initial guess.
 
-    ``levels`` run from the finest down, each ``(matrix, prolong, restrict,
-    step, sweeps)``: ``sweeps`` damped Jacobi sweeps ``x += step * (r -
-    matrix @ x)`` before and after the correction from the level below,
-    reached through ``restrict`` and ``prolong``; ``coarse_solve`` applies
-    below the last level.
+    ``levels`` run from the finest down, each ``(matrix, prolong, step,
+    sweeps)``: ``sweeps`` damped Jacobi sweeps ``x += step * (r - matrix @
+    x)`` before and after the correction from the level below, reached
+    through ``prolong.T`` and ``prolong``; ``coarse_solve`` applies below
+    the last level.
     """
     if not levels:
         return coarse_solve(r)
-    matrix, prolong, restrict, step, sweeps = levels[0]
+    matrix, prolong, step, sweeps = levels[0]
     x = step * r  # the first sweep from zero
     for _ in range(sweeps - 1):
         x += step * (r - matrix @ x)
-    x += prolong @ v_cycle(levels[1:], coarse_solve, restrict @ (r - matrix @ x))
+    x += prolong @ v_cycle(levels[1:], coarse_solve, prolong.T @ (r - matrix @ x))
     for _ in range(sweeps):
         x += step * (r - matrix @ x)
     return x
@@ -591,33 +564,25 @@ class MeshHierarchy:
     :meth:`add` takes each new mesh's space and eliminated Poisson system.
     Its P1 levels: the coarsest is the last mesh with at most
     ``COARSE_DOFS`` P1 DOFs (or the first mesh), solved exactly by the
-    sparse LU factors of :func:`_factor_spd` (SuperLU's symmetric mode: a
-    minimum-degree ordering of A + A^T and no pivoting, safe because the
-    eliminated P1 stiffness is SPD; a singular one raises
-    :class:`SolverError`).
-    Above it a mesh stays a level only if it has ``LEVEL_GROWTH`` times the
-    DOFs of the level below; the prolongation of a skipped mesh is
-    multiplied into the next level's.  The newest mesh is always the top P1
-    level, smoothed like every P1 level by ``MG_SWEEPS`` damped Jacobi
-    sweeps of weight ``MG_WEIGHT``.
-
-    Up to ``COARSE_DOFS`` the P1 operator is the exact solve, so
-    :func:`~afem2d.adapt.adapt_loop` gives CG its nested start (the
-    previous solution interpolated, not through :func:`prolongation`) only
-    above that size.
+    factors of :func:`_factor_spd` (a singular one raises
+    :class:`SolverError`).  Above it a mesh stays a level only if it has
+    ``LEVEL_GROWTH`` times the DOFs of the level below; the prolongation of
+    a skipped mesh is multiplied into the next level's.  The newest mesh is
+    always the top P1 level, and every P1 level gets ``MG_SWEEPS`` damped
+    Jacobi sweeps of weight ``MG_WEIGHT``.  Up to ``COARSE_DOFS`` the
+    operator is the exact solve, so a start vector gains CG nothing there.
 
     Each level's P1 matrix is the eliminated P1 stiffness: at degree 1
     ``system.matrix`` itself, at degree k > 1 one built for the mesh by
     :func:`assemble_p1_system`.  At degree k > 1 the newest space's Pk
-    matrix is one more level on top (the p-level), a two-level
-    p-multigrid in the manner of Helenbrook,
-    Mavriplis & Atkins (AIAA 2003-3989): ``SMOOTHING_SWEEPS`` damped Jacobi
-    sweeps of weight ``SMOOTHING_WEIGHT`` around the P1 correction, reached
-    through the P1 -> Pk embedding P.  P is the element's interpolant of
-    ``lagrange(1)`` gathered through the dofmap, with zero rows on Dirichlet
-    DOFs and zero columns on Dirichlet vertices, so on the free vertices the
-    eliminated P1 stiffness is the Galerkin product P^T A P.  The Pk matrix
-    is never factored.
+    matrix is one more level on top (the p-level), a two-level p-multigrid
+    in the manner of Helenbrook, Mavriplis & Atkins (AIAA 2003-3989):
+    ``SMOOTHING_SWEEPS`` damped Jacobi sweeps of weight
+    ``SMOOTHING_WEIGHT`` around the P1 correction, reached through the
+    P1 -> Pk embedding P, the element's interpolant of ``lagrange(1)`` with
+    zero rows on Dirichlet DOFs and zero columns on Dirichlet vertices (so
+    P^T A P is the eliminated P1 stiffness on the free vertices).  The Pk
+    matrix is never factored.
 
     :meth:`cycle` applies the levels as they stand, so an operator built on
     it serves the newest system only.
@@ -653,8 +618,7 @@ class MeshHierarchy:
                 (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
                 shape=(space.num_dofs, mesh.num_vertices),
             )
-            p_level = [(matrix, embed, embed.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
-                        SMOOTHING_SWEEPS)]
+            p_level = [(matrix, embed, SMOOTHING_WEIGHT / matrix.diagonal(), SMOOTHING_SWEEPS)]
         self._mesh, self.p_level = mesh, p_level
         if prolong is None or mesh.num_vertices <= COARSE_DOFS:
             self.levels = []
@@ -664,7 +628,7 @@ class MeshHierarchy:
             if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
                 prolong = prolong @ self.levels.pop(0)[1]
             step = MG_WEIGHT / p1_matrix.diagonal()
-            self.levels.insert(0, (p1_matrix, prolong, prolong.T, step, MG_SWEEPS))
+            self.levels.insert(0, (p1_matrix, prolong, step, MG_SWEEPS))
         return spla.LinearOperator(matrix.shape, matvec=self.cycle, dtype=float)
 
     def cycle(self, r):

@@ -22,6 +22,17 @@ _TAG_FROM_CHAR = {"D": DIRICHLET, "N": NEUMANN}
 _CHAR_FROM_TAG = {v: k for k, v in _TAG_FROM_CHAR.items()}
 # Lane i (local edge i, opposite vertex i) runs from _LANE_ENDS[i, 0] to _LANE_ENDS[i, 1].
 _LANE_ENDS = np.array(EDGE_VERTICES)
+# Children of a cell by its split pattern (bit i set when lane i is split),
+# in order: slot triples over (v0, v1, v2, m0, m1, m2), mi the midpoint of
+# lane i.  The closure splits lane 0 whenever lane 1 or 2 is split, so no
+# other pattern occurs.
+_CHILDREN = {
+    0: [(0, 1, 2)],
+    1: [(3, 0, 1), (3, 2, 0)],
+    3: [(3, 0, 1), (4, 3, 2), (4, 0, 3)],
+    5: [(5, 3, 0), (5, 1, 3), (3, 2, 0)],
+    7: [(5, 3, 0), (5, 1, 3), (4, 3, 2), (4, 0, 3)],
+}
 
 
 class NonManifoldError(ValueError):
@@ -371,43 +382,28 @@ def refine(mesh, marked):
     split = np.zeros(len(mesh.facets), dtype=bool)
     split[mesh.cell_facets[marked].ravel()] = True
     while True:
-        s = split[mesh.cell_facets]
-        need = (s[:, 1] | s[:, 2]) & ~s[:, 0]
+        flags = split[mesh.cell_facets]  # per lane, final once no cell needs more
+        need = (flags[:, 1] | flags[:, 2]) & ~flags[:, 0]
         if not need.any():
             break
         split[mesh.cell_facets[need, 0]] = True
 
-    nv = mesh.num_vertices
     split_ids = np.flatnonzero(split)
     midpoint_of = np.full(len(mesh.facets), -1, dtype=np.int64)
-    midpoint_of[split_ids] = nv + np.arange(len(split_ids))
+    midpoint_of[split_ids] = mesh.num_vertices + np.arange(len(split_ids))
     parents = mesh.facets[split_ids]
     parents.setflags(write=False)
     new_vertices = np.vstack([mesh.vertices, mesh.vertices[parents].mean(axis=1)])
 
-    cells = mesh.cells
-    b = split[mesh.cell_facets]  # (nc, 3) per-lane split flags
-    m = midpoint_of[mesh.cell_facets]
-    counts = np.where(b[:, 0], 2 + b[:, 1] + b[:, 2], 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    pattern = flags[:, 0] + 2 * flags[:, 1] + 4 * flags[:, 2]
+    slots = [*mesh.cells.T, *midpoint_of[mesh.cell_facets].T]  # six (nc,) columns
+    sizes = np.array([len(_CHILDREN.get(p, ())) for p in range(8)])
+    offsets = np.concatenate([[0], np.cumsum(sizes[pattern])])
     new_cells = np.empty((offsets[-1], 3), dtype=np.int64)
-
-    v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]
-    m0, m1, m2 = m[:, 0], m[:, 1], m[:, 2]
-
-    def emit(rows, children):
+    for p, children in _CHILDREN.items():
+        rows = np.flatnonzero(pattern == p)
         for j, child in enumerate(children):
-            new_cells[offsets[rows] + j] = np.column_stack([c[rows] for c in child])
-
-    emit(np.flatnonzero(~b[:, 0]), [(v0, v1, v2)])
-    emit(np.flatnonzero(b[:, 0] & ~b[:, 1] & ~b[:, 2]),
-         [(m0, v0, v1), (m0, v2, v0)])
-    emit(np.flatnonzero(b[:, 0] & ~b[:, 1] & b[:, 2]),
-         [(m2, m0, v0), (m2, v1, m0), (m0, v2, v0)])
-    emit(np.flatnonzero(b[:, 0] & b[:, 1] & ~b[:, 2]),
-         [(m0, v0, v1), (m1, m0, v2), (m1, v0, m0)])
-    emit(np.flatnonzero(b[:, 0] & b[:, 1] & b[:, 2]),
-         [(m2, m0, v0), (m2, v1, m0), (m1, m0, v2), (m1, v0, m0)])
+            new_cells[offsets[rows] + j] = np.column_stack([slots[k][rows] for k in child])
 
     # Boundary tags: unsplit facets keep theirs, halves (a, mid) and
     # (b, mid) inherit the parent's; midpoints follow every old vertex, so

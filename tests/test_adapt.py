@@ -906,3 +906,25 @@ def test_goal_error_bounded_by_error_product():
         eta_z, _ = estimate(z, c)
         weighted, _ = wgo_indicators(eta_u, eta_z)
         mesh = refine(mesh, mark_dorfler(weighted, 0.5))
+
+
+def test_peak_memory_per_cell_is_bounded():
+    """The traced allocation peak of an L-shape run to 20,000 DOFs
+    (``bw:2,1``, ``cg``), per cell of the final mesh, stays under 1,200 B.
+    It reads about 915 B (36.3 MB at 39,679 cells with NumPy 2.4 and SciPy
+    1.17), so the bound leaves about 30% headroom.  A short run first
+    fills the element, quadrature and estimator caches, which do not grow
+    with the mesh."""
+    import tracemalloc
+
+    problem = lshaped()
+    adapt_loop(problem, AdaptConfig(estimator="bw:2,1", solver="cg", max_dofs=2000))
+    tracemalloc.start()
+    try:
+        result = adapt_loop(problem, AdaptConfig(estimator="bw:2,1", solver="cg",
+                                                 max_dofs=20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trace.rows[-1].num_dofs >= 20000
+    assert peak <= 1200 * result.mesh.num_cells

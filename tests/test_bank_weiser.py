@@ -154,7 +154,11 @@ def test_nullspace_bad_cutoff_raises(kind, rtol):
 def test_validate_pair():
     assert validate_pair((2, 1)) == (2, 1)
     assert validate_pair(["3", "0"]) == (3, 0)
-    for bad in [(0, 0), (5, 1), (2, 2), (2, 3), "junk", (2, -1), 7]:
+    assert validate_pair((np.int64(4), np.int64(2))) == (4, 2)
+    assert all(type(k) is int for k in validate_pair((np.int64(4), "2")))
+    # Floats, bools and strings other than ASCII digits are refused, not truncated.
+    for bad in [(0, 0), (5, 1), (2, 2), (2, 3), "junk", (2, -1), 7, (2.9, 1), (2, 1.5),
+                (2.0, 1), (True, False), (2, True), (" 2", "1"), ("2.0", "1"), (2, 1, 0)]:
         with pytest.raises(ValueError):
             validate_pair(bad)
 
@@ -413,11 +417,11 @@ def test_dirichlet_cells_keep_the_oracle_indicators(kind):
 @pytest.mark.parametrize("kind", [(2, 1), (4, 2), "bubble"], ids=str)
 def test_estimate_forms_no_fine_space_load(monkeypatch, kind):
     """The loads are formed in the estimation space: the estimate never
-    calls ``fem.cell_loads``, and every array it tabulates against the
+    calls ``fem.assemble_load``, and every array it tabulates against the
     basis has k = dim+ - dim- columns."""
     mesh = randomly_tagged_mesh(3, seed=4)
     u = interpolate(lambda x, y: x * y + np.cos(x), FunctionSpace(mesh, 2))
-    monkeypatch.setattr(fem, "cell_loads", None)
+    monkeypatch.setattr(fem, "assemble_load", None)
     fine, nullbasis = _operators(kind)[:2]
     k = nullbasis.shape[1]
     assert local_system(u, SOURCE, NEUMANN_DATA, kind).shape == (mesh.num_cells, k)

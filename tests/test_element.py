@@ -113,6 +113,17 @@ def test_unsupported_degree_raises():
         el.lagrange(-1)
 
 
+@pytest.mark.parametrize("degree", [True, False, 2.0, 1.5, "2", None])
+def test_non_integer_degree_raises_whatever_is_cached(degree):
+    """A bool or a float is refused, also when the degree it equals is
+    cached: it is not built as a second element ("PTrue") nor fails inside
+    the node construction.  A NumPy integer gets the one cached element."""
+    el.lagrange(0), el.lagrange(1), el.lagrange(2)
+    with pytest.raises(ValueError):
+        el.lagrange(degree)
+    assert el.lagrange(np.int64(2)) is el.lagrange(2)
+
+
 def test_bubble_dimension_and_edge_traces():
     bub = el.p2_bubble()
     assert bub.dim == 7
