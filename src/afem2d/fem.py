@@ -511,19 +511,19 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None, x0=None):
 def v_cycle(levels, coarse_solve, r):
     """One V-cycle for ``r`` from a zero initial guess.
 
-    ``levels`` run from the finest down, each ``(matrix, prolong, step,
-    sweeps)``: ``sweeps`` damped Jacobi sweeps ``x += step * (r - matrix @
-    x)`` before and after the correction from the level below, reached
-    through ``prolong.T`` and ``prolong``; ``coarse_solve`` applies below
-    the last level.
+    ``levels`` run from the finest down, each ``(matrix, prolong, restrict,
+    step, sweeps)``: ``sweeps`` damped Jacobi sweeps ``x += step * (r -
+    matrix @ x)`` before and after the correction from the level below,
+    reached through ``restrict`` (``prolong.T`` as CSR) and ``prolong``;
+    ``coarse_solve`` applies below the last level.
     """
     if not levels:
         return coarse_solve(r)
-    matrix, prolong, step, sweeps = levels[0]
+    matrix, prolong, restrict, step, sweeps = levels[0]
     x = step * r  # the first sweep from zero
     for _ in range(sweeps - 1):
         x += step * (r - matrix @ x)
-    x += prolong @ v_cycle(levels[1:], coarse_solve, prolong.T @ (r - matrix @ x))
+    x += prolong @ v_cycle(levels[1:], coarse_solve, restrict @ (r - matrix @ x))
     for _ in range(sweeps):
         x += step * (r - matrix @ x)
     return x
@@ -584,6 +584,12 @@ class MeshHierarchy:
     P^T A P is the eliminated P1 stiffness on the free vertices).  The Pk
     matrix is never factored.
 
+    Every level keeps its restriction, the transpose of its prolongation
+    (or embedding) as CSR, built once here rather than as a ``.T`` view on
+    each cycle.  CSR sums each row in the column order in which the CSC
+    product ``prolong.T @ r`` adds to it, so the cycle's bits are those of
+    the view.
+
     :meth:`cycle` applies the levels as they stand, so an operator built on
     it serves the newest system only.
     """
@@ -618,7 +624,8 @@ class MeshHierarchy:
                 (weights.ravel(), (np.repeat(np.arange(space.num_dofs), 3), vertices.ravel())),
                 shape=(space.num_dofs, mesh.num_vertices),
             )
-            p_level = [(matrix, embed, SMOOTHING_WEIGHT / matrix.diagonal(), SMOOTHING_SWEEPS)]
+            p_level = [(matrix, embed, embed.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
+                        SMOOTHING_SWEEPS)]
         self._mesh, self.p_level = mesh, p_level
         if prolong is None or mesh.num_vertices <= COARSE_DOFS:
             self.levels = []
@@ -628,7 +635,7 @@ class MeshHierarchy:
             if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
                 prolong = prolong @ self.levels.pop(0)[1]
             step = MG_WEIGHT / p1_matrix.diagonal()
-            self.levels.insert(0, (p1_matrix, prolong, step, MG_SWEEPS))
+            self.levels.insert(0, (p1_matrix, prolong, prolong.T.tocsr(), step, MG_SWEEPS))
         return spla.LinearOperator(matrix.shape, matvec=self.cycle, dtype=float)
 
     def cycle(self, r):

@@ -44,7 +44,12 @@ def build_connectivity(cells):
     """Facet arrays for a (nc, 3) triangle array.
 
     A facet is identified by the 1-D key ``lo * n + hi`` of its sorted
-    vertex pair, with ``n`` one more than the largest vertex index.
+    vertex pair, with ``n`` one more than the largest vertex index.  The
+    lane entries ``3 * cell + lane`` are grouped by facet with one in-place
+    ``np.sort`` of ``key << s | entry`` (``s`` the bit length of ``3 * nc``),
+    which has no ties and puts a facet's entries in entry order.  Where
+    ``n**2`` does not fit below ``2**(63 - s)`` (above about 10**6 vertices)
+    an ``np.argsort`` of the keys groups them instead, in either tie order.
 
     Returns
     -------
@@ -60,37 +65,52 @@ def build_connectivity(cells):
         -1 for a missing neighbor.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    n = cells.max(initial=0) + 1
-    lanes = cells[:, _LANE_ENDS].reshape(-1, 2)
-    a, b = lanes[:, 0], lanes[:, 1]
-    # One sort of the keys groups the lane entries (3 * cell + lane) by facet.
-    key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(key)
-    key = key[order]
+    n = int(cells.max(initial=0)) + 1
+    # Entry 3 * cell + lane runs from a to b, lane i from vertex i + 1 to i + 2.
+    a = np.concatenate((cells[:, 1:], cells[:, :1]), axis=1).reshape(-1)
+    b = np.concatenate((cells[:, 2:], cells[:, :2]), axis=1).reshape(-1)
+    key = np.minimum(a, b) * n
+    key += np.maximum(a, b)
+    shift = len(key).bit_length()
+    if n * n < 1 << (63 - shift):
+        key <<= shift
+        key |= np.arange(len(key))
+        key.sort()
+        order = key & ((1 << shift) - 1)
+        key >>= shift
+    else:
+        order = np.argsort(key)
+        key = key[order]
+        # Put each pair of tied entries in entry order, as the packed sort does.
+        tie = np.flatnonzero(key[1:] == key[:-1])
+        tie = tie[order[tie] > order[tie + 1]]
+        order[tie], order[tie + 1] = order[tie + 1], order[tie]
     starts = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=starts[1:])
     first = np.flatnonzero(starts)
     counts = np.diff(first, append=len(key))
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    facets = np.column_stack(divmod(key[first], n))
+    facets = np.empty((len(first), 2), dtype=np.int64)
+    np.divmod(key[first], n, out=(facets[:, 0], facets[:, 1]))
     if counts.size and counts.max() > 2:
         bad = facets[np.argmax(counts)]
         raise NonManifoldError(f"facet {tuple(bad.tolist())} is shared by more than two cells")
-    # The sort may put a shared facet's two entries either way round; an
-    # entry is smaller exactly when its cell is, so the smaller one is the owner's.
-    last = first + counts - 1
-    e0, e1 = order[first], order[last]
-    entries = np.column_stack([np.minimum(e0, e1), np.where(last > first, np.maximum(e0, e1), -1)])
-    # Cells of one orientation traverse a shared facet in opposite directions.
-    forward = a < b
-    same = (forward[e0] == forward[e1]) & (last > first)
+    # A facet's entries in entry order: the owner's (the smaller cell's) first.
+    e0, e1 = order[first], order[first + counts - 1]
+    # Cells of one orientation traverse a shared facet in opposite directions;
+    # two entries of one facet run the same way exactly when they start alike.
+    same = (a[e0] == a[e1]) & (counts == 2)
     if same.any():
         bad = facets[np.argmax(same)]
         raise NonManifoldError(f"facet {tuple(bad.tolist())} is traversed twice in one direction")
-    del forward, same  # not held through the peak below
-    facet_lanes = np.where(entries < 0, -1, entries % 3)
-    return facets, entries // 3, inverse.reshape(-1, 3), facet_lanes
+    del a, b, same  # not held through the peak below
+    inverse = np.empty_like(order)
+    inverse[e0] = inverse[e1] = np.arange(len(first))
+    entries = np.column_stack([e0, e1])
+    facet_cells = entries // 3
+    facet_lanes = entries - 3 * facet_cells
+    lone = np.flatnonzero(counts == 1)
+    facet_cells[lone, 1] = facet_lanes[lone, 1] = -1
+    return facets, facet_cells, inverse.reshape(-1, 3), facet_lanes
 
 
 class Mesh:
@@ -101,7 +121,8 @@ class Mesh:
     vertices : (nv, 2) float array
     cells : (nc, 3) int array
         Counterclockwise triangles; slot 0 marks the refinement edge
-        convention described in the module docstring.
+        convention described in the module docstring.  Any other dtype
+        (float, bool) raises ValueError rather than being truncated.
     boundary : callable or dict or tuple or None
         Either a vectorized ``tag(x, y) -> array of DIRICHLET/NEUMANN``
         evaluated at boundary facet midpoints, a dict mapping sorted
@@ -110,11 +131,14 @@ class Mesh:
 
     The connectivity of :func:`build_connectivity` and ``facet_tags`` are
     read-only arrays, so no facet's tag can change under data derived from
-    it.  The affine geometry is computed once, as read-only arrays: ``jac``
-    (nc, 2, 2) with columns v1 - v0 and v2 - v0, ``det``, ``inv``, the
+    it.  The affine geometry is computed once, as read-only arrays, from
+    the three lane difference planes (3, nc): ``det``, ``inv``, the
     stiffness ``metric`` G_c = det J^-1 J^-T flattened to (nc, 4), and per
     lane (local edge i) ``lane_lengths`` (3, nc) and outward unit
-    ``lane_normals`` (3, nc, 2).  The cell areas are ``0.5 * det``.
+    ``lane_normals`` (3, nc, 2).  J's columns v1 - v0 and v2 - v0 are lane
+    2 and minus lane 1, so these have the bits of the formulas in J.  The
+    Jacobians ``jac`` (nc, 2, 2) themselves are formed on first read only,
+    and the cell areas are ``0.5 * det``.
 
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
@@ -125,6 +149,9 @@ class Mesh:
 
     def __init__(self, vertices, cells, boundary=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        cells = np.asarray(cells)
+        if not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError(f"cells must hold integer vertex indices, got dtype {cells.dtype}")
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
@@ -135,25 +162,27 @@ class Mesh:
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("vertex coordinates must be finite")
         x, y = self.vertices[:, 0][self.cells.T], self.vertices[:, 1][self.cells.T]  # (3, nc)
-        jac = np.empty((len(self.cells), 2, 2))
-        jac[:, 0, 0], jac[:, 1, 0] = x[1] - x[0], y[1] - y[0]
-        jac[:, 0, 1], jac[:, 1, 1] = x[2] - x[0], y[2] - y[0]
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        # Lane differences (3, nc): lane i runs from vertex i + 1 to vertex i + 2.
+        lx, ly = np.empty_like(x), np.empty_like(y)
+        for lane, (start, end) in enumerate(_LANE_ENDS):
+            np.subtract(x[end], x[start], out=lx[lane])
+            np.subtract(y[end], y[start], out=ly[lane])
+        del x, y
+        # J's columns are v1 - v0 = lane 2 and v2 - v0 = -lane 1; negation is
+        # exact, so det and inv have the bits of their formulas in J.
+        det = lx[1] * ly[2] - lx[2] * ly[1]
         if np.any(det <= 0):
             raise ValueError("cells must be counterclockwise with positive area")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
+        inv = np.empty((len(det), 2, 2))
+        inv[:, 0, 0], inv[:, 0, 1] = -ly[1], lx[1]
+        inv[:, 1, 0], inv[:, 1, 1] = -ly[2], lx[2]
         inv /= det[:, None, None]
-        lx = x[_LANE_ENDS[:, 1]] - x[_LANE_ENDS[:, 0]]
-        ly = y[_LANE_ENDS[:, 1]] - y[_LANE_ENDS[:, 0]]
         lengths = np.hypot(lx, ly)
         normals = np.empty(lx.shape + (2,))
         np.divide(ly, lengths, out=normals[..., 0])
         np.divide(-lx, lengths, out=normals[..., 1])
-        self.jac, self.det, self.inv = jac, det, inv
+        del lx, ly
+        self.det, self.inv = det, inv
         # A contiguous J^-T makes matmul's stacked 2x2 products several times
         # faster than on the transposed view, with the same values.
         metric = np.matmul(inv, inv.transpose(0, 2, 1).copy())
@@ -163,7 +192,7 @@ class Mesh:
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
-        for array in (self.vertices, self.cells, jac, det, inv, self.metric, lengths, normals,
+        for array in (self.vertices, self.cells, det, inv, self.metric, lengths, normals,
                       self.facets, self.facet_cells, self.cell_facets, self.facet_lanes,
                       self.facet_tags):
             array.setflags(write=False)
@@ -180,15 +209,16 @@ class Mesh:
         else:
             pairs, values = ((list(boundary), list(boundary.values()))
                              if isinstance(boundary, dict) else boundary)
-            pairs = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-            idx = self._facet_index(pairs[:, 0], pairs[:, 1])
+            pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+            idx = self._facet_index(lo, hi)
             interior = ~on_boundary[idx]
             if np.any(interior):
-                key = tuple(int(v) for v in pairs[np.argmax(interior)])
-                raise ValueError(f"facet {key} is interior, cannot tag it")
+                k = np.argmax(interior)
+                raise ValueError(f"facet {(int(lo[k]), int(hi[k]))} is interior, cannot tag it")
             tags[idx] = values
-        bad = on_boundary & ~np.isin(tags, (DIRICHLET, NEUMANN))
-        if np.any(bad):
+        given = tags[on_boundary]
+        if not ((given == DIRICHLET) | (given == NEUMANN)).all():
             raise ValueError("every boundary facet needs a D or N tag")
         return tags
 
@@ -207,6 +237,17 @@ class Mesh:
             k = missing[0]
             raise ValueError(f"no facet with vertices ({np.ravel(a)[k]}, {np.ravel(b)[k]})")
         return idx
+
+    @functools.cached_property
+    def jac(self):
+        """Cell Jacobians (nc, 2, 2) with columns v1 - v0 and v2 - v0,
+        read-only; formed on first read and kept."""
+        x, y = self.vertices[:, 0][self.cells.T], self.vertices[:, 1][self.cells.T]
+        jac = np.empty((self.num_cells, 2, 2))
+        jac[:, 0, 0], jac[:, 1, 0] = x[1] - x[0], y[1] - y[0]
+        jac[:, 0, 1], jac[:, 1, 1] = x[2] - x[0], y[2] - y[0]
+        jac.setflags(write=False)
+        return jac
 
     @functools.cached_property
     def lane_tags(self):
@@ -373,7 +414,6 @@ def refine(mesh, marked):
     marked = np.asarray(marked)
     if marked.size and not np.issubdtype(marked.dtype, np.integer):
         raise TypeError(f"marked must hold integer cell indices, got dtype {marked.dtype}")
-    marked = np.unique(marked.astype(np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.num_cells:
@@ -393,17 +433,24 @@ def refine(mesh, marked):
     midpoint_of[split_ids] = mesh.num_vertices + np.arange(len(split_ids))
     parents = mesh.facets[split_ids]
     parents.setflags(write=False)
-    new_vertices = np.vstack([mesh.vertices, mesh.vertices[parents].mean(axis=1)])
+    # (a + b) / 2 has the bits of the mean of the pair.
+    mids = (mesh.vertices[parents[:, 0]] + mesh.vertices[parents[:, 1]]) / 2
+    new_vertices = np.vstack([mesh.vertices, mids])
 
     pattern = flags[:, 0] + 2 * flags[:, 1] + 4 * flags[:, 2]
-    slots = [*mesh.cells.T, *midpoint_of[mesh.cell_facets].T]  # six (nc,) columns
-    sizes = np.array([len(_CHILDREN.get(p, ())) for p in range(8)])
-    offsets = np.concatenate([[0], np.cumsum(sizes[pattern])])
-    new_cells = np.empty((offsets[-1], 3), dtype=np.int64)
+    sizes = np.array([len(_CHILDREN.get(p, ())) for p in range(8)])[pattern]
+    # Each cell's children take consecutive rows; an unsplit cell is its own child.
+    new_cells = np.repeat(mesh.cells, sizes, axis=0)
+    offsets = np.cumsum(sizes) - sizes
     for p, children in _CHILDREN.items():
+        if p == 0:
+            continue
         rows = np.flatnonzero(pattern == p)
+        # The six slots (v0, v1, v2, m0, m1, m2) of these cells.
+        block = np.concatenate([np.take(mesh.cells, rows, axis=0),
+                                midpoint_of[np.take(mesh.cell_facets, rows, axis=0)]], axis=1)
         for j, child in enumerate(children):
-            new_cells[offsets[rows] + j] = np.column_stack([slots[k][rows] for k in child])
+            new_cells[offsets[rows] + j] = block[:, child]
 
     # Boundary tags: unsplit facets keep theirs, halves (a, mid) and
     # (b, mid) inherit the parent's; midpoints follow every old vertex, so

@@ -29,7 +29,8 @@ from afem2d.fem import (
     interpolate,
     solve,
 )
-from afem2d.mesh import IndicatorField, uniform_refine
+from afem2d import adapt
+from afem2d.mesh import IndicatorField, refine, uniform_refine
 from afem2d.problems import (
     GoalSpec, boundary_singularity, lshaped, lshaped_goal, lshaped_mixed, unit_square_mesh,
 )
@@ -906,6 +907,22 @@ def test_goal_error_bounded_by_error_product():
         eta_z, _ = estimate(z, c)
         weighted, _ = wgo_indicators(eta_u, eta_z)
         mesh = refine(mesh, mark_dorfler(weighted, 0.5))
+
+
+def test_source_free_loop_never_forms_the_jacobians(monkeypatch):
+    """The L-shape has no source and a harmonic exact solution, so no
+    mesh of its loop maps quadrature points and none forms ``Mesh.jac``."""
+    meshes = []
+
+    def keep(mesh, marked):
+        meshes.append(refine(mesh, marked))
+        return meshes[-1]
+
+    monkeypatch.setattr(adapt, "refine", keep)
+    problem = lshaped()
+    adapt_loop(problem, AdaptConfig(estimator="bw:2,1", solver="cg", max_dofs=2000))
+    assert problem.f is None and len(meshes) >= 3
+    assert not any("jac" in vars(mesh) for mesh in [problem.mesh, *meshes])
 
 
 def test_peak_memory_per_cell_is_bounded():

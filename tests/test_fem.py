@@ -1040,10 +1040,14 @@ def test_hierarchy_skips_a_level_that_grows_less_than_twofold(monkeypatch):
     for mesh in meshes:
         hierarchy.add(*poisson_system(mesh))
     assert meshes[1].num_vertices < fem.LEVEL_GROWTH * meshes[0].num_vertices
-    (matrix, prolong, step, sweeps), = hierarchy.levels
+    (matrix, prolong, restrict, step, sweeps), = hierarchy.levels
     assert matrix.shape[0] == meshes[2].num_vertices and sweeps == fem.MG_SWEEPS
     product = prolongation(meshes[1], meshes[2]) @ prolongation(meshes[0], meshes[1])
     assert (prolong != product).nnz == 0
+    assert restrict.format == "csr" and (restrict != product.T).nnz == 0
+    # The stored CSR restriction has the bits of the transposed view's product.
+    r = np.random.default_rng(3).standard_normal(matrix.shape[0])
+    assert (restrict @ r).tobytes() == (prolong.T @ r).tobytes()
     assert np.array_equal(step, fem.MG_WEIGHT / matrix.diagonal())
     assert_galerkin(prolong, meshes[0], meshes[2])
 
@@ -1095,9 +1099,10 @@ def test_p1_levels_do_not_depend_on_degree(monkeypatch):
             hierarchy.add(*poisson_system(mesh, degree))
     p1, p2 = hierarchies[1], hierarchies[2]
     assert len(p1.levels) >= 2 and len(p2.levels) == len(p1.levels)
-    for (a1, pr1, s1, w1), (a2, pr2, s2, w2) in zip(p1.levels, p2.levels):
+    for (a1, pr1, r1, s1, w1), (a2, pr2, r2, s2, w2) in zip(p1.levels, p2.levels):
         assert_same_csr(a1, a2)
         assert_same_csr(pr1, pr2)
+        assert_same_csr(r1, r2)
         assert np.array_equal(s1, s2) and w1 == w2
     assert p1._coarse_lu.shape == p2._coarse_lu.shape
     assert p1.p_level == [] and len(p2.p_level) == 1

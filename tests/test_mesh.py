@@ -54,6 +54,17 @@ def test_facet_traversed_twice_in_one_direction_rejected(cells):
         m.Mesh(vertices, np.array(cells))
 
 
+@pytest.mark.parametrize("cells, dtype", [([[0.0, 1.9, 2.2]], "float64"),
+                                          ([[False, True, True]], "bool")],
+                         ids=["float", "bool"])
+def test_non_integer_cells_rejected(cells, dtype):
+    """Float cells would be truncated to other vertices and bool cells
+    read as 0/1; both are refused with their dtype named."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=f"integer vertex indices, got dtype {dtype}"):
+        m.Mesh(vertices, np.array(cells))
+
+
 def test_vertex_index_out_of_range_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

@@ -12,9 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afem2d.element import EDGE_VERTICES
-from afem2d.mesh import DIRICHLET, INTERIOR, NEUMANN, build_connectivity, mark_dorfler, refine
+from afem2d.mesh import (
+    DIRICHLET, INTERIOR, NEUMANN, NonManifoldError, build_connectivity, mark_dorfler, refine,
+)
 from afem2d.problems import make_problem
-from helpers import jittered_square, randomly_tagged_mesh, unique_rows_connectivity
+from helpers import (
+    assert_bitwise, jittered_square, randomly_tagged_mesh, unique_rows_connectivity,
+)
 
 SEED_MESHES = {
     name: make_problem(name).mesh for name in ("lshaped", "lshaped-mixed", "boundary-sing")
@@ -75,26 +79,70 @@ def reversed_ties(a):
     return np.lexsort((-np.arange(len(a)), a))
 
 
-@pytest.mark.parametrize("mesh", [
+CONNECTIVITY_MESHES = [
     refine(SEED_MESHES["lshaped"], np.arange(0, 96, 3)),
     jittered_square(6, seed=3),
-], ids=["refined-lshaped", "jittered-square"])
-def test_connectivity_does_not_depend_on_tie_order(monkeypatch, mesh):
-    assert reversed_ties(np.array([1, 0, 1])).tolist() == [1, 2, 0]
+]
+CONNECTIVITY_IDS = ["refined-lshaped", "jittered-square"]
+# Vertex indices this large push lo * n + hi past what the packed sort
+# can hold beside the entry bits, with no array of that many vertices.
+FAR = 2**30
+
+
+def argsort_calls(monkeypatch, sorter):
+    """Route plain ``np.argsort(a)`` calls through ``sorter``; returns the
+    list of their lengths, filled as calls come."""
     argsort, calls = np.argsort, []
 
     def patched(a, *args, **kwargs):
         if args or kwargs:
             return argsort(a, *args, **kwargs)
         calls.append(len(a))
-        return reversed_ties(a)
+        return sorter(a)
 
     monkeypatch.setattr(np, "argsort", patched)
+    return calls
+
+
+@pytest.mark.parametrize("mesh", CONNECTIVITY_MESHES, ids=CONNECTIVITY_IDS)
+def test_packed_connectivity_makes_no_argsort(monkeypatch, mesh):
+    """Mesh-sized indices take the packed sort, which has no ties to order."""
+    calls = argsort_calls(monkeypatch, reversed_ties)
     got = build_connectivity(mesh.cells)
     monkeypatch.undo()
-    assert calls == [3 * mesh.num_cells]
+    assert calls == []
     for have, want in zip(got, unique_rows_connectivity(mesh.cells)):
         assert have.dtype == want.dtype and np.array_equal(have, want)
+
+
+@pytest.mark.parametrize("sorter", [np.argsort, reversed_ties], ids=["argsort", "reversed-ties"])
+@pytest.mark.parametrize("mesh", CONNECTIVITY_MESHES, ids=CONNECTIVITY_IDS)
+def test_argsort_fallback_matches_the_packed_sort(monkeypatch, mesh, sorter):
+    """Indices offset by 2**30 take the argsort fallback, which gives the
+    packed sort's arrays (facets offset alike) in either tie order."""
+    assert reversed_ties(np.array([1, 0, 1])).tolist() == [1, 2, 0]
+    packed = build_connectivity(mesh.cells)
+    far = mesh.cells + FAR
+    calls = argsort_calls(monkeypatch, sorter)
+    got = build_connectivity(far)
+    monkeypatch.undo()
+    assert calls == [3 * mesh.num_cells]
+    facets, *rest = got
+    assert np.array_equal(facets, packed[0] + FAR)
+    for have, want in zip(rest, packed[1:]):
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+    for have, want in zip(got, unique_rows_connectivity(far)):
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+
+
+@pytest.mark.parametrize("cells, fault", [
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4]], "is shared by more than two cells"),
+    ([[0, 1, 2], [0, 1, 3]], "is traversed twice in one direction"),
+], ids=["three-cells", "same-side"])
+def test_argsort_fallback_refuses_non_manifold_facets(cells, fault):
+    """The packed sort's refusals are tested through ``Mesh`` in test_mesh."""
+    with pytest.raises(NonManifoldError, match=rf"facet \({FAR}, {FAR + 1}\) {fault}"):
+        build_connectivity(np.array(cells) + FAR)
 
 
 @st.composite
@@ -138,6 +186,17 @@ def test_geometry_record(mesh):
     inner = mesh.facet_cells[:, 1] >= 0
     (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
     assert np.array_equal(normals[l0, c0], -normals[l1, c1])
+
+
+def test_jacobians_are_formed_on_first_read():
+    """``jac`` is not stored by the constructor; its first read forms the
+    array of the columns v1 - v0 and v2 - v0, bitwise, and keeps it."""
+    mesh = refine(jittered_square(6, seed=5), [0, 7, 30])
+    assert "jac" not in vars(mesh)
+    v = mesh.vertices[mesh.cells]
+    want = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    assert_bitwise(mesh.jac, want)
+    assert vars(mesh)["jac"] is mesh.jac
 
 
 @settings(max_examples=30, deadline=None)
