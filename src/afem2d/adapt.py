@@ -1,7 +1,6 @@
 """The solve-estimate-mark-refine loop and goal-oriented weighting."""
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -10,7 +9,7 @@ import numpy as np
 from . import bank_weiser as bw
 from . import estimators
 from . import quadrature as quad
-from .element import MAX_DEGREE, _is_integer
+from .element import MAX_DEGREE, _is_integer, _is_real
 from .fem import (
     COARSE_DOFS,
     FEFunction,
@@ -51,10 +50,6 @@ def resolve_estimator(selector):
         return lambda u, f, g, factors=None: bw.estimate(
             u, f, g, pair=pair, factors=factors)[0]
     raise ValueError(f"unknown estimator selector: {selector!r}")
-
-
-def _is_real(value):
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 @dataclass

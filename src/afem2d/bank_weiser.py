@@ -244,14 +244,19 @@ def _substitute(factor, b_bw):
     read, so one factorization serves any number of loads."""
     lower, pivots = factor
     x = np.array(b_bw, dtype=float, order="C")
-    starts = np.cumsum(np.r_[0, len(x):0:-1])
+    k = len(x)
+    starts = np.cumsum(np.r_[0, k:0:-1])
     with np.errstate(all="ignore"):
-        for j in range(len(x)):
+        for j in range(k):
             x[j] /= pivots[j]
             x[j + 1 :] -= lower[starts[j] + 1 : starts[j + 1]] * x[j]
-        for j in reversed(range(len(x))):
+        # Back substitution reads column j of the factor as one slice: x_j
+        # takes off L_ij x_i for i from the last down, then its pivot.
+        for j in reversed(range(k)):
+            col = lower[starts[j] : starts[j + 1]]
+            for i in reversed(range(j + 1, k)):
+                x[j] -= col[i - j] * x[i]
             x[j] /= pivots[j]
-            x[:j] -= lower[starts[:j] + j - np.arange(j)] * x[j]
     return x
 
 

@@ -161,6 +161,13 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """A real number, a NumPy float or integer too, but not a bool (nor a
+    NumPy bool, which is no ``numbers.Real``): the one rule for fractions
+    and tolerances."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def lagrange(degree):
     """Lagrange element of the given degree, an integer from 0 (the
     constant) to ``MAX_DEGREE``; a bool or a float raises ValueError."""

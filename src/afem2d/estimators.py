@@ -57,8 +57,10 @@ def zz_estimate(u):
 
     The recovered flux is the P1 vector field whose vertex values are the
     area-weighted averages of the neighboring cell gradients; eta_T is the
-    L2 distance between it and the raw cellwise gradient.  The vertex sums
-    are one ``bincount`` each, and the P1 mass form is taken in closed form.
+    L2 distance between it and the raw cellwise gradient.  Each gradient
+    component goes on its own: one ``bincount`` of its vertex sums, one
+    gather to a (3, nc) plane of vertex differences, and the P1 mass form
+    in closed form over the planes.
     """
     space = u.space
     if space.degree != 1:
@@ -69,16 +71,20 @@ def zz_estimate(u):
     areas = 0.5 * mesh.det
 
     vertices, nv = mesh.cells.ravel(), mesh.num_vertices
-    weighted = np.repeat(areas[:, None] * grads, 3, axis=0)
     measure = np.bincount(vertices, np.repeat(areas, 3), minlength=nv)
-    recovered = np.stack([np.bincount(vertices, weighted[:, t], minlength=nv)
-                          for t in range(2)], axis=1) / measure[:, None]
-
     # The difference d is linear per cell; the P1 mass matrix (1 + delta_jk)
     # / 12 integrates it exactly: int |d|^2 = area (|sum_j d_j|^2
-    # + sum_j |d_j|^2) / 12.
-    diff = recovered[mesh.cells] - grads[:, None, :]
-    total = diff.sum(axis=1)
-    eta2 = areas * (np.einsum("ct,ct->c", total, total)
-                    + np.einsum("cjt,cjt->c", diff, diff)) / 12.0
+    # + sum_j |d_j|^2) / 12.  The planes j = 0, 1, 2 are added in turn, and
+    # then the x plane to the y plane: the order in which diff.sum(axis=1)
+    # and einsum("cjt,cjt->c") over (nc, 3, 2) gathers pair the terms, so
+    # the indicators keep that form's bits.
+    sums, squares = [], []
+    for g in grads.T:
+        d = (np.bincount(vertices, np.repeat(areas * g, 3), minlength=nv) / measure)[mesh.cells.T]
+        d -= g
+        sums.append((d[0] + d[1]) + d[2])
+        d *= d
+        squares.append((d[0] + d[1]) + d[2])
+    (sx, sy), (qx, qy) = sums, squares
+    eta2 = areas * ((sx * sx + sy * sy) + (qx + qy)) / 12.0
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import EDGE_VERTICES
+from .element import EDGE_VERTICES, _is_real
 
 INTERIOR = 0
 DIRICHLET = 1
@@ -343,7 +343,7 @@ def _indicator_values(field):
 
 
 def _check_theta(theta):
-    if not 0.0 < theta <= 1.0:
+    if not (_is_real(theta) and 0.0 < theta <= 1.0):
         raise ValueError(f"marking fraction must be in (0, 1], got {theta!r}")
 
 

@@ -124,6 +124,38 @@ def zz_recovery(u, grads=None):
     return grads, weighted / measure[:, None]
 
 
+def zz_closed_form(u):
+    """ZZ indicators from ``fem.cell_gradients`` (the estimator's own cell
+    gradients), ``np.add.at`` vertex sums of ``np.repeat``-ed weighted
+    gradients and the closed-form P1 mass by einsum over the (nc, 3, 2)
+    gathered differences: the estimator's formula, which it must keep bit
+    for bit."""
+    space, mesh = u.space, u.space.mesh
+    ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
+    grads = fem.cell_gradients(u.cell_coeffs(), ref_grad, mesh.inv)[:, 0]
+    grads, recovered = zz_recovery(u, grads)
+    diff = recovered[mesh.cells] - grads[:, None, :]
+    total = diff.sum(axis=1)
+    eta2 = 0.5 * mesh.det * (np.einsum("ct,ct->c", total, total)
+                             + np.einsum("cjt,cjt->c", diff, diff)) / 12.0
+    return np.sqrt(eta2)
+
+
+def jitter_interior(mesh, seed, scale=0.2):
+    """Copy of ``mesh`` with its interior vertices moved by up to ``scale``
+    times its shortest facet, boundary tags kept."""
+    rng = np.random.default_rng(seed)
+    boundary = mesh.boundary_facets()
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    fixed[mesh.facets[boundary].ravel()] = True
+    vertices = mesh.vertices.copy()
+    step = scale * mesh.facet_lengths().min()
+    vertices[~fixed] += rng.uniform(-step, step, size=(int((~fixed).sum()), 2))
+    tags = {(int(a), int(b)): int(t)
+            for (a, b), t in zip(mesh.facets[boundary], mesh.facet_tags[boundary])}
+    return Mesh(vertices, mesh.cells, boundary=tags)
+
+
 def zz_mass_form(mesh, grads, recovered):
     """ZZ indicators with the P1 mass matrix (1 + delta_jk) / 12 applied
     as a 3x3 matrix."""

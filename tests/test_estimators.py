@@ -1,10 +1,14 @@
 """Tests for the explicit residual and gradient-recovery estimators."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from afem2d import fem
+from afem2d import estimators, fem
 from afem2d import quadrature as quad
+from afem2d.adapt import AdaptConfig, adapt_loop
 from afem2d.estimators import residual_estimate, zz_estimate
 from afem2d.fem import FEFunction, FunctionSpace, interpolate
 from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField, Mesh, refine
@@ -12,6 +16,7 @@ from afem2d.problems import lshaped_mixed, unit_square_mesh
 
 from helpers import (
     criss_cross_square,
+    jitter_interior,
     jittered_square,
     mapped_point_traces,
     randomly_tagged_mesh,
@@ -19,6 +24,7 @@ from helpers import (
     tagged_unit_square,
     two_cell_square,
     unit_triangle_mesh,
+    zz_closed_form,
     zz_mass_form,
     zz_recovery,
 )
@@ -264,14 +270,48 @@ def test_zz_bincount_recovery_matches_add_at(name):
     mesh = ZZ_MESHES[name]
     space = FunctionSpace(mesh, 1)
     u = FEFunction(space, np.random.default_rng(8).standard_normal(space.num_dofs))
-    ref_grad = space.element.tabulate_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
-    grads = fem.cell_gradients(u.cell_coeffs(), ref_grad, mesh.inv)[:, 0]
-    grads, recovered = zz_recovery(u, grads)
-    diff = recovered[mesh.cells] - grads[:, None, :]
-    total = diff.sum(axis=1)
-    eta2 = 0.5 * mesh.det * (np.einsum("ct,ct->c", total, total)
-                         + np.einsum("cjt,cjt->c", diff, diff)) / 12.0
-    assert np.array_equal(zz_estimate(u).values, np.sqrt(eta2))
+    assert np.array_equal(zz_estimate(u).values, zz_closed_form(u))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_zz_keeps_the_closed_form_bits_through_an_adaptive_run(monkeypatch, seed):
+    """On every mesh of a ZZ run of the mixed L-shape (jittered, to about
+    5,000 DOFs), the vertex-plane estimate equals the einsum form over the
+    (nc, 3, 2) gathers bit for bit, so runs and their traces keep them."""
+    meshes = []
+
+    def checked(u):
+        eta = zz_estimate(u)
+        assert np.array_equal(eta.values, zz_closed_form(u))
+        meshes.append(u.space.mesh)
+        return eta
+
+    monkeypatch.setattr(estimators, "zz_estimate", checked)
+    base = lshaped_mixed()
+    problem = dataclasses.replace(base, mesh=jitter_interior(base.mesh, seed))
+    result = adapt_loop(problem, AdaptConfig(estimator="zz", max_dofs=5000))
+    assert len(meshes) == len(result.trace.rows) > 5
+    assert result.trace.rows[-1].num_dofs >= 5000
+
+
+def test_zz_peak_memory_per_cell():
+    """The estimate's traced peak stays at most 160 B per cell (the
+    (nc, 3, 2) gathers it replaced took about 181 B) on the 98,304-cell
+    uniformly refined mixed L-shape."""
+    mesh = lshaped_mixed().mesh
+    for _ in range(5):
+        mesh = refine(mesh, np.arange(mesh.num_cells))
+    space = FunctionSpace(mesh, 1)
+    u = FEFunction(space, np.random.default_rng(2).standard_normal(space.num_dofs))
+    zz_estimate(u)  # element tables cached before tracing
+    tracemalloc.start()
+    try:
+        zz_estimate(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_cells == 98304
+    assert peak <= 160 * mesh.num_cells
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from afem2d import mesh as m
+from afem2d.adapt import AdaptConfig
 from afem2d.problems import make_problem
 from helpers import assert_conforming, criss_cross_square, two_cell_square, unit_triangle_mesh
 
@@ -214,12 +215,23 @@ def test_mark_dorfler_tie_block_kept():
     assert marked.tolist() == [0, 2]  # one value-2 cell suffices, tie kept
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+@pytest.mark.parametrize("theta", [
+    0.0, -0.5, 1.5,
+    pytest.param(True, id="True"), pytest.param(np.True_, id="np.True_"),
+    pytest.param("0.5", id="str"), pytest.param(0.5j, id="complex"),
+    pytest.param(None, id="None"), pytest.param(float("nan"), id="nan"),
+    pytest.param(0, id="int0"),
+])
 def test_marking_theta_validation(theta):
+    """The marking functions refuse every theta that AdaptConfig refuses,
+    with ValueError: a bool is no fraction (True would read as theta = 1
+    and mark every cell), nor is a string, a complex number or None."""
     with pytest.raises(ValueError):
         m.mark_maximum(np.array([1.0]), theta)
     with pytest.raises(ValueError):
         m.mark_dorfler(np.array([1.0]), theta)
+    with pytest.raises(ValueError):
+        AdaptConfig(theta=theta, max_iterations=1)
 
 
 def test_marking_scale_invariance():
