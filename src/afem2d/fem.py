@@ -68,20 +68,23 @@ def physical_points(mesh, ref_pts, cells=slice(None)):
 
 
 def cell_gradients(coeffs, ref_grads, inv):
-    """Gradients of the cellwise expansions ``coeffs`` (nc, d) at the
-    points where ``ref_grads`` (nq, d, 2) was tabulated: (nc, nq, 2)."""
-    nq, d, _ = ref_grads.shape
-    ref = coeffs @ ref_grads.transpose(1, 0, 2).reshape(d, 2 * nq)
-    return np.matmul(ref.reshape(-1, nq, 2), inv)
+    """Gradients of the cellwise expansions ``coeffs`` (nc, d) at the points
+    where ``ref_grads`` (nq, d, 2) was tabulated, r J^-1 = (r0 a + r1 c, r0 b
+    + r1 d) by planes of J^-1 = [[a, b], [c, d]]: (nc, nq, 2)."""
+    nq, dim, _ = ref_grads.shape
+    ref = (coeffs @ ref_grads.transpose(1, 0, 2).reshape(dim, 2 * nq)).reshape(-1, nq, 2)
+    (r0, r1), (a, b, c, d) = ref.transpose(2, 0, 1), inv.reshape(-1, 4).T[..., None]
+    return np.stack((r0 * a + r1 * c, r0 * b + r1 * d), axis=-1)
 
 
 def cell_laplacians(coeffs, ref_hess, inv):
-    """Laplacians of the cellwise expansions at the points where
-    ``ref_hess`` (nq, d, 2, 2) was tabulated: (nc, nq)."""
-    nq, d = ref_hess.shape[:2]
-    ref = coeffs @ ref_hess.transpose(1, 0, 2, 3).reshape(d, 4 * nq)
-    metric = np.matmul(inv, inv.transpose(0, 2, 1)).reshape(-1, 4, 1)
-    return np.matmul(ref.reshape(-1, nq, 4), metric)[..., 0]
+    """Laplacians of the cellwise expansions at the points where ``ref_hess``
+    (nq, d, 2, 2) was tabulated, by J^-1 J^-T as in ``Mesh.metric``: (nc, nq)."""
+    nq, dim = ref_hess.shape[:2]
+    h = (coeffs @ ref_hess.transpose(1, 0, 2, 3).reshape(dim, 4 * nq)).reshape(-1, nq, 4)
+    (h0, h1, h2, h3), (a, b, c, d) = h.transpose(2, 0, 1), inv.reshape(-1, 4).T[..., None]
+    g01 = a * c + b * d
+    return h0 * (a * a + b * b) + h1 * g01 + h2 * g01 + h3 * (c * c + d * d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -537,6 +540,13 @@ def free_vertices(mesh):
     return free
 
 
+def _refinement_parents(coarse, fine):
+    """``fine.parents``, or ValueError when ``fine`` does not refine ``coarse``."""
+    if fine.parents is None or coarse.num_vertices + len(fine.parents) != fine.num_vertices:
+        raise ValueError("the mesh is not a refinement of the previous one")
+    return fine.parents
+
+
 def prolongation(coarse, fine):
     """P1 prolongation (fine.num_vertices, coarse.num_vertices), CSR, from
     ``coarse`` to its refinement ``fine``: old vertices keep their value and
@@ -547,9 +557,7 @@ def prolongation(coarse, fine):
     ``coarse``.  Raises ValueError when ``fine`` is not a refinement of
     ``coarse``.
     """
-    parents, nc = fine.parents, coarse.num_vertices
-    if parents is None or nc + len(parents) != fine.num_vertices:
-        raise ValueError("the mesh is not a refinement of the previous one")
+    parents, nc = _refinement_parents(coarse, fine), coarse.num_vertices
     k = len(parents)
     indptr = np.concatenate([np.arange(nc), nc + 2 * np.arange(k + 1)])
     indices = np.concatenate([np.arange(nc), parents.ravel()])
@@ -604,8 +612,9 @@ class MeshHierarchy:
         """Make ``space.mesh``, a refinement of the last mesh added, the top
         level, and return the preconditioner for ``system``, the eliminated
         Poisson system of ``space``."""
-        mesh, matrix = space.mesh, system.matrix
-        prolong = None if self._mesh is None else prolongation(self._mesh, mesh)
+        mesh, matrix, coarse = space.mesh, system.matrix, self._mesh
+        if coarse is not None:
+            _refinement_parents(coarse, mesh)
         p1_matrix, p_level = matrix, []
         if space.degree > 1:
             free = free_vertices(mesh)
@@ -627,10 +636,11 @@ class MeshHierarchy:
             p_level = [(matrix, embed, embed.T.tocsr(), SMOOTHING_WEIGHT / matrix.diagonal(),
                         SMOOTHING_SWEEPS)]
         self._mesh, self.p_level = mesh, p_level
-        if prolong is None or mesh.num_vertices <= COARSE_DOFS:
+        if coarse is None or mesh.num_vertices <= COARSE_DOFS:
             self.levels = []
             self._coarse_lu = _factor_spd(p1_matrix)
         else:
+            prolong = prolongation(coarse, mesh)
             sizes = [level[0].shape[0] for level in self.levels] + [self._coarse_lu.shape[0]]
             if len(sizes) > 1 and sizes[0] < LEVEL_GROWTH * sizes[1]:
                 prolong = prolong @ self.levels.pop(0)[1]

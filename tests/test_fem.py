@@ -233,6 +233,37 @@ def test_cell_derivatives_match_einsum(degree):
     assert np.abs(got - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_cell_derivatives_are_the_elementwise_push_forward(degree):
+    """With J^-1 = [[a, b], [c, d]] and the reference derivatives r and h
+    of the block product, cell_gradients is (r0 a + r1 c, r0 b + r1 d) and
+    cell_laplacians h00 G00 + h01 G01 + h10 G01 + h11 G11 (G = J^-1 J^-T,
+    one off-diagonal), bitwise on a jittered mesh.  On a uniformly refined
+    L-shape every product is exact, and both equal the stacked matmuls
+    they replace up to the sign of zero (adding 0.0 maps -0 to +0)."""
+    pts, _ = quad.triangle_rule(6)
+    for mesh, exact in ((jittered_square(6, seed=2), False),
+                        (uniform_refine(lshaped_mesh(), 2), True)):
+        space, inv = FunctionSpace(mesh, degree), mesh.inv
+        coeffs = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y), space).cell_coeffs()
+        grads, hess = space.element.tabulate_grad(pts), space.element.tabulate_hess(pts)
+        nq, dim = hess.shape[:2]
+        r = (coeffs @ grads.transpose(1, 0, 2).reshape(dim, 2 * nq)).reshape(-1, nq, 2)
+        h = (coeffs @ hess.transpose(1, 0, 2, 3).reshape(dim, 4 * nq)).reshape(-1, nq, 4)
+        a, b, c, d = (inv.reshape(-1, 4)[:, k, None] for k in range(4))
+        want = np.stack([r[..., 0] * a + r[..., 1] * c, r[..., 0] * b + r[..., 1] * d], axis=-1)
+        assert_bitwise(cell_gradients(coeffs, grads, inv), want)
+        g01 = a * c + b * d
+        want = (h[..., 0] * (a * a + b * b) + h[..., 1] * g01 + h[..., 2] * g01
+                + h[..., 3] * (c * c + d * d))
+        assert_bitwise(cell_laplacians(coeffs, hess, inv), want)
+        if exact:
+            metric = np.matmul(inv, inv.transpose(0, 2, 1)).reshape(-1, 4, 1)
+            assert_bitwise(cell_gradients(coeffs, grads, inv) + 0.0, np.matmul(r, inv) + 0.0)
+            assert_bitwise(cell_laplacians(coeffs, hess, inv) + 0.0,
+                           np.matmul(h, metric)[..., 0] + 0.0)
+
+
 @pytest.mark.parametrize("order", [3, 5, 8])
 @pytest.mark.parametrize("random_tags", [False, True], ids=["jittered", "random-tags"])
 def test_physical_points_match_vertex_plus_mapped(order, random_tags):
@@ -1069,6 +1100,28 @@ def test_v_cycle_is_symmetric_positive_definite(monkeypatch, degree):
     assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
     x = solve(system, "cg", M=op)
     assert np.linalg.norm(x - solve(system, "lu")) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_hierarchy_builds_a_prolongation_only_above_the_coarse_level(monkeypatch):
+    """Every added mesh is checked against the last one, but only a mesh
+    above COARSE_DOFS, which keeps it as a level, gets a prolongation."""
+    calls = []
+
+    def counted(coarse, fine):
+        calls.append(fine.num_vertices)
+        return prolongation(coarse, fine)
+
+    monkeypatch.setattr(fem, "prolongation", counted)
+    monkeypatch.setattr(fem, "COARSE_DOFS", 120)  # the meshes have 65 to 251 vertices
+    meshes = randomly_refined(lshaped_mixed().mesh, 4, seed=4)
+    hierarchy = MeshHierarchy()
+    for mesh in meshes:
+        hierarchy.add(*poisson_system(mesh))
+    above = [mesh.num_vertices for mesh in meshes[1:] if mesh.num_vertices > fem.COARSE_DOFS]
+    assert calls == above and 0 < len(above) < len(meshes) - 1
+    with pytest.raises(ValueError, match="not a refinement"):
+        hierarchy.add(*poisson_system(meshes[0]))
+    assert len(calls) == len(above)
 
 
 def test_hierarchy_coarse_level_alone_is_the_exact_solve():

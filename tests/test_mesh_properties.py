@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from afem2d.element import EDGE_VERTICES
 from afem2d.mesh import (
     DIRICHLET, INTERIOR, NEUMANN, NonManifoldError, build_connectivity, mark_dorfler, refine,
+    uniform_refine,
 )
 from afem2d.problems import make_problem
 from helpers import (
@@ -168,9 +169,20 @@ def test_geometry_record(mesh):
     assert np.array_equal(mesh.det, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     assert "areas" not in vars(mesh)  # no stored (nc,) copy of det / 2
     assert np.abs(mesh.inv @ mesh.jac - np.eye(2)).max() <= 1e-12
-    inv = mesh.inv
-    metric = (mesh.det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
-    assert np.array_equal(mesh.metric, metric)
+    # G_c = det J^-1 J^-T entrywise from J^-1 = [[a, b], [c, d]], with one
+    # off-diagonal, so the metric is symmetric to the bit.
+    det, (a, b, c, d) = mesh.det, mesh.inv.reshape(-1, 4).T
+    off = det * (a * c + b * d)
+    assert_bitwise(mesh.metric, np.column_stack([det * (a * a + b * b), off, off,
+                                                 det * (c * c + d * d)]))
+    assert np.array_equal(mesh.metric[:, 1], mesh.metric[:, 2])
+    # Within 4e-16 of det inv inv^T formed in extended precision, relative
+    # to each cell's |G_c|_F (about 3 roundings of the formula).
+    inv = mesh.inv.astype(np.longdouble)
+    exact = (det.astype(np.longdouble)[:, None, None] * inv @ inv.transpose(0, 2, 1))
+    exact = exact.reshape(-1, 4)
+    scale = np.sqrt((exact**2).sum(axis=1))
+    assert (np.abs(mesh.metric - exact).max(axis=1) <= 4e-16 * scale).all()
     assert np.array_equal(mesh.lane_lengths, mesh.facet_lengths()[mesh.cell_facets].T)
 
     normals = mesh.lane_normals
@@ -186,6 +198,21 @@ def test_geometry_record(mesh):
     inner = mesh.facet_cells[:, 1] >= 0
     (c0, c1), (l0, l1) = mesh.facet_cells[inner].T, mesh.facet_lanes[inner].T
     assert np.array_equal(normals[l0, c0], -normals[l1, c1])
+
+
+@pytest.mark.parametrize("name", ["lshaped", "boundary-sing"])
+def test_metric_keeps_the_matmul_bits_on_dyadic_meshes(name):
+    """On the uniformly refined seed meshes every entry of J^-1 is zero or
+    a power of two, so every product of the metric formula is exact and it
+    has the bits of the stacked matmul det * (inv @ inv^T), which the
+    seed-0 traces were made with, but for the sign of a zero off-diagonal:
+    the formula adds two -0 products to -0 where a sum started from +0, as
+    the matmul's, gives +0.  Adding 0.0 maps -0 to +0 and keeps every other
+    bit."""
+    mesh = uniform_refine(SEED_MESHES[name], 3)
+    inv = mesh.inv
+    want = (mesh.det[:, None, None] * np.matmul(inv, inv.transpose(0, 2, 1))).reshape(-1, 4)
+    assert_bitwise(mesh.metric + 0.0, want + 0.0)
 
 
 def test_jacobians_are_formed_on_first_read():
