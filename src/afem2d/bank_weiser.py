@@ -222,13 +222,15 @@ def _factor(a_bw, first=0):
     """
     k = int(np.sqrt(2 * len(a_bw)))  # len(a_bw) = k (k + 1) / 2
     starts = np.cumsum(np.r_[0, k:0:-1])  # where each column's diagonal is
+    scratch = np.empty((k, a_bw.shape[1]))  # each rank-1 product, in place
     with np.errstate(all="ignore"):
         for j in range(k):
             col = a_bw[starts[j] : starts[j + 1]]
             np.sqrt(col[0], out=col[0])
             col[1:] /= col[0]
             for i in range(j + 1, k):
-                a_bw[starts[i] : starts[i + 1]] -= col[i - j] * col[i - j :]
+                product = np.multiply(col[i - j], col[i - j :], out=scratch[: k - i])
+                a_bw[starts[i] : starts[i + 1]] -= product
         pivots = a_bw[starts[:-1]]
         bad = ~(np.isfinite(pivots) & (pivots > 0.0)).all(axis=0)
     if bad.any():
@@ -246,16 +248,18 @@ def _substitute(factor, b_bw):
     x = np.array(b_bw, dtype=float, order="C")
     k = len(x)
     starts = np.cumsum(np.r_[0, k:0:-1])
+    scratch = np.empty_like(x)  # each axpy product, in place
     with np.errstate(all="ignore"):
         for j in range(k):
             x[j] /= pivots[j]
-            x[j + 1 :] -= lower[starts[j] + 1 : starts[j + 1]] * x[j]
+            x[j + 1 :] -= np.multiply(lower[starts[j] + 1 : starts[j + 1]], x[j],
+                                      out=scratch[j + 1 :])
         # Back substitution reads column j of the factor as one slice: x_j
         # takes off L_ij x_i for i from the last down, then its pivot.
         for j in reversed(range(k)):
             col = lower[starts[j] : starts[j + 1]]
             for i in reversed(range(j + 1, k)):
-                x[j] -= col[i - j] * x[i]
+                x[j] -= np.multiply(col[i - j], x[i], out=scratch[0])
             x[j] /= pivots[j]
     return x
 

@@ -16,9 +16,12 @@ def residual_estimate(u, f, g=None):
 
     with f_T and g_E the cell and facet means of the data (None: zero,
     never evaluated).  The volume term goes by :func:`~afem2d.fem.cell_blocks`;
-    its cell means and integrals are matrix-vector products, which BLAS
-    forms a few rows at a time (4 in OpenBLAS's dgemv), so blocks of a
-    multiple of 8 cells, as ``fem.ERROR_BLOCK`` is, keep every bit.
+    its cell means (and at degree >= 2 its integrals) are matrix-vector
+    products, which BLAS forms a few rows at a time (4 in OpenBLAS's
+    dgemv), so blocks of a multiple of 8 cells, as ``fem.ERROR_BLOCK`` is,
+    keep every bit.  At degree 1 the residual is constant on each cell and
+    each lane, so each square is formed once and weighed by the sum of the
+    rule's weights.
     """
     space = u.space
     mesh = space.mesh
@@ -32,19 +35,24 @@ def residual_estimate(u, f, g=None):
     eta2 = np.zeros(mesh.num_cells)
     for cells, fv in fem.cell_blocks(mesh, f, pts):
         # the cell mean of f: the weights sum to 1/2
-        resid = None if fv is None else np.broadcast_to((2.0 * (fv @ wts))[:, None], fv.shape)
-        if hess is not None:
-            lap = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
-            resid = lap if resid is None else resid + lap
-        if resid is not None:
-            eta2[cells] = ((resid**2) @ wts) * mesh.det[cells]
+        mean = None if fv is None else 2.0 * (fv @ wts)
+        if hess is None:
+            if mean is not None:  # a constant residual: its square by the weights' sum
+                eta2[cells] = (mean * mean * wts.sum()) * mesh.det[cells]
+            continue
+        resid = fem.cell_laplacians(u.coeffs[space.dofmap[cells]], hess, mesh.inv[cells])
+        if mean is not None:
+            resid += mean[:, None]
+        eta2[cells] = ((resid**2) @ wts) * mesh.det[cells]
     eta2 *= mesh.cell_diameters() ** 2
 
     _, wt = quad.edge_rule(order)
     dn, jump = fem.facet_traces(u, order)
-    misfit = dn  # g_E - dn(u_h) up to its sign, which the square drops
-    if g is not None:
-        misfit = (fem.neumann_values(mesh, g, order) @ wt)[..., None] - dn  # weights sum to 1
+    gmean = None if g is None else fem.neumann_values(mesh, g, order) @ wt  # weights sum to 1
+    if space.degree == 1:
+        # Constant traces: one value per lane, its square by the weights' sum.
+        dn, jump, wt = dn[..., :1], jump[..., :1], wt.sum(keepdims=True)
+    misfit = dn if g is None else gmean[..., None] - dn  # g_E - dn(u_h) up to its sign
     length = mesh.lane_lengths
     edge = length**2 * np.where(mesh.lane_tags == NEUMANN, (misfit**2) @ wt, 0.5 * (jump**2 @ wt))
     for lane in range(3):

@@ -143,11 +143,17 @@ def cell_blocks(mesh, f=None, pts=None):
         yield cells, values
 
 
+def lane_ends(mesh, lanes, cells):
+    """Start and end points (n, 2) of lane ``lanes[i]`` of cell ``cells[i]``,
+    in the cell's own traversal of the edge."""
+    ends = mesh.cells[cells[:, None], np.asarray(el.EDGE_VERTICES)[lanes]]
+    return mesh.vertices[ends].transpose(1, 0, 2)
+
+
 def lane_physical_points(mesh, lanes, cells, t):
     """Points at parameters t along lane ``lanes[i]`` of cell ``cells[i]``,
     in the cell's own traversal of the edge: (n, nt, 2)."""
-    ends = mesh.cells[cells[:, None], np.asarray(el.EDGE_VERTICES)[lanes]]
-    va, vb = mesh.vertices[ends].transpose(1, 0, 2)
+    va, vb = lane_ends(mesh, lanes, cells)
     return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
 
 
@@ -252,12 +258,12 @@ class FunctionSpace:
     def dirichlet_dofs(self):
         """Sorted indices of all DOFs sitting on Dirichlet facets."""
         mesh, k = self.mesh, self.degree
-        ids = [np.flatnonzero(~free_vertices(mesh))]
-        if k > 1:
-            tagged = np.flatnonzero(mesh.facet_tags == DIRICHLET)
-            base = mesh.num_vertices + tagged * (k - 1)
-            ids.append((base[:, None] + np.arange(k - 1)).ravel())
-        return np.unique(np.concatenate(ids)) if ids[0].size else np.empty(0, np.int64)
+        vertices = np.flatnonzero(~free_vertices(mesh))  # sorted and unique
+        if k == 1 or not vertices.size:
+            return vertices
+        tagged = np.flatnonzero(mesh.facet_tags == DIRICHLET)
+        base = mesh.num_vertices + tagged * (k - 1)
+        return np.unique(np.concatenate([vertices, (base[:, None] + np.arange(k - 1)).ravel()]))
 
 
 @dataclass
@@ -372,10 +378,12 @@ def assemble_p1_system(mesh, load, dofs, values):
     A P1 cell matrix (``mesh.metric @ K_ref``) is symmetric to the bit, so
     a facet has one coupling, summed over its cells in cell order; the
     couplings between free vertices in ``mesh.facets`` order are the upper
-    triangle in CSR order, and its transpose and the diagonal complete the
-    rows.  The rows and columns of ``dofs`` get a unit diagonal, a coupling
-    of exactly 0.0 (cot 90 deg on right angles) is not stored, and indices
-    are int32 while they fit.  The pattern and the off-diagonal entries are
+    triangle in CSR order.  Each row is laid out as its diagonal followed by
+    its upper couplings, already in column order, and one sparse sum with
+    the transpose of the upper triangle completes the rows.  The rows and
+    columns of ``dofs`` get a unit diagonal, a coupling of exactly 0.0 (cot
+    90 deg on right angles) is not stored, and indices are int32 while they
+    fit.  The pattern and the off-diagonal entries are
     those of the COO route and the diagonal agrees to a few ulp (its row
     sort may reorder a vertex's cell terms); the load is lifted with the
     bits of :func:`dirichlet_rhs`.
@@ -391,11 +399,20 @@ def assemble_p1_system(mesh, load, dofs, values):
     diagonal[~free] = 1.0
     keep = np.flatnonzero(free[lo] & free[hi] & (coupling != 0.0))
     index = np.int32 if nv + 2 * len(lo) < 2**31 else np.int64
-    indptr = np.zeros(nv + 1, dtype=index)
-    np.cumsum(np.bincount(lo[keep], minlength=nv), out=indptr[1:])
-    upper = sparse.csr_matrix((coupling[keep], hi[keep].astype(index), indptr), shape=(nv, nv))
-    # Sparse sums merge sorted rows and store no zero, as eliminate_zeros.
-    matrix = upper + upper.T + sparse.diags(diagonal, format="csr")
+    counts, nonzero = np.bincount(lo[keep], minlength=nv), diagonal != 0.0
+    upper_ptr, indptr = np.zeros((2, nv + 1), dtype=index)
+    np.cumsum(counts, out=upper_ptr[1:])
+    np.cumsum(counts + nonzero, out=indptr[1:])
+    # Each row's diagonal (if nonzero) first, then its upper couplings.
+    first, rest = indptr[:-1][nonzero], np.ones(indptr[-1], dtype=bool)
+    rest[first] = False
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
+    data[first], indices[first] = diagonal[nonzero], np.flatnonzero(nonzero)
+    data[rest], indices[rest] = coupling[keep], hi[keep]
+    # The CSC reading of the upper triangle's arrays is its transpose; the
+    # sparse sum merges sorted rows and stores no zero, as eliminate_zeros.
+    lower = sparse.csc_matrix((coupling[keep], hi[keep].astype(index), upper_ptr), shape=(nv, nv))
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv)) + lower
 
     rhs = np.array(load, dtype=float)
     if np.any(values):
@@ -523,12 +540,22 @@ def v_cycle(levels, coarse_solve, r):
     if not levels:
         return coarse_solve(r)
     matrix, prolong, restrict, step, sweeps = levels[0]
+
+    def residual(x):  # r - matrix @ x in the product's array
+        t = matrix @ x
+        return np.subtract(r, t, out=t)
+
+    def sweep(x):
+        t = residual(x)
+        t *= step
+        x += t
+
     x = step * r  # the first sweep from zero
     for _ in range(sweeps - 1):
-        x += step * (r - matrix @ x)
-    x += prolong @ v_cycle(levels[1:], coarse_solve, restrict @ (r - matrix @ x))
+        sweep(x)
+    x += prolong @ v_cycle(levels[1:], coarse_solve, restrict @ residual(x))
     for _ in range(sweeps):
-        x += step * (r - matrix @ x)
+        sweep(x)
     return x
 
 
@@ -688,7 +715,11 @@ def h1_seminorm_error(u, grad_exact, u_exact=None):
         gh = cell_gradients(u.coeffs[space.dofmap[cells]], ref_grads, mesh.inv[cells])
         x = physical_points(mesh, pts, cells)
         gx, gy = grad_exact(x[..., 0], x[..., 1])
-        cell_sums[cells] = ((gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2) @ wts
+        d, e = gh[..., 0] - gx, gh[..., 1] - gy
+        d *= d
+        e *= e
+        d += e
+        cell_sums[cells] = d @ wts
     return float(np.sqrt(mesh.det @ cell_sums))
 
 
@@ -714,7 +745,11 @@ def _green_h1_error(u, grad_exact, u_exact):
         uh[rows] = u.coeffs[space.dofmap[cells[rows]]] @ element.tabulate(lane_points(lane, t)).T
     x = lane_physical_points(mesh, lanes, cells, t)
     gx, gy = grad_exact(x[..., 0], x[..., 1])
-    normals = mesh.lane_normals[lanes, cells]
-    flux = gx * normals[:, :1] + gy * normals[:, 1:]
-    boundary = ((flux * (eval_data(u_exact, x) - 2.0 * uh)) @ wt) @ mesh.lane_lengths[lanes, cells]
+    # These lanes' lengths and outward normals by the formulas of Mesh's
+    # lane_lengths and lane_normals, bitwise, not formed for every lane.
+    va, vb = lane_ends(mesh, lanes, cells)
+    lx, ly = (vb - va).T
+    lengths = np.hypot(lx, ly)
+    flux = gx * (ly / lengths)[:, None] + gy * (-lx / lengths)[:, None]
+    boundary = ((flux * (eval_data(u_exact, x) - 2.0 * uh)) @ wt) @ lengths
     return float(np.sqrt(max(energy + boundary, 0.0)))

@@ -136,9 +136,11 @@ class Mesh:
     in J (its columns v1 - v0 and v2 - v0 are lane 2 and minus lane 1):
     ``det``, ``inv`` = J^-1 = [[a, b], [c, d]], the stiffness ``metric``
     G_c = det J^-1 J^-T as the (nc, 4) det (aa + bb, ac + bd, ac + bd, cc +
-    dd), one off-diagonal value, and per lane (local edge i) ``lane_lengths``
-    (3, nc) and outward unit ``lane_normals`` (3, nc, 2).  The Jacobians
-    ``jac`` (nc, 2, 2) are formed on first read only; cell areas are ``0.5 * det``.
+    dd), one off-diagonal value.  Per lane (local edge i), ``lane_lengths``
+    (3, nc) and outward unit ``lane_normals`` (3, nc, 2) are formed together
+    from the kept planes on the first read of either, which then drops the
+    planes; the Jacobians ``jac`` (nc, 2, 2) are formed on first read too.
+    Cell areas are ``0.5 * det``.
 
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
@@ -178,20 +180,14 @@ class Mesh:
         off = det * (a * c + b * d)
         metric = np.stack((det * (a * a + b * b), off, off, det * (c * c + d * d)), axis=1)
         del a, b, c, d, off
-        lengths = np.hypot(lx, ly)
-        normals = np.empty(lx.shape + (2,))
-        np.divide(ly, lengths, out=normals[..., 0])
-        np.divide(-lx, lengths, out=normals[..., 1])
-        del lx, ly
         self.det, self.inv, self.metric = det, inv, metric
-        self.lane_lengths, self.lane_normals = lengths, normals
+        self._lanes = lx, ly  # until the lane geometry is formed
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
-        for array in (self.vertices, self.cells, det, inv, self.metric, lengths, normals,
-                      self.facets, self.facet_cells, self.cell_facets, self.facet_lanes,
-                      self.facet_tags):
+        for array in (self.vertices, self.cells, det, inv, self.metric, self.facets,
+                      self.facet_cells, self.cell_facets, self.facet_lanes, self.facet_tags):
             array.setflags(write=False)
 
     def _assign_tags(self, boundary):
@@ -245,6 +241,31 @@ class Mesh:
         jac[:, 0, 1], jac[:, 1, 1] = x[2] - x[0], y[2] - y[0]
         jac.setflags(write=False)
         return jac
+
+    def _lane_geometry(self):
+        """Form ``lane_lengths`` and ``lane_normals`` together from the lane
+        planes, keep both read-only and drop the planes."""
+        lx, ly = self.__dict__.pop("_lanes")
+        lengths = np.hypot(lx, ly)
+        normals = np.empty(lx.shape + (2,))
+        np.divide(ly, lengths, out=normals[..., 0])
+        np.divide(-lx, lengths, out=normals[..., 1])
+        lengths.setflags(write=False)
+        normals.setflags(write=False)
+        self.__dict__.update(lane_lengths=lengths, lane_normals=normals)
+        return lengths, normals
+
+    @functools.cached_property
+    def lane_lengths(self):
+        """Length of local edge i of each cell: (3, nc) by [lane, cell],
+        read-only; formed with ``lane_normals`` on the first read of either."""
+        return self._lane_geometry()[0]
+
+    @functools.cached_property
+    def lane_normals(self):
+        """Outward unit normal of local edge i of each cell: (3, nc, 2),
+        read-only; formed with ``lane_lengths`` on the first read of either."""
+        return self._lane_geometry()[1]
 
     @functools.cached_property
     def lane_tags(self):

@@ -925,6 +925,25 @@ def test_source_free_loop_never_forms_the_jacobians(monkeypatch):
     assert not any("jac" in vars(mesh) for mesh in [problem.mesh, *meshes])
 
 
+def test_zz_loop_never_forms_lane_geometry(monkeypatch):
+    """The mixed L-shape has no source and zero Neumann data, and the zz
+    estimator reads no facet; the Green H1 error forms the geometry of the
+    boundary lanes alone, so no mesh of its loop forms ``lane_lengths`` or
+    ``lane_normals``."""
+    meshes = []
+
+    def keep(mesh, marked):
+        meshes.append(refine(mesh, marked))
+        return meshes[-1]
+
+    monkeypatch.setattr(adapt, "refine", keep)
+    problem = lshaped_mixed()
+    adapt_loop(problem, AdaptConfig(estimator="zz", solver="cg", max_dofs=2000))
+    assert problem.f is None and problem.g is None and len(meshes) >= 3
+    for mesh in [problem.mesh, *meshes]:
+        assert "lane_lengths" not in vars(mesh) and "lane_normals" not in vars(mesh)
+
+
 def test_peak_memory_per_cell_is_bounded():
     """The traced allocation peak of an L-shape run to 20,000 DOFs
     (``bw:2,1``, ``cg``), per cell of the final mesh, stays under 1,200 B.

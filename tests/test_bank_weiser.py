@@ -32,6 +32,7 @@ from afem2d.mesh import DIRICHLET, NEUMANN, IndicatorField
 from afem2d.problems import lshaped, lshaped_mixed, unit_square_mesh
 
 from helpers import (
+    assert_bitwise,
     mapped_point_traces,
     mask_and_project,
     quadrature_stiffness,
@@ -467,6 +468,43 @@ def test_solve_projected_matches_linalg_solve(k, seed, nc, log_cond):
     lower, pivots = _factor(_pack(a))
     assert _relative_error(np.tril(_unpack(lower)), np.linalg.cholesky(a)) <= 1e-12
     assert np.array_equal(pivots.T, _unpack(lower)[:, np.arange(k), np.arange(k)])
+
+
+def factor_and_substitute_with_temporaries(a_bw, b_bw):
+    """``_factor`` then ``_substitute`` with each rank-1 and axpy product
+    formed as a new array."""
+    k = len(b_bw)
+    starts = np.cumsum(np.r_[0, k:0:-1])
+    for j in range(k):
+        col = a_bw[starts[j] : starts[j + 1]]
+        np.sqrt(col[0], out=col[0])
+        col[1:] /= col[0]
+        for i in range(j + 1, k):
+            a_bw[starts[i] : starts[i + 1]] -= col[i - j] * col[i - j :]
+    x = np.array(b_bw, dtype=float, order="C")
+    for j in range(k):
+        x[j] /= a_bw[starts[j]]
+        x[j + 1 :] -= a_bw[starts[j] + 1 : starts[j + 1]] * x[j]
+    for j in reversed(range(k)):
+        col = a_bw[starts[j] : starts[j + 1]]
+        for i in reversed(range(j + 1, k)):
+            x[j] -= col[i - j] * x[i]
+        x[j] /= col[0]
+    return a_bw, x
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_factor_and_substitute_keep_their_bits_in_scratch(k):
+    """Writing each product into one preallocated scratch array keeps every
+    bit of the factor, the pivots and the solution."""
+    nc = 37
+    m = RNG.normal(size=(nc, k, k))
+    a = m @ m.transpose(0, 2, 1) + k * np.eye(k)
+    b_bw = RNG.normal(size=(k, nc))
+    lower, x_want = factor_and_substitute_with_temporaries(_pack(a), b_bw)
+    factor = _factor(_pack(a))
+    assert_bitwise(factor[0], lower)
+    assert_bitwise(_substitute(factor, b_bw), x_want)
 
 
 @pytest.mark.parametrize("defect", ["singular", "indefinite", "nan"])

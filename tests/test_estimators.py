@@ -160,12 +160,13 @@ def test_residual_matches_mapped_point_oracle(degree):
 def test_residual_blocks_match_one_block(monkeypatch, degree, block, calls):
     """Blocking the residual's volume term over cells changes no bit, with
     a block size that does not divide the cell count: the source is
-    evaluated once per block, on that block's cells.  The cell means and
-    the squared residual's integrals are matrix-vector products, and
-    BLAS forms those a few rows at a time (OpenBLAS's dgemv kernels take
-    4), with other last bits for the rows left over; so the blocks are a
-    multiple of 8 cells, as ``ERROR_BLOCK`` = 8192 is.  With 8 the last
-    block would hold one cell, and it is joined to the one before."""
+    evaluated once per block, on that block's cells.  The cell means and,
+    at degree 2, the squared residual's integrals are matrix-vector
+    products, and BLAS forms those a few rows at a time (OpenBLAS's dgemv
+    kernels take 4), with other last bits for the rows left over; so the
+    blocks are a multiple of 8 cells, as ``ERROR_BLOCK`` = 8192 is.  With
+    8 the last block would hold one cell, and it is joined to the one
+    before."""
     mesh = randomly_tagged_mesh(5, seed=1)
     space = FunctionSpace(mesh, degree)
     u = interpolate(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y, space)
@@ -184,6 +185,46 @@ def test_residual_blocks_match_one_block(monkeypatch, degree, block, calls):
     eta = residual_estimate(u, f, g)
     assert calls_seen == calls
     assert np.array_equal(eta.values, want.values)
+
+
+def broadcast_p1_residual(u, f, g):
+    """The P1 residual indicators with every square taken over the points
+    of its rule: the cell mean of f broadcast over the volume points, and
+    each lane's constant traces over the edge points."""
+    mesh = u.space.mesh
+    order = 8
+    pts, wts = quad.triangle_rule(order)
+    eta2 = np.zeros(mesh.num_cells)
+    for cells, fv in fem.cell_blocks(mesh, f, pts):
+        resid = np.broadcast_to((2.0 * (fv @ wts))[:, None], fv.shape)
+        eta2[cells] = ((resid**2) @ wts) * mesh.det[cells]
+    eta2 *= mesh.cell_diameters() ** 2
+    _, wt = quad.edge_rule(order)
+    dn, jump = fem.facet_traces(u, order)
+    misfit = (fem.neumann_values(mesh, g, order) @ wt)[..., None] - dn
+    edge = mesh.lane_lengths**2 * np.where(mesh.lane_tags == NEUMANN, (misfit**2) @ wt,
+                                           0.5 * (jump**2 @ wt))
+    for lane in range(3):
+        eta2 += edge[lane]
+    return np.sqrt(np.maximum(eta2, 0.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_p1_residual_squares_one_value_per_cell_and_lane(seed):
+    """At degree 1 the residual is constant on each cell and each lane, so
+    its square is formed once and weighed by the sum of the rule's weights;
+    the indicators agree with the squares taken over every rule point to
+    4e-16 relative, on a jittered mesh with random D/N tags, a source and
+    Neumann data."""
+    mesh = randomly_tagged_mesh(8, seed)
+    u = FEFunction(FunctionSpace(mesh, 1), np.random.default_rng(seed).standard_normal(
+        mesh.num_vertices))
+    f = lambda x, y: np.exp(x) - y * y
+    g = lambda x, y: np.cos(x + 2 * y)
+    got = residual_estimate(u, f, g).values
+    want = broadcast_p1_residual(u, f, g)
+    assert (mesh.lane_tags == NEUMANN).any() and want.min() > 0.0
+    assert np.all(np.abs(got - want) <= 4e-16 * want)
 
 
 def test_zz_requires_degree_one():

@@ -4,7 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sparse
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
@@ -695,6 +696,49 @@ def test_p1_system_is_the_coo_route_bitwise_on_the_lshape(refinements):
     assert_same_p1_matrix(system.matrix, want, mesh, bitwise=True)
 
 
+def three_term_p1_matrix(mesh, dofs):
+    """The eliminated P1 matrix as ``upper + upper.T + diags(diagonal)``,
+    from the facet couplings and vertex diagonals that
+    ``assemble_p1_system`` sums."""
+    nv, (lo, hi) = mesh.num_vertices, mesh.facets.T
+    local = mesh.metric @ reference_stiffness(el.lagrange(1))
+    a, b = np.asarray(el.EDGE_VERTICES).T
+    coupling = np.bincount(mesh.cell_facets.ravel(), local[:, 3 * a + b].ravel(),
+                           minlength=len(lo))
+    diagonal = np.bincount(mesh.cells.ravel(), local[:, ::4].ravel(), minlength=nv)
+    free = np.ones(nv, dtype=bool)
+    free[dofs] = False
+    diagonal[~free] = 1.0
+    keep = np.flatnonzero(free[lo] & free[hi] & (coupling != 0.0))
+    index = np.int32 if nv + 2 * len(lo) < 2**31 else np.int64
+    indptr = np.zeros(nv + 1, dtype=index)
+    np.cumsum(np.bincount(lo[keep], minlength=nv), out=indptr[1:])
+    upper = sparse.csr_matrix((coupling[keep], hi[keep].astype(index), indptr), shape=(nv, nv))
+    return upper + upper.T + sparse.diags(diagonal, format="csr")
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisions=st.integers(1, 9), seed=st.integers(0, 2**16), tagged=st.booleans())
+@example(divisions=4, seed=1, tagged=True)
+def test_p1_matrix_is_the_three_term_sum_bitwise(divisions, seed, tagged):
+    """Each row laid out as its diagonal then its upper couplings, plus the
+    transpose of the upper triangle in one sparse sum, gives the matrix of
+    ``upper + upper.T + diags(diagonal)`` in ``indptr``, ``indices`` (dtype
+    included) and ``data``, on jittered meshes, on meshes with random D/N
+    edges and on the L-shape, whose right angles give zero couplings; a
+    vertex in no cell has a zero diagonal, which neither stores."""
+    mesh = randomly_tagged_mesh(divisions, seed) if tagged else jittered_square(divisions, seed)
+    meshes = [mesh, Mesh(np.vstack([mesh.vertices, [[5.0, 5.0]]]), mesh.cells),
+              uniform_refine(lshaped_mesh(2), divisions % 3)]
+    for mesh in meshes:
+        dofs = FunctionSpace(mesh, 1).dirichlet_dofs()
+        got, _ = fem.assemble_p1_system(mesh, np.zeros(mesh.num_vertices), dofs, 0.0)
+        want = three_term_p1_matrix(mesh, dofs)
+        for field in ("indptr", "indices", "data"):
+            assert_bitwise(getattr(got, field), getattr(want, field))
+        assert got.indices.dtype == want.indices.dtype == np.int32
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_hierarchy_p1_operator_comes_from_the_p1_builder(monkeypatch, degree):
     """At degree > 1, ``MeshHierarchy.add`` builds its P1 operator with the
@@ -1102,6 +1146,40 @@ def test_v_cycle_is_symmetric_positive_definite(monkeypatch, degree):
     assert np.linalg.norm(x - solve(system, "lu")) <= 1e-10 * np.linalg.norm(x)
 
 
+def v_cycle_with_temporaries(levels, coarse_solve, r):
+    """``fem.v_cycle`` as ``x += step * (r - matrix @ x)`` in whole-array
+    expressions."""
+    if not levels:
+        return coarse_solve(r)
+    matrix, prolong, restrict, step, sweeps = levels[0]
+    x = step * r
+    for _ in range(sweeps - 1):
+        x += step * (r - matrix @ x)
+    x += prolong @ v_cycle_with_temporaries(levels[1:], coarse_solve, restrict @ (r - matrix @ x))
+    for _ in range(sweeps):
+        x += step * (r - matrix @ x)
+    return x
+
+
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_v_cycle_smooths_in_place_bitwise(monkeypatch, degree, sweeps):
+    """The V-cycle's sweeps, which write the residual into the product's
+    array and scale it there, keep the bits of the whole-array formula."""
+    monkeypatch.setattr(fem, "COARSE_DOFS", 70)
+    monkeypatch.setattr(fem, "MG_SWEEPS", sweeps)
+    problem = lshaped_mixed()
+    hierarchy = MeshHierarchy()
+    for mesh in randomly_refined(problem.mesh, 4, seed=4):
+        space = FunctionSpace(mesh, degree)
+        hierarchy.add(space, assemble_poisson(space, problem.f, problem.g, problem.u_dirichlet))
+    levels = hierarchy.p_level + hierarchy.levels
+    r = RNG.standard_normal(space.num_dofs)
+    assert len(hierarchy.levels) >= 2
+    assert_bitwise(hierarchy.cycle(r),
+                   v_cycle_with_temporaries(levels, hierarchy._coarse_lu.solve, r))
+
+
 def test_hierarchy_builds_a_prolongation_only_above_the_coarse_level(monkeypatch):
     """Every added mesh is checked against the last one, but only a mesh
     above COARSE_DOFS, which keeps it as a level, gets a prolongation."""
@@ -1357,6 +1435,59 @@ def test_green_identity_is_resolved_by_the_edge_rule(monkeypatch, final_solution
         got = h1_seminorm_error(*args, u_exact=problem.u_exact)
         monkeypatch.undo()
         assert abs(got - want) <= 1e-9 * want
+
+
+def green_h1_error_from_mesh_arrays(u, grad_exact, u_exact):
+    """The Green identity's H1 error with the boundary lanes' lengths and
+    normals read from ``Mesh.lane_lengths`` and ``Mesh.lane_normals``."""
+    space, mesh = u.space, u.space.mesh
+    element, d = space.element, space.element.dim
+    kref = reference_stiffness(element).reshape(4, d, d).transpose(1, 0, 2).reshape(d, 4 * d)
+    energy = 0.0
+    for cells, _ in fem.cell_blocks(mesh):
+        coeffs = u.coeffs[space.dofmap[cells]]
+        forms = np.einsum("csj,cj->cs", (coeffs @ kref).reshape(-1, 4, d), coeffs)
+        energy += float(np.vdot(mesh.metric[cells], forms))
+    facets = mesh.boundary_facets()
+    cells, lanes = mesh.facet_cells[facets, 0], mesh.facet_lanes[facets, 0]
+    t, wt = quad.edge_rule(2 * space.degree + 3)
+    uh = np.empty((len(facets), len(t)))
+    for lane in range(3):
+        rows = lanes == lane
+        table = element.tabulate(fem.lane_points(lane, t))
+        uh[rows] = u.coeffs[space.dofmap[cells[rows]]] @ table.T
+    x = fem.lane_physical_points(mesh, lanes, cells, t)
+    gx, gy = grad_exact(x[..., 0], x[..., 1])
+    normals = mesh.lane_normals[lanes, cells]
+    flux = gx * normals[:, :1] + gy * normals[:, 1:]
+    boundary = ((flux * (eval_data(u_exact, x) - 2.0 * uh)) @ wt) @ mesh.lane_lengths[lanes, cells]
+    return float(np.sqrt(max(energy + boundary, 0.0)))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_green_boundary_lanes_have_the_mesh_lane_geometry(monkeypatch, degree):
+    """The Green identity forms the lengths and outward normals of the
+    boundary lanes from those lanes' own ends, bitwise ``Mesh.lane_lengths``
+    and ``Mesh.lane_normals`` there, on a jittered mesh with random D/N
+    tags and rotated cells; so its error has the bits of the one read off
+    the mesh's arrays, and the mesh never forms them for every lane."""
+    u_exact, grad_exact = HARMONIC_SOLUTIONS["exp-sin"]
+    monkeypatch.setattr(fem, "ERROR_BLOCK", 16)
+    mesh = randomly_tagged_mesh(6, seed=degree)
+    facets = mesh.boundary_facets()
+    cells, lanes = mesh.facet_cells[facets, 0], mesh.facet_lanes[facets, 0]
+    space = FunctionSpace(mesh, degree)
+    u = interpolate(u_exact, space)
+    u.coeffs += 0.1 * RNG.standard_normal(space.num_dofs)
+    got = h1_seminorm_error(u, grad_exact, u_exact=u_exact)
+    assert "lane_lengths" not in vars(mesh) and "lane_normals" not in vars(mesh)
+
+    va, vb = fem.lane_ends(mesh, lanes, cells)
+    lx, ly = (vb - va).T
+    lengths = np.hypot(lx, ly)
+    assert_bitwise(lengths, mesh.lane_lengths[lanes, cells])
+    assert_bitwise(np.column_stack([ly / lengths, -lx / lengths]), mesh.lane_normals[lanes, cells])
+    assert got == green_h1_error_from_mesh_arrays(u, grad_exact, u_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,27 @@ def test_jacobians_are_formed_on_first_read():
     assert vars(mesh)["jac"] is mesh.jac
 
 
+@pytest.mark.parametrize("first", ["lane_lengths", "lane_normals"])
+def test_lane_geometry_is_formed_on_first_read(first):
+    """``lane_lengths`` and ``lane_normals`` are not stored by the
+    constructor; the first read of either forms both, bitwise the lane
+    formulas of ``test_geometry_record``, keeps them and drops the lane
+    difference planes they were formed from."""
+    mesh = refine(jittered_square(6, seed=5), [0, 7, 30])
+    assert "lane_lengths" not in vars(mesh) and "lane_normals" not in vars(mesh)
+    getattr(mesh, first)
+    assert "lane_lengths" in vars(mesh) and "lane_normals" in vars(mesh)
+    assert "_lanes" not in vars(mesh)
+    v = mesh.vertices[mesh.cells]
+    lane = np.stack([v[:, b] - v[:, a] for a, b in EDGE_VERTICES])
+    lengths = np.hypot(lane[..., 0], lane[..., 1])
+    outward = np.stack([lane[..., 1], -lane[..., 0]], axis=-1)
+    assert_bitwise(mesh.lane_lengths, lengths)
+    assert_bitwise(mesh.lane_normals, outward / lengths[..., None])
+    assert vars(mesh)["lane_lengths"] is mesh.lane_lengths
+    assert vars(mesh)["lane_normals"] is mesh.lane_normals
+
+
 @settings(max_examples=30, deadline=None)
 @given(mesh=meshes(), data=st.data())
 def test_refinement_is_nested(mesh, data):
