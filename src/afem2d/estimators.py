@@ -50,11 +50,16 @@ def residual_estimate(u, f, g=None):
     dn, jump = fem.facet_traces(u, order)
     gmean = None if g is None else fem.neumann_values(mesh, g, order) @ wt  # weights sum to 1
     if space.degree == 1:
-        # Constant traces: one value per lane, its square by the weights' sum.
-        dn, jump, wt = dn[..., :1], jump[..., :1], wt.sum(keepdims=True)
-    misfit = dn if g is None else gmean[..., None] - dn  # g_E - dn(u_h) up to its sign
+        # Constant traces: one value per lane, its square times the weights'
+        # sum (a one-term dot product, which rounds once, as this product does).
+        w = wt.sum()
+        misfit = dn[..., 0] if g is None else gmean - dn[..., 0]  # g_E - dn(u_h) up to its sign
+        neumann, interior = misfit**2 * w, jump[..., 0] ** 2 * w
+    else:
+        misfit = dn if g is None else gmean[..., None] - dn
+        neumann, interior = (misfit**2) @ wt, jump**2 @ wt
     length = mesh.lane_lengths
-    edge = length**2 * np.where(mesh.lane_tags == NEUMANN, (misfit**2) @ wt, 0.5 * (jump**2 @ wt))
+    edge = length**2 * np.where(mesh.lane_tags == NEUMANN, neumann, 0.5 * interior)
     for lane in range(3):
         eta2 += edge[lane]
     return IndicatorField(np.sqrt(np.maximum(eta2, 0.0)))
@@ -67,8 +72,9 @@ def zz_estimate(u):
     area-weighted averages of the neighboring cell gradients; eta_T is the
     L2 distance between it and the raw cellwise gradient.  Each gradient
     component goes on its own: one ``bincount`` of its vertex sums, one
-    gather to a (3, nc) plane of vertex differences, and the P1 mass form
-    in closed form over the planes.
+    ``np.take`` gather to C-contiguous (3, nc) planes of vertex differences
+    (indexing by ``cells.T`` would keep its column order), and the P1 mass
+    form in closed form over the planes.
     """
     space = u.space
     if space.degree != 1:
@@ -88,7 +94,8 @@ def zz_estimate(u):
     # the indicators keep that form's bits.
     sums, squares = [], []
     for g in grads.T:
-        d = (np.bincount(vertices, np.repeat(areas * g, 3), minlength=nv) / measure)[mesh.cells.T]
+        recovered = np.bincount(vertices, np.repeat(areas * g, 3), minlength=nv) / measure
+        d = np.take(recovered, mesh.cells.T)
         d -= g
         sums.append((d[0] + d[1]) + d[2])
         d *= d

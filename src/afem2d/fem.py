@@ -56,33 +56,52 @@ class SolverError(RuntimeError):
 def physical_points(mesh, ref_pts, cells=slice(None)):
     """Map reference points to the selected cells (default all): (n, nq, 2).
 
-    The result is the transposed view of a fresh (2, n, nq) array, so the
+    Coordinate i of every point is one product ``affine[i] @ [x; y; 1]``
+    of the cells' rows [J_i0, J_i1, v0_i] of ``Mesh.affine`` with the
+    homogeneous reference points, written into plane i of a fresh
+    (2, n, nq) array; the result is that array's transposed view, so the
     x plane ``[..., 0]`` and the y plane ``[..., 1]`` are each C-contiguous
     (n, nq) arrays, on which a data callable's ufuncs run in one loop.
+    BLAS adds the third term v0 * 1 last, with one rounding, so the values
+    are bitwise those of ``v0 + J x`` formed by a matrix product.  NumPy
+    would map a single row by a matrix-vector product, whose bits differ,
+    so a selection of one cell is mapped as two copies of its row.
     """
-    jac = mesh.jac[cells].transpose(1, 0, 2)
-    v0 = mesh.vertices[mesh.cells[cells, 0]]
-    mapped = jac @ ref_pts.T
-    mapped += v0.T[:, :, None]
-    return mapped.transpose(1, 2, 0)
+    affine = mesh.affine[:, cells]
+    n = affine.shape[1]
+    if n == 1:
+        affine = np.repeat(affine, 2, axis=1)
+    homogeneous = np.ones((3, len(ref_pts)))
+    homogeneous[:2] = ref_pts.T
+    planes = np.empty(affine.shape[:2] + (len(ref_pts),))
+    for i in (0, 1):
+        np.matmul(affine[i], homogeneous, out=planes[i])
+    return planes[:, :n].transpose(1, 2, 0)
 
 
 def cell_gradients(coeffs, ref_grads, inv):
     """Gradients of the cellwise expansions ``coeffs`` (nc, d) at the points
     where ``ref_grads`` (nq, d, 2) was tabulated, r J^-1 = (r0 a + r1 c, r0 b
-    + r1 d) by planes of J^-1 = [[a, b], [c, d]]: (nc, nq, 2)."""
-    nq, dim, _ = ref_grads.shape
-    ref = (coeffs @ ref_grads.transpose(1, 0, 2).reshape(dim, 2 * nq)).reshape(-1, nq, 2)
-    (r0, r1), (a, b, c, d) = ref.transpose(2, 0, 1), inv.reshape(-1, 4).T[..., None]
-    return np.stack((r0 * a + r1 * c, r0 * b + r1 * d), axis=-1)
+    + r1 d) by planes of J^-1 = [[a, b], [c, d]]: (nc, nq, 2), the
+    transposed view of C-contiguous (2, nc, nq) planes.  The reference
+    derivatives r0 and r1 are one product each, with the (d, nq) table of
+    their own derivative, so every step runs on (nc, nq) planes; up to the
+    100 points of the order-18 rule these products have the bits of one
+    (d, 2 nq) product under every OpenBLAS kernel tried."""
+    r0, r1 = coeffs @ np.ascontiguousarray(ref_grads.transpose(2, 1, 0))
+    a, b, c, d = inv.transpose(1, 2, 0).reshape(4, -1, 1)
+    return np.stack((r0 * a + r1 * c, r0 * b + r1 * d)).transpose(1, 2, 0)
 
 
 def cell_laplacians(coeffs, ref_hess, inv):
     """Laplacians of the cellwise expansions at the points where ``ref_hess``
-    (nq, d, 2, 2) was tabulated, by J^-1 J^-T as in ``Mesh.metric``: (nc, nq)."""
+    (nq, d, 2, 2) was tabulated, by J^-1 J^-T as in ``Mesh.metric``: (nc, nq).
+    The second derivatives come from one (d, 4 nq) product: one product
+    per derivative, or its columns in another order, changes the last bits
+    from 49 points on under OpenBLAS's SkylakeX kernel."""
     nq, dim = ref_hess.shape[:2]
     h = (coeffs @ ref_hess.transpose(1, 0, 2, 3).reshape(dim, 4 * nq)).reshape(-1, nq, 4)
-    (h0, h1, h2, h3), (a, b, c, d) = h.transpose(2, 0, 1), inv.reshape(-1, 4).T[..., None]
+    (h0, h1, h2, h3), (a, b, c, d) = h.transpose(2, 0, 1), inv.transpose(1, 2, 0).reshape(4, -1, 1)
     g01 = a * c + b * d
     return h0 * (a * a + b * b) + h1 * g01 + h2 * g01 + h3 * (c * c + d * d)
 
@@ -118,11 +137,11 @@ def cell_blocks(mesh, f=None, pts=None):
     cells (n, nq), or None when ``f`` is None.  An ``f`` with a
     ``support_cells(mesh)`` method (sorted indices of the cells where it
     can be nonzero) is evaluated only on those, the other rows are zero,
-    and a block that meets none gives None.  NumPy maps a single row by
-    matrix-vector products, whose bits differ from those of a matrix
-    product; so a last block of one cell joins the one before, a block's
-    one support cell is mapped along with a second row, and the values
-    are bitwise those of one block over all cells.
+    and a block that meets none gives None.  NumPy forms the products of a
+    single row by matrix-vector kernels, whose bits differ from those of a
+    matrix product; so a last block of one cell joins the one before, and
+    (with :func:`physical_points` mapping any one cell as two rows) the
+    values are bitwise those of one block over all cells.
     """
     support = f.support_cells(mesh) if hasattr(f, "support_cells") else None
     starts = list(range(0, mesh.num_cells, ERROR_BLOCK))
@@ -134,8 +153,6 @@ def cell_blocks(mesh, f=None, pts=None):
             yield cells, None if f is None else eval_data(f, physical_points(mesh, pts, cells))
             continue
         rows = support[slice(*np.searchsorted(support, (start, stop)))] - start
-        if rows.size == 1 < stop - start:
-            rows = np.array([0, rows[0]] if rows[0] else [0, 1])
         values = None
         if rows.size:
             values = np.zeros((stop - start, len(pts)))

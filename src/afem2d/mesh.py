@@ -139,8 +139,18 @@ class Mesh:
     dd), one off-diagonal value.  Per lane (local edge i), ``lane_lengths``
     (3, nc) and outward unit ``lane_normals`` (3, nc, 2) are formed together
     from the kept planes on the first read of either, which then drops the
-    planes; the Jacobians ``jac`` (nc, 2, 2) are formed on first read too.
-    Cell areas are ``0.5 * det``.
+    planes; the affine maps ``affine`` (2, nc, 3), rows [J_i0, J_i1, v0_i],
+    and their view ``jac`` (nc, 2, 2) are formed on first read too.  Cell
+    areas are ``0.5 * det``.
+
+    Every per-cell array is laid out so that the passes over it read
+    C-contiguous planes with the cell index last: ``inv`` is a view of
+    (2, 2, nc) planes, ``inv[:, i, j]`` one plane, and ``lane_normals`` a
+    view of (2, 3, nc) planes, ``lane_normals[..., i]`` one plane.  Gathers
+    through the transposed cell arrays (``cells.T``, ``cell_facets.T``) go
+    by ``np.take``, which returns a C-ordered result; fancy indexing
+    ``a[idx.T]`` keeps the index's memory order and would give column-major
+    planes whose rows are strided.
 
     ``parents`` is None, except on a mesh made by :func:`refine`: there it
     is a read-only (k, 2) array, and vertex ``nv + i`` is the midpoint of
@@ -163,7 +173,9 @@ class Mesh:
             raise ValueError("cell vertex index out of range")
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("vertex coordinates must be finite")
-        x, y = self.vertices[:, 0][self.cells.T], self.vertices[:, 1][self.cells.T]  # (3, nc)
+        # np.take returns a C-ordered gather; indexing by the transposed
+        # ``self.cells.T`` would keep that view's column order instead.
+        x, y = (np.take(self.vertices[:, k], self.cells.T) for k in (0, 1))  # (3, nc)
         # Lane differences (3, nc): lane i runs from vertex i + 1 to vertex i + 2.
         lx, ly = np.empty_like(x), np.empty_like(y)
         for lane, (start, end) in enumerate(_LANE_ENDS):
@@ -175,18 +187,23 @@ class Mesh:
         det = lx[1] * ly[2] - lx[2] * ly[1]
         if np.any(det <= 0):
             raise ValueError("cells must be counterclockwise with positive area")
-        a, b, c, d = -ly[1] / det, lx[1] / det, -ly[2] / det, lx[2] / det
-        inv = np.stack((a, b, c, d), axis=1).reshape(-1, 2, 2)
+        planes = np.empty((2, 2, len(det)))  # J^-1 = [[a, b], [c, d]] by entry
+        (a, b), (c, d) = planes
+        np.divide(-ly[1], det, out=a)
+        np.divide(lx[1], det, out=b)
+        np.divide(-ly[2], det, out=c)
+        np.divide(lx[2], det, out=d)
         off = det * (a * c + b * d)
         metric = np.stack((det * (a * a + b * b), off, off, det * (c * c + d * d)), axis=1)
         del a, b, c, d, off
+        inv = planes.transpose(2, 0, 1)
         self.det, self.inv, self.metric = det, inv, metric
         self._lanes = lx, ly  # until the lane geometry is formed
         (self.facets, self.facet_cells, self.cell_facets,
          self.facet_lanes) = build_connectivity(self.cells)
         self.facet_tags = self._assign_tags(boundary)
         self.parents = None
-        for array in (self.vertices, self.cells, det, inv, self.metric, self.facets,
+        for array in (self.vertices, self.cells, det, planes, inv, self.metric, self.facets,
                       self.facet_cells, self.cell_facets, self.facet_lanes, self.facet_tags):
             array.setflags(write=False)
 
@@ -232,26 +249,38 @@ class Mesh:
         return idx
 
     @functools.cached_property
+    def affine(self):
+        """The affine maps x -> J x + v0 of the cells as one read-only
+        (2, nc, 3) array: row i of a cell is [J_i0, J_i1, v0_i], so each
+        ``affine[i]`` is a C-contiguous (nc, 3) matrix that maps homogeneous
+        reference points [x; y; 1] to coordinate i in one product.  Formed
+        on first read and kept."""
+        affine = np.empty((2, self.num_cells, 3))
+        for i in (0, 1):
+            x = np.take(self.vertices[:, i], self.cells.T)  # (3, nc)
+            np.subtract(x[1], x[0], out=affine[i, :, 0])
+            np.subtract(x[2], x[0], out=affine[i, :, 1])
+            affine[i, :, 2] = x[0]
+        affine.setflags(write=False)
+        return affine
+
+    @functools.cached_property
     def jac(self):
-        """Cell Jacobians (nc, 2, 2) with columns v1 - v0 and v2 - v0,
-        read-only; formed on first read and kept."""
-        x, y = self.vertices[:, 0][self.cells.T], self.vertices[:, 1][self.cells.T]
-        jac = np.empty((self.num_cells, 2, 2))
-        jac[:, 0, 0], jac[:, 1, 0] = x[1] - x[0], y[1] - y[0]
-        jac[:, 0, 1], jac[:, 1, 1] = x[2] - x[0], y[2] - y[0]
-        jac.setflags(write=False)
-        return jac
+        """Cell Jacobians (nc, 2, 2) with columns v1 - v0 and v2 - v0: a
+        read-only view of ``affine``, formed with it on first read."""
+        return self.affine[..., :2].transpose(1, 0, 2)
 
     def _lane_geometry(self):
         """Form ``lane_lengths`` and ``lane_normals`` together from the lane
         planes, keep both read-only and drop the planes."""
         lx, ly = self.__dict__.pop("_lanes")
         lengths = np.hypot(lx, ly)
-        normals = np.empty(lx.shape + (2,))
-        np.divide(ly, lengths, out=normals[..., 0])
-        np.divide(-lx, lengths, out=normals[..., 1])
-        lengths.setflags(write=False)
-        normals.setflags(write=False)
+        planes = np.empty((2,) + lx.shape)  # (2, 3, nc) by [component, lane, cell]
+        np.divide(ly, lengths, out=planes[0])
+        np.divide(-lx, lengths, out=planes[1])
+        normals = planes.transpose(1, 2, 0)
+        for array in (lengths, planes, normals):
+            array.setflags(write=False)
         self.__dict__.update(lane_lengths=lengths, lane_normals=normals)
         return lengths, normals
 
@@ -264,13 +293,15 @@ class Mesh:
     @functools.cached_property
     def lane_normals(self):
         """Outward unit normal of local edge i of each cell: (3, nc, 2),
-        read-only; formed with ``lane_lengths`` on the first read of either."""
+        read-only, a view of (2, 3, nc) planes, so that each component
+        ``lane_normals[..., i]`` is a C-contiguous (3, nc) plane; formed
+        with ``lane_lengths`` on the first read of either."""
         return self._lane_geometry()[1]
 
     @functools.cached_property
     def lane_tags(self):
         """Facet tag of local edge i of each cell: (3, nc) by [lane, cell]."""
-        tags = self.facet_tags[self.cell_facets.T]
+        tags = np.take(self.facet_tags, self.cell_facets.T)
         tags.setflags(write=False)
         return tags
 
@@ -282,9 +313,12 @@ class Mesh:
         boundary), and ``boundary`` lists the rows of boundary facets.
         Both are read-only and depend only on the connectivity."""
         nc = self.num_cells
-        cells, lanes = self.facet_cells.T, self.facet_lanes.T
-        rows = lanes * nc + cells
-        inner = cells[1] >= 0
+        # Rows of each facet's two sides as C-ordered (2, nf) planes; the
+        # arithmetic of the transposed (nf, 2) views would keep their order.
+        rows = np.empty((2, len(self.facets)), dtype=np.int64)
+        np.multiply(self.facet_lanes.T, nc, out=rows)
+        rows += self.facet_cells.T
+        inner = self.facet_cells[:, 1] >= 0
         mine, theirs = rows[0, inner], rows[1, inner]
         other = np.arange(3 * nc)
         other[mine] = theirs

@@ -265,15 +265,17 @@ def test_cell_derivatives_are_the_elementwise_push_forward(degree):
                            np.matmul(h, metric)[..., 0] + 0.0)
 
 
-@pytest.mark.parametrize("order", [3, 5, 8])
+@pytest.mark.parametrize("order", [3, 5, 8, 11])
 @pytest.mark.parametrize("random_tags", [False, True], ids=["jittered", "random-tags"])
 def test_physical_points_match_vertex_plus_mapped(order, random_tags):
-    """Mapping by coordinate planes and adding v0 in place gives v0 + J x
-    bit for bit, for all cells and for a slice, with the x and the y plane
-    each C-contiguous."""
+    """Mapping by one affine product per coordinate gives v0 + J x bit for
+    bit, for all cells, for slices of two rows or more and of one row, and
+    for sorted support rows, with the x and the y plane each C-contiguous."""
     mesh = randomly_tagged_mesh(5, seed=2) if random_tags else jittered_square(6, seed=9)
     pts, _ = quad.triangle_rule(order)
-    for cells in (slice(None), slice(7, 40)):
+    rows = np.sort(np.random.default_rng(order).choice(mesh.num_cells, 9, replace=False))
+    for cells in (slice(None), slice(7, 40), slice(7, 9), slice(7, 8), slice(-1, None),
+                  rows, rows[:2], rows[3:4]):
         got, want = physical_points(mesh, pts, cells), mapped_points(mesh, pts, cells)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
@@ -489,11 +491,11 @@ def test_cell_blocks_partition_the_mesh_and_keep_every_bit(monkeypatch):
             return np.array([3, 9, 10])
 
     got = [values for _, values in fem.cell_blocks(mesh, Supported(), pts)]
-    # a block's one support cell is mapped with a second row (row 0), so
-    # that it goes by a matrix product too
-    assert evaluated == [2, 2]
+    # a block's one support cell is evaluated alone; physical_points maps
+    # it as two rows, so that it goes by a matrix product too
+    assert evaluated == [1, 2]
     assert all(values is None for values in got[2:])
-    for block, rows in ((0, [0, 3]), (1, [1, 2])):
+    for block, rows in ((0, [3]), (1, [1, 2])):
         assert_bitwise(got[block][rows], want[8 * block:][rows])
         others = np.setdiff1d(np.arange(8), rows)
         assert (got[block][others] == 0.0).all()

@@ -216,14 +216,37 @@ def test_metric_keeps_the_matmul_bits_on_dyadic_meshes(name):
 
 
 def test_jacobians_are_formed_on_first_read():
-    """``jac`` is not stored by the constructor; its first read forms the
-    array of the columns v1 - v0 and v2 - v0, bitwise, and keeps it."""
-    mesh = refine(jittered_square(6, seed=5), [0, 7, 30])
-    assert "jac" not in vars(mesh)
-    v = mesh.vertices[mesh.cells]
-    want = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    assert_bitwise(mesh.jac, want)
-    assert vars(mesh)["jac"] is mesh.jac
+    """``affine`` and ``jac`` are not stored by the constructor; the first
+    read of either forms the rows [J_i0, J_i1, v0_i] of ``affine``, bitwise
+    the columns v1 - v0 and v2 - v0 and the vertex v0, and keeps both, with
+    ``jac`` a view of ``affine``."""
+    for first in ("jac", "affine"):
+        mesh = refine(jittered_square(6, seed=5), [0, 7, 30])
+        assert "jac" not in vars(mesh) and "affine" not in vars(mesh)
+        getattr(mesh, first)
+        assert "affine" in vars(mesh)
+        v = mesh.vertices[mesh.cells]
+        want = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        assert_bitwise(mesh.jac, want)
+        rows = np.concatenate([want, v[:, :1].transpose(0, 2, 1)], axis=-1)
+        assert_bitwise(mesh.affine, rows.transpose(1, 0, 2))
+        assert vars(mesh)["jac"] is mesh.jac and vars(mesh)["affine"] is mesh.affine
+        assert np.shares_memory(mesh.jac, mesh.affine)
+
+
+def test_per_cell_planes_are_c_contiguous():
+    """Every per-cell plane that the adaptive loop reads is C-contiguous,
+    on a jittered mesh with rotated cells and random tags and on its
+    refinement, so a pass over one plane reads consecutive memory."""
+    mesh = randomly_tagged_mesh(5, seed=3)
+    for owner in (mesh, refine(mesh, [0, 4, 9, 20])):
+        planes = [owner.det, owner.lane_lengths, owner.lane_tags, *owner.facing_rows]
+        planes += [owner.lane_normals[..., i] for i in (0, 1)]
+        planes += [owner.inv[:, i, j] for i in (0, 1) for j in (0, 1)]
+        planes += [owner.affine[i] for i in (0, 1)]
+        assert all(plane.flags.c_contiguous for plane in planes)
+        assert owner.lane_normals.shape == (3, owner.num_cells, 2)
+        assert owner.inv.shape == owner.jac.shape == (owner.num_cells, 2, 2)
 
 
 @pytest.mark.parametrize("first", ["lane_lengths", "lane_normals"])
@@ -266,7 +289,7 @@ def test_refinement_is_nested(mesh, data):
 
 
 @pytest.mark.parametrize(
-    "name", ["jac", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals",
+    "name", ["jac", "affine", "det", "inv", "areas", "metric", "lane_lengths", "lane_normals",
              "facets", "facet_cells", "cell_facets", "facet_lanes", "facet_tags", "lane_tags"]
 )
 def test_geometry_record_is_read_only(name):
