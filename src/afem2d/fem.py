@@ -488,6 +488,12 @@ def _factor_spd(matrix):
         raise SolverError(f"sparse LU failed: {error}") from None
 
 
+# The relative residual at which the adaptive loop stops CG: a third of the
+# 1e-10 every column of :func:`solve` must reach.  References keep solve's
+# default 1e-12, since they must resolve the goal errors they measure.
+LOOP_RTOL = 3e-11
+
+
 def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None, x0=None):
     """Solve an eliminated system for each column of ``system.rhs``.
 
@@ -507,7 +513,9 @@ def solve(system, method="cg", rtol=1e-12, maxiter=200000, M=None, x0=None):
     infinite entry, before Jacobi CG iterates for a diagonal entry that is
     not finite and positive, and for an exactly singular ``lu`` factor.
     Every column must reach a relative residual of 1e-10 (a NaN residual
-    fails), which also guards the unpivoted factors.  Both are
+    fails), which also guards the unpivoted factors.  ``cg`` stops at
+    ``rtol``: the default 1e-12 serves references, and the adaptive loop
+    passes ``LOOP_RTOL`` (3e-11), a third of the check.  Both are
     deterministic for fixed inputs, and a column's solution does not depend
     on the others.
     """

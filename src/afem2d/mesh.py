@@ -427,8 +427,9 @@ def mark_dorfler(field, theta):
     if theta == 1.0:
         return np.flatnonzero(squares > 0.0).astype(np.int64)
     # The sorted values, their running sum, the cut and the tie-closed set
-    # below do not depend on how the sort orders ties, so it need not be stable.
-    sorted_squares = squares[np.argsort(-squares)]
+    # below do not depend on how ties are ordered, so the values are sorted
+    # alone, without an index permutation.
+    sorted_squares = np.sort(squares)[::-1]
     cumsum = np.cumsum(sorted_squares)
     # The target is measured against the running sum itself, not the
     # differently rounded ``total``, so that theta near 1 cuts inside it.

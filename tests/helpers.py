@@ -389,6 +389,21 @@ def nested_start(previous, mesh, load):
     return start
 
 
+def argsort_dorfler(values, theta):
+    """Dörfler marking with the squares ordered by ``np.argsort`` of their
+    negatives: the form ``mark_dorfler`` had before it sorted the squares
+    alone, kept as the oracle for its marked set."""
+    squares = np.asarray(values, dtype=float) ** 2
+    if squares.sum() <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if theta == 1.0:
+        return np.flatnonzero(squares > 0.0).astype(np.int64)
+    sorted_squares = squares[np.argsort(-squares)]
+    cumsum = np.cumsum(sorted_squares)
+    cut = int(np.searchsorted(cumsum, theta * cumsum[-1] * (1.0 - 1e-12)))
+    return np.flatnonzero(squares >= sorted_squares[cut]).astype(np.int64)
+
+
 def two_solve_goal_trace(problem, config, reference):
     """The goal loop with a separate primal and dual assembly and solve
     on every mesh (Dörfler marking, ``max_dofs`` stop): the oracle for
@@ -396,11 +411,11 @@ def two_solve_goal_trace(problem, config, reference):
     the V-cycle over the same mesh hierarchy, and at degree 1 each starts
     on a mesh above ``COARSE_DOFS`` from its own previous solution, the
     new vertices at their parents' mean and the Dirichlet DOFs at its
-    system's values.  J(u_h) is the raw dual load
-    applied to u_h, as in the loop, and every load and estimate takes the
-    plain ``goal.c``, which has no ``support_cells``: the byte-identical
-    trace then also shows that the loop's support-restricted dual load and
-    dual estimate keep their bits."""
+    system's values; CG stops at the loop's ``LOOP_RTOL``.  J(u_h) is the
+    raw dual load applied to u_h, as in the loop, and every load and
+    estimate takes the plain ``goal.c``, which has no ``support_cells``:
+    the byte-identical trace then also shows that the loop's
+    support-restricted dual load and dual estimate keep their bits."""
     from afem2d.adapt import (
         AdaptTrace, TraceRow, assemble_dual, resolve_estimator, wgo_indicators,
     )
@@ -420,7 +435,8 @@ def two_solve_goal_trace(problem, config, reference):
                 and mesh.num_vertices > fem.COARSE_DOFS):
             starts = [nested_start(old, mesh, each.rhs)
                       for old, each in zip(previous, (system, dual))]
-        u, z = (FEFunction(space, fem.solve(each, method=config.solver, M=precond, x0=start))
+        u, z = (FEFunction(space, fem.solve(each, method=config.solver, rtol=fem.LOOP_RTOL,
+                                            M=precond, x0=start))
                 for each, start in zip((system, dual), starts))
         previous = (u.coeffs, z.coeffs)
         indicator, eta = wgo_indicators(estimator(u, problem.f, problem.g), estimator(z, c, None))

@@ -579,10 +579,10 @@ def test_goal_dual_column_is_the_dual_system_load(monkeypatch):
     problem = dataclasses.replace(lshaped_mixed(), goal=GoalSpec())
     seen = []
 
-    def recording(system, method, M=None, x0=None):
-        assert x0 is None  # lu takes no start
+    def recording(system, method, **kwargs):
+        assert kwargs["x0"] is None  # lu takes no start
         seen.append(system)
-        return solve(system, method, M=M, x0=x0)
+        return solve(system, method, **kwargs)
 
     monkeypatch.setattr(adapt_module, "solve", recording)
     result = adapt_loop(problem, AdaptConfig(degree=2, solver="lu", max_iterations=0), 0.0)
@@ -702,11 +702,12 @@ def test_reference_cg_iterations_stay_flat(monkeypatch):
     reference solve within 20% as the mesh is refined."""
     import afem2d.fem as fem
 
-    counts = []
+    counts, tolerances = [], []
     original = fem.spla.cg
 
     def counting(*args, **kwargs):
         counts.append(0)
+        tolerances.append(kwargs["rtol"])
 
         def step(xk):
             counts[-1] += 1
@@ -718,6 +719,8 @@ def test_reference_cg_iterations_stay_flat(monkeypatch):
         reference_goal_value(lshaped_goal(), 1, refinements=refinements)
     assert len(counts) == 3
     assert all(abs(n - counts[0]) <= 0.2 * counts[0] for n in counts), counts
+    # A reference resolves the goal errors it measures: it keeps solve's 1e-12.
+    assert tolerances == [1e-12] * 3
 
 
 def test_reference_factors_only_the_p1_matrix(monkeypatch):
@@ -762,9 +765,9 @@ def test_loop_cg_iterations_stay_flat_over_the_hierarchy(monkeypatch):
 
 def recorded_cg_loop(monkeypatch, problem, config, reference=None, drop_start=False):
     """``adapt_loop`` with every ``fem.spla.cg`` call recorded as a dict of
-    its load, start (``x0``), solution and iteration count, and the mesh of
-    every assembly; ``drop_start`` runs each solve from zero instead.
-    Returns (result, calls, meshes)."""
+    its load, start (``x0``), ``rtol``, solution, true relative residual
+    and iteration count, and the mesh of every assembly; ``drop_start``
+    runs each solve from zero instead.  Returns (result, calls, meshes)."""
     import afem2d.adapt as adapt
     import afem2d.fem as fem
 
@@ -775,13 +778,15 @@ def recorded_cg_loop(monkeypatch, problem, config, reference=None, drop_start=Fa
         start = kwargs.get("x0")
         if drop_start:
             kwargs["x0"] = None
-        call = {"load": load.copy(), "x0": None if start is None else start.copy(), "iters": 0}
+        call = {"load": load.copy(), "x0": None if start is None else start.copy(),
+                "rtol": kwargs["rtol"], "iters": 0}
 
         def step(xk):
             call["iters"] += 1
 
         x, info = original_cg(matrix, load, *args, callback=step, **kwargs)
-        calls.append(dict(call, x=x.copy()))
+        residual = np.linalg.norm(load - matrix @ x) / np.linalg.norm(load)
+        calls.append(dict(call, x=x.copy(), residual=residual))
         return x, info
 
     def assembling(space, *args):
@@ -791,6 +796,33 @@ def recorded_cg_loop(monkeypatch, problem, config, reference=None, drop_start=Fa
     monkeypatch.setattr(fem.spla, "cg", recording)
     monkeypatch.setattr(adapt, "assemble_poisson", assembling)
     return adapt_loop(problem, config, reference), calls, meshes
+
+
+@pytest.mark.parametrize("problem,config,columns", [
+    (lshaped, AdaptConfig(estimator="bw:2,1", max_dofs=5000), 1),
+    (lshaped_mixed, AdaptConfig(estimator="res", degree=2, max_dofs=3000), 1),
+    (lshaped_goal, AdaptConfig(estimator="bw:2,1", max_dofs=3000), 2),
+], ids=["P1-lshaped", "P2-lshaped-mixed", "goal"])
+def test_loop_cg_stops_at_the_loop_tolerance(monkeypatch, problem, config, columns):
+    """Every loop solve, primal and dual alike, runs CG to ``LOOP_RTOL``
+    and leaves a true relative residual within solve's 1e-10 check."""
+    import afem2d.fem as fem
+
+    assert fem.LOOP_RTOL == 3e-11
+    _, calls, meshes = recorded_cg_loop(monkeypatch, problem(), config, FROZEN_GOAL_REFERENCE)
+    assert len(calls) == columns * len(meshes) and len(meshes) > 3
+    assert all(call["rtol"] == fem.LOOP_RTOL for call in calls)
+    assert max(call["residual"] for call in calls) <= 1e-10
+
+
+def test_lu_goal_trace_takes_no_tolerance(monkeypatch):
+    """The loop's CG tolerance leaves the ``lu`` goal trace byte-identical
+    to the one solved at ``solve``'s defaults."""
+    problem = lshaped_goal()
+    config = AdaptConfig(estimator="bw:4,2", solver="lu", max_dofs=3000)
+    got = adapt_loop(problem, config, FROZEN_GOAL_REFERENCE).trace.to_csv()
+    monkeypatch.setattr(adapt, "solve", lambda system, rtol, **kwargs: solve(system, **kwargs))
+    assert got == adapt_loop(problem, config, FROZEN_GOAL_REFERENCE).trace.to_csv()
 
 
 def test_nested_iteration_starts_cg_from_the_previous_solution(monkeypatch):

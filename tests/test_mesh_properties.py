@@ -18,7 +18,8 @@ from afem2d.mesh import (
 )
 from afem2d.problems import make_problem
 from helpers import (
-    assert_bitwise, jittered_square, randomly_tagged_mesh, unique_rows_connectivity,
+    argsort_dorfler, assert_bitwise, jittered_square, randomly_tagged_mesh,
+    unique_rows_connectivity,
 )
 
 SEED_MESHES = {
@@ -376,6 +377,24 @@ def test_dorfler_marking_matches_the_stable_sort_formula(values, theta):
     marked = mark_dorfler(values, theta)
     assert marked.dtype == np.int64
     assert np.array_equal(marked, stable_dorfler(values, theta))
+
+
+# Plain thetas, thetas within 1e-9 of 1 and theta = 1 itself.
+THETAS = (st.floats(min_value=1e-9, max_value=1.0)
+          | st.floats(min_value=1 - 1e-9, max_value=1.0) | st.just(1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=INDICATORS | tied_fields(), theta=THETAS)
+@example(values=np.tile([2.0, 1.0, 0.0], 300), theta=0.3)  # the cut inside a tied block
+@example(values=np.tile([2.0, 1.0, 0.5], 300), theta=1 - 1e-13)
+@example(values=np.round(np.random.default_rng(0).random(70_000), 3), theta=0.5)
+def test_dorfler_marking_matches_the_argsort_oracle(values, theta):
+    """Sorting the squares alone marks the set that ordering them by an
+    index argsort marked: the tie rule does not see how ties are sorted."""
+    marked = mark_dorfler(np.asarray(values), theta)
+    assert marked.dtype == np.int64
+    assert np.array_equal(marked, argsort_dorfler(values, theta))
 
 
 @pytest.mark.parametrize("n", [1, 7])
