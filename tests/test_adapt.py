@@ -465,7 +465,8 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
     P1 assembly); ``lu`` factors each mesh's matrix once, and ``cg``
     factors only its coarsest level, of at most ``COARSE_DOFS`` rows.
     Every factorization runs SuperLU in symmetric mode, with the
-    minimum-degree ordering of A + A^T and no pivoting."""
+    minimum-degree ordering of A + A^T, no pivoting, no relaxed supernodes
+    and one-column panels."""
     import afem2d.fem as fem
 
     calls = {"assemble_p1_system": [], "assemble_stiffness": [], "splu": []}
@@ -494,7 +495,7 @@ def test_goal_iteration_assembles_and_factors_once(monkeypatch, solver):
     else:
         assert factored and max(factored) <= fem.COARSE_DOFS
     symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                 "options": {"SymmetricMode": True}}
+                 "relax": 1, "panel_size": 1, "options": {"SymmetricMode": True}}
     assert all(kwargs == symmetric for _, kwargs in calls["splu"])
 
 

@@ -944,6 +944,25 @@ def test_symmetric_mode_fills_less_than_the_default_splu():
     assert symmetric.L.nnz + symmetric.U.nnz < default.L.nnz + default.U.nnz
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_unrelaxed_factors_match_superlu_default_panels(degree):
+    """Without relaxed supernodes and with one-column panels the factors
+    hold what SuperLU's default relax and panel_size give under the same
+    ordering and mode, and solve a jittered mixed D/N system as well."""
+    mesh = randomly_tagged_mesh(6, seed=4)
+    space = FunctionSpace(mesh, degree)
+    system = assemble_poisson(space, lambda x, y: np.cos(3 * x) + y, lambda x, y: x - y,
+                              lambda x, y: np.sin(x + 2 * y))
+    matrix, rhs = system.matrix.tocsc(), system.rhs
+    ours = fem._factor_spd(system.matrix)
+    default = fem.spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+    assert ours.L.nnz + ours.U.nnz == default.L.nnz + default.U.nnz
+    got, want = ours.solve(rhs), default.solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(rhs - matrix @ got) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def test_solve_passes_the_given_preconditioner_to_cg_only(monkeypatch):
     import afem2d.fem as fem
 
